@@ -1,16 +1,15 @@
 #!/usr/bin/env python3
-"""Benchmark the compiled tree-search kernel against the pure-Python fallback.
+"""Time the tree-search kernel per case.
 
 Runs the exhaustive maximum-relocatable-tree search on one representative
 factorization per cycle type of the a5-ex2 fixture plus the toy instances,
-with each kernel, and prints a comparison table.
+and prints size, node count and the best-of-N time per case.
 
 Usage: python benchmarks/bench_treesearch.py [--repeat N]
 """
 import argparse
 import time
 
-from spanfact import treesearch
 from spanfact.digraph import build_toy, enumerate_factorizations, factorization_at
 from spanfact.fixtures import load_fixture
 from spanfact.spanning import max_relocatable_tree
@@ -34,30 +33,16 @@ def main():
     ap.add_argument("--repeat", type=int, default=3)
     args = ap.parse_args()
 
-    if treesearch._compiled is None:
-        print("compiled kernel not built; showing pure-Python timings only")
-    header = f"{'case':<34} {'size':>4} {'nodes':>8} {'pure (s)':>10} {'cython (s)':>10} {'speedup':>8}"
+    header = f"{'case':<34} {'size':>4} {'nodes':>8} {'best (s)':>10}"
     print(header)
     print("-" * len(header))
     for label, f in cases():
-        times = {}
-        result = None
-        for kernel, force_pure in (("pure", True), ("cython", False)):
-            if kernel == "cython" and treesearch._compiled is None:
-                continue
-            best = float("inf")
-            for _ in range(args.repeat):
-                t0 = time.perf_counter()
-                result = max_relocatable_tree(f, force_pure=force_pure)
-                best = min(best, time.perf_counter() - t0)
-            times[kernel] = best
-        speed = (
-            f"{times['pure'] / times['cython']:.1f}x" if "cython" in times else "-"
-        )
-        print(
-            f"{label:<34} {result.size:>4} {result.nodes:>8} "
-            f"{times['pure']:>10.4f} {times.get('cython', float('nan')):>10.4f} {speed:>8}"
-        )
+        best = float("inf")
+        for _ in range(args.repeat):
+            t0 = time.perf_counter()
+            result = max_relocatable_tree(f)
+            best = min(best, time.perf_counter() - t0)
+        print(f"{label:<34} {result.size:>4} {result.nodes:>8} {best:>10.4f}")
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from .blocks import PhaseProfile, PositionSystem
 from .digraph import Factorization
 from .errors import PreconditionError
-from .perm import Perm, Word, compose, evaluate
+from .perm import Perm, Word, agree_somewhere, compose, evaluate
 from . import treesearch
 
 
@@ -76,8 +76,7 @@ def verify_sharply_transitive(ws: WordSet, f: Factorization) -> Verdict:
         return Verdict(False, f"size {len(ws)} != n = {n}")
     for i in range(n):
         for j in range(i + 1, n):
-            a, b = images[i], images[j]
-            if any(x == y for x, y in zip(a.images, b.images)):
+            if agree_somewhere(images[i], images[j]):
                 pair_ok = False
                 violation = (ws.words[i], ws.words[j])
                 break
@@ -143,7 +142,7 @@ def verify_reloc_tree(
     imgs = [evaluate(w, f.f1, f.f2) for w in words]
     for i in range(len(imgs)):
         for j in range(i + 1, len(imgs)):
-            if any(x == y for x, y in zip(imgs[i].images, imgs[j].images)):
+            if agree_somewhere(imgs[i], imgs[j]):
                 return RelocTreeReport(
                     False, f"words {words[i]} and {words[j]} agree at a vertex"
                 )
@@ -163,12 +162,11 @@ def max_relocatable_tree(
     f: Factorization,
     node_cap: int = 100_000_000,
     closure_cap: int = 4000,
-    force_pure: bool = False,
 ) -> TreeSearchResult:
     """Exact branch-and-bound over prefix-closed pairwise-relocatable word
     trees; certificate is emitted only when the search ran to exhaustion."""
-    size, witness, nodes, certified, kernel = treesearch.run_search(
-        f.n, f.f1.images, f.f2.images, node_cap, closure_cap, force_pure=force_pure
+    size, witness, nodes, certified = treesearch.run_search(
+        f.n, f.f1.images, f.f2.images, node_cap, closure_cap
     )
     words: list[Word] = []
     for parent, sym in witness:
@@ -176,7 +174,9 @@ def max_relocatable_tree(
             words.append(())
         else:
             words.append((sym,) + words[parent])
-    return TreeSearchResult(size, tuple(words), certified, nodes, kernel)
+    return TreeSearchResult(
+        size, tuple(words), certified, nodes, treesearch.active_kernel_name()
+    )
 
 
 # --- exact sharply transitive search -----------------------------------------
@@ -224,8 +224,7 @@ def search_sharply_transitive(
     chosen: list[tuple[Word, Perm]] = list(zip(required, req_imgs))
     for i in range(len(chosen)):
         for j in range(i + 1, len(chosen)):
-            a, b = chosen[i][1], chosen[j][1]
-            if any(p == q for p, q in zip(a.images, b.images)):
+            if agree_somewhere(chosen[i][1], chosen[j][1]):
                 return None
 
     by_root_image: dict[int, list[tuple[Perm, Word]]] = {v: [] for v in range(n)}
@@ -241,9 +240,7 @@ def search_sharply_transitive(
     )
 
     def compatible(elem: Perm, members: list[tuple[Word, Perm]]) -> bool:
-        return all(
-            not any(x == y for x, y in zip(elem.images, mb.images)) for _, mb in members
-        )
+        return not any(agree_somewhere(elem, mb) for _, mb in members)
 
     def backtrack(k: int, members: list[tuple[Word, Perm]]):
         if k == len(vertices):

@@ -1,33 +1,146 @@
-"""Kernel selection for the relocatable-tree search.
+"""Branch-and-bound kernel for the maximum relocatable tree.
 
-The compiled Cython kernel is used when it was built; otherwise the
-pure-Python twin runs.  Set SPANFACT_PURE_KERNEL=1 to force the fallback.
-Both kernels implement the identical traversal, so results (size, witness,
-node count, certificate) must not depend on the selection.
+Search states are element sets (evaluation images as ``bytes``), grown one
+frontier element at a time; branching is include-first on the oldest
+frontier entry.  The bound at a node is the member count plus, minimized
+over vertices, the number of distinct images that elements reachable
+through still-admissible elements can take at that vertex.  Witnesses are
+returned as (parent, symbol) pairs indexing the member list, so callers can
+rebuild the tree words.
+
+"Does ``e`` agree with some member at some vertex?" is one SWAR (SIMD within
+a register) test: the k members are kept as one integer blob, member i in
+bytes [i*n, (i+1)*n), and ``x = int(e * k) ^ blob`` has a zero byte exactly
+when ``e`` agrees with a member somewhere.  The zero-byte test is "haszero"
+from Bit Twiddling Hacks: ``(x - 0x01..01) & ~x & 0x80..80`` is nonzero iff
+some byte of ``x`` is zero.
 """
 from __future__ import annotations
 
-import os
+from .errors import PreconditionError
 
-from . import _treekernel_py
-
-try:
-    from . import _treekernel as _compiled
-except ImportError:
-    _compiled = None
+MAX_POINTS = 255
 
 
-def active_kernel_name(force_pure: bool = False) -> str:
-    if force_pure or _compiled is None or os.environ.get("SPANFACT_PURE_KERNEL") == "1":
-        return "python"
-    return "cython"
+def active_kernel_name() -> str:
+    """Name recorded in search results; there is one kernel."""
+    return "python"
 
 
-def run_search(n, f1_images, f2_images, node_cap, closure_cap, force_pure=False):
-    """Dispatch to the active kernel; returns (size, witness, nodes, certified, kernel)."""
-    name = active_kernel_name(force_pure)
-    impl = _compiled if name == "cython" else _treekernel_py
-    size, witness, nodes, certified = impl.run(
-        n, f1_images, f2_images, node_cap, closure_cap
+def _conflicts(a: bytes, b: bytes) -> bool:
+    return any(x == y for x, y in zip(a, b))
+
+
+def run_search(n, f1_images, f2_images, node_cap, closure_cap):
+    """Return (best_size, witness, nodes, certified).
+
+    witness is a list of (parent_index, symbol) in member order; the root has
+    parent -1.  certified is False when the node cap cut the search short.
+    """
+    if n > MAX_POINTS:
+        raise PreconditionError(
+            f"tree search supports at most {MAX_POINTS} vertices, got n = {n}"
+        )
+    tables = (
+        bytes(f1_images) + bytes(range(n, 256)),
+        bytes(f2_images) + bytes(range(n, 256)),
     )
-    return size, witness, nodes, certified, name
+    identity = bytes(range(n))
+    from_bytes = int.from_bytes
+
+    members: list[bytes] = [identity]
+    member_set = {identity}
+    blob = from_bytes(identity, "little")
+    prov: list[tuple[int, int]] = [(-1, 0)]
+    excluded: set[bytes] = set()
+    # per member count k: (0x01 in every byte, 0x80 in every byte) over k*n bytes
+    masks: dict[int, tuple[int, int]] = {}
+
+    def lanes(k: int) -> tuple[int, int]:
+        if k not in masks:
+            low = from_bytes(b"\x01" * (n * k), "little")
+            masks[k] = (low, low << 7)
+        return masks[k]
+
+    best_size = 1
+    best_witness = list(prov)
+    nodes = 0
+    aborted = False
+
+    def closure_bound(frontier) -> int:
+        """Upper bound on how many more members this branch can gain."""
+        k = len(members)
+        low, high = lanes(k)
+        seen = set()
+        queue = [entry[0] for entry in frontier]
+        for e in queue:
+            if e in seen:
+                continue
+            seen.add(e)
+            if len(seen) > closure_cap:
+                return n
+            for table in tables:
+                ne = e.translate(table)
+                if ne in seen or ne in excluded:
+                    continue
+                x = from_bytes(ne * k, "little") ^ blob
+                if (x - low) & ~x & high:
+                    continue
+                queue.append(ne)
+        return min(len(set(col)) for col in zip(*seen))
+
+    def rec(frontier) -> None:
+        nonlocal best_size, best_witness, nodes, aborted, blob
+        nodes += 1
+        if nodes > node_cap:
+            aborted = True
+            return
+        if not frontier:
+            return
+        if len(members) + closure_bound(frontier) <= best_size:
+            return
+        elem, parent, sym = frontier[0]
+
+        # include
+        outer_blob = blob
+        blob |= from_bytes(elem, "little") << (8 * n * len(members))
+        members.append(elem)
+        member_set.add(elem)
+        prov.append((parent, sym))
+        my_index = len(members) - 1
+        k = len(members)
+        low, high = lanes(k)
+        new_frontier = [f for f in frontier[1:] if not _conflicts(f[0], elem)]
+        for s, table in ((1, tables[0]), (2, tables[1])):
+            ne = elem.translate(table)
+            if ne in excluded or ne in member_set:
+                continue
+            if any(ne == f[0] for f in new_frontier):
+                continue
+            x = from_bytes(ne * k, "little") ^ blob
+            if (x - low) & ~x & high:
+                continue
+            new_frontier.append((ne, my_index, s))
+        if len(members) > best_size:
+            best_size = len(members)
+            best_witness = list(prov)
+        rec(new_frontier)
+        members.pop()
+        member_set.discard(elem)
+        prov.pop()
+        blob = outer_blob
+        if aborted:
+            return
+
+        # exclude
+        excluded.add(elem)
+        rec(frontier[1:])
+        excluded.discard(elem)
+
+    frontier0 = []
+    for s, table in ((1, tables[0]), (2, tables[1])):
+        ne = identity.translate(table)
+        if not _conflicts(ne, identity) and all(ne != f[0] for f in frontier0):
+            frontier0.append((ne, 0, s))
+    rec(frontier0)
+    return best_size, best_witness[:best_size], nodes, not aborted

@@ -1,6 +1,6 @@
 """Independent test-side oracles.
 
-These deliberately share no code with the search kernels or the refinement
+These deliberately share no code with the tree-search kernel or the refinement
 classifier: the tree oracle enumerates word trees directly, and the
 refinement oracle enumerates candidate class subsets and checks invariance
 inline.

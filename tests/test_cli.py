@@ -92,6 +92,14 @@ def test_tree_search_budget_exit(capsys):
     assert rec["certificate"] is False
 
 
+def test_tree_search_too_many_points_exit(capsys):
+    code, out, err = run_cli(capsys, "tree-search", "--fixture", "toy:130", "--bitmask", "0")
+    assert code == 3
+    assert out == ""
+    assert "Traceback" not in err
+    assert "at most 255 vertices, got n = 260" in err
+
+
 def test_spanning_blocks_toy(capsys):
     code, out, _ = run_cli(
         capsys, "spanning", "--fixture", "toy:3", "--method", "blocks",

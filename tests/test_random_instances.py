@@ -1,5 +1,5 @@
 """Seeded random small digraphs: cross-validate enumeration invariants and
-the search kernels against the naive oracle."""
+the tree-search kernel against the naive oracle."""
 import random
 
 import pytest
@@ -62,10 +62,8 @@ def test_tree_search_matches_oracle_random(seed):
     d = random_digraph(rng, rng.choice([4, 5, 6]))
     for f in enumerate_factorizations(d):
         res = max_relocatable_tree(f)
-        pure = max_relocatable_tree(f, force_pure=True)
-        assert res.certificate and pure.certificate
-        assert res.size == pure.size == naive_max_tree_size(f)
-        assert res.words == pure.words
+        assert res.certificate
+        assert res.size == naive_max_tree_size(f)
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -1,61 +1,39 @@
-"""Kernel selection and cross-kernel parity."""
-import pytest
+"""Golden results of the relocatable-tree kernel.
 
-from spanfact import treesearch
-from spanfact.digraph import build_shift, build_toy, enumerate_factorizations, factorization_at
+tests/golden_treesearch.json pins (size, nodes, certificate, words) per case,
+keyed "<fixture>/<bitmask>"; a word is its symbol tuple written as digits.
+The cases are every factorization of toy:3/4/5 and shift:5 and one class
+representative per factorization class of a5-ex3 and a5-ex2.
+"""
+import json
+from pathlib import Path
+
+from spanfact.digraph import classify_factorizations, enumerate_factorizations, factorization_at
 from spanfact.fixtures import load_fixture
 from spanfact.spanning import max_relocatable_tree
 
-HAVE_COMPILED = treesearch._compiled is not None
+GOLDEN = json.loads(Path(__file__).with_name("golden_treesearch.json").read_text())
 
 
-def test_pure_kernel_always_available():
-    d, f = build_toy(3)
-    res = max_relocatable_tree(f, force_pure=True)
-    assert res.kernel == "python"
-    assert res.size == 6 and res.certificate
-
-
-@pytest.mark.skipif(not HAVE_COMPILED, reason="compiled kernel not built")
-def test_compiled_kernel_selected_by_default():
-    d, f = build_toy(3)
-    res = max_relocatable_tree(f)
-    assert res.kernel == "cython"
-
-
-@pytest.mark.skipif(not HAVE_COMPILED, reason="compiled kernel not built")
-@pytest.mark.parametrize(
-    "builder",
-    [lambda: build_toy(3), lambda: build_toy(4), lambda: build_shift(5)],
-)
-def test_kernel_parity_small(builder):
-    d, _ = builder()
-    for f in enumerate_factorizations(d):
-        fast = max_relocatable_tree(f)
-        pure = max_relocatable_tree(f, force_pure=True)
-        assert (fast.size, fast.nodes, fast.certificate) == (
-            pure.size,
-            pure.nodes,
-            pure.certificate,
+def golden_cases():
+    for name in ("toy:3", "toy:4", "toy:5", "shift:5"):
+        for f in enumerate_factorizations(load_fixture(name).digraph):
+            yield f"{name}/{f.bitmask}", f
+    for name in ("a5-ex3", "a5-ex2"):
+        fx = load_fixture(name)
+        d = fx.digraph
+        classes = classify_factorizations(
+            d, enumerate_factorizations(d), fx.aut_generators(), allow_swap=True
         )
-        assert fast.words == pure.words
+        for cls in classes:
+            yield f"{name}/{cls.representative}", factorization_at(d, cls.representative)
 
 
-@pytest.mark.skipif(not HAVE_COMPILED, reason="compiled kernel not built")
-def test_kernel_parity_a5():
-    d = load_fixture("a5-ex2").digraph
-    for b in (0, 5, 8):
-        f = factorization_at(d, b)
-        fast = max_relocatable_tree(f)
-        pure = max_relocatable_tree(f, force_pure=True)
-        assert (fast.size, fast.nodes, fast.certificate) == (
-            pure.size,
-            pure.nodes,
-            pure.certificate,
-        )
-        assert fast.words == pure.words
+def test_golden_tree_search():
+    got = {}
+    for key, f in golden_cases():
+        res = max_relocatable_tree(f)
+        assert res.kernel == "python"
+        got[key] = [res.size, res.nodes, res.certificate, ["".join(map(str, w)) for w in res.words]]
+    assert got == GOLDEN
 
-
-def test_env_var_forces_pure(monkeypatch):
-    monkeypatch.setenv("SPANFACT_PURE_KERNEL", "1")
-    assert treesearch.active_kernel_name() == "python"
