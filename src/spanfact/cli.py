@@ -48,14 +48,16 @@ EXIT_PRECONDITION = 3
 EXIT_BUDGET = 4
 
 _TOGGLE_KEYS = {"classify", "swap", "max_nodes", "format", "name"}
+FORMATS = ("tsv", "json-lines")
 
 
-def load_instance(args) -> Fixture:
-    """Resolve --fixture/--config into a Fixture."""
+def load_instance(args) -> tuple[Fixture, dict]:
+    """Resolve --fixture/--config into a Fixture and the config's toggles
+    (none for a fixture); the config document is read and parsed once."""
     if getattr(args, "fixture", None) and getattr(args, "config", None):
         raise ConfigError("give either --fixture or --config, not both")
     if getattr(args, "fixture", None):
-        return load_fixture(args.fixture)
+        return load_fixture(args.fixture), {}
     if not getattr(args, "config", None):
         raise ConfigError("one of --fixture or --config is required")
     try:
@@ -65,7 +67,8 @@ def load_instance(args) -> Fixture:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    return instance_from_config(doc)
+    fx = instance_from_config(doc)
+    return fx, {k: doc[k] for k in _TOGGLE_KEYS if k in doc}
 
 
 def instance_from_config(doc) -> Fixture:
@@ -93,15 +96,12 @@ def instance_from_config(doc) -> Fixture:
     return Fixture(name, cd.digraph, cd, None)
 
 
-def config_toggles(args) -> dict:
-    if not getattr(args, "config", None):
-        return {}
-    try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError):
-        return {}
-    return {k: doc[k] for k in _TOGGLE_KEYS if isinstance(doc, dict) and k in doc}
+def output_format(args, toggles: dict) -> str:
+    """--format when given, else the config's format toggle, else TSV."""
+    fmt = args.format or toggles.get("format", "tsv")
+    if fmt not in FORMATS:
+        raise ConfigError(f"field 'format', token {fmt!r}: expected one of {', '.join(FORMATS)}")
+    return fmt
 
 
 # --- record emission ----------------------------------------------------------
@@ -138,8 +138,7 @@ def _base_record(schema: str, fx: Fixture) -> dict:
 # --- subcommands ---------------------------------------------------------------
 
 
-def cmd_build(args) -> tuple[list[dict], int]:
-    fx = load_instance(args)
+def cmd_build(args, fx: Fixture, toggles: dict) -> tuple[list[dict], int]:
     d = fx.digraph
     rec = _base_record("digraph-report", fx)
     rec.update(
@@ -151,16 +150,13 @@ def cmd_build(args) -> tuple[list[dict], int]:
     return [rec], EXIT_OK
 
 
-def cmd_enumerate(args) -> tuple[list[dict], int]:
-    fx = load_instance(args)
-    toggles = config_toggles(args)
+def cmd_enumerate(args, fx: Fixture, toggles: dict) -> tuple[list[dict], int]:
     classify = args.classify or bool(toggles.get("classify"))
     swap = args.swap or bool(toggles.get("swap"))
     d = fx.digraph
-    facs = enumerate_factorizations(d)
     records = []
     if classify:
-        classes = classify_factorizations(d, facs, fx.aut_generators(), allow_swap=swap)
+        classes = classify_factorizations(d, fx.aut_generators(), allow_swap=swap)
         for cid, cls in enumerate(classes):
             rec = _base_record("factorization-class", fx)
             rec.update(
@@ -172,7 +168,7 @@ def cmd_enumerate(args) -> tuple[list[dict], int]:
             )
             records.append(rec)
     else:
-        for f in facs:
+        for f in enumerate_factorizations(d):
             rec = _base_record("factorization", fx)
             rec.update(
                 bitmask=f.bitmask,
@@ -184,8 +180,7 @@ def cmd_enumerate(args) -> tuple[list[dict], int]:
     return records, EXIT_OK
 
 
-def cmd_blocks(args) -> tuple[list[dict], int]:
-    fx = load_instance(args)
+def cmd_blocks(args, fx: Fixture, toggles: dict) -> tuple[list[dict], int]:
     d = fx.digraph
     f = factorization_at(d, args.bitmask)
     ps = position_system(f)
@@ -218,15 +213,12 @@ def cmd_blocks(args) -> tuple[list[dict], int]:
     return records, EXIT_OK
 
 
-def cmd_tree_search(args) -> tuple[list[dict], int]:
-    fx = load_instance(args)
-    toggles = config_toggles(args)
+def cmd_tree_search(args, fx: Fixture, toggles: dict) -> tuple[list[dict], int]:
     node_cap = args.max_nodes or toggles.get("max_nodes") or 100_000_000
     d = fx.digraph
     targets: list[tuple[str, int]] = []
     if args.all_classes:
-        facs = enumerate_factorizations(d)
-        classes = classify_factorizations(d, facs, fx.aut_generators(), allow_swap=True)
+        classes = classify_factorizations(d, fx.aut_generators(), allow_swap=True)
         targets = [(str(cid), cls.representative) for cid, cls in enumerate(classes)]
     else:
         if args.bitmask is None:
@@ -252,8 +244,7 @@ def cmd_tree_search(args) -> tuple[list[dict], int]:
     return records, EXIT_BUDGET if exhausted else EXIT_OK
 
 
-def cmd_spanning(args) -> tuple[list[dict], int]:
-    fx = load_instance(args)
+def cmd_spanning(args, fx: Fixture, toggles: dict) -> tuple[list[dict], int]:
     d = fx.digraph
     f = factorization_at(d, args.bitmask)
     ps = position_system(f)
@@ -277,8 +268,7 @@ def cmd_spanning(args) -> tuple[list[dict], int]:
     return [rec], EXIT_OK if verdict.passed else EXIT_PRECONDITION
 
 
-def cmd_verify(args) -> tuple[list[dict], int]:
-    fx = load_instance(args)
+def cmd_verify(args, fx: Fixture, toggles: dict) -> tuple[list[dict], int]:
     d = fx.digraph
     facs = enumerate_factorizations(d)
     rng = random.Random(args.seed)
@@ -363,8 +353,7 @@ def cmd_verify(args) -> tuple[list[dict], int]:
 def _add_common(sp, bitmask=False):
     sp.add_argument("--config", help="JSON config document")
     sp.add_argument("--fixture", help="built-in instance, e.g. a5-ex2, a5-ex3, morris, toy:3")
-    sp.add_argument("--format", choices=("tsv", "json-lines"), default="tsv")
-    sp.add_argument("--quiet", action="store_true")
+    sp.add_argument("--format", choices=FORMATS, default=None)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--max-nodes", type=int, default=None)
     if bitmask:
@@ -413,7 +402,9 @@ def main(argv=None) -> int:
     if getattr(args, "bitmask", None) is None and args.command in ("blocks", "spanning"):
         args.bitmask = 0
     try:
-        records, code = args.func(args)
+        fx, toggles = load_instance(args)
+        fmt = output_format(args, toggles)
+        records, code = args.func(args, fx, toggles)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -423,7 +414,7 @@ def main(argv=None) -> int:
     except SpanfactError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    sys.stdout.write(emit_table(records, args.format))
+    sys.stdout.write(emit_table(records, fmt))
     return code
 
 

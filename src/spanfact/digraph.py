@@ -17,6 +17,7 @@ from .groups import CosetSpace, Presentation, left_multiplication, validate_pres
 from .perm import Perm, compose
 
 Edge = tuple[int, int]
+Arc = tuple[int, int]  # (tail, head)
 
 DEFAULT_CYCLE_CAP = 24
 
@@ -125,6 +126,18 @@ class Digraph2:
         return labels
 
     @cached_property
+    def _cycle_arcs(self) -> tuple[tuple[tuple[Arc, ...], tuple[Arc, ...]], ...]:
+        """Per alternating cycle, its arcs in F1 and in F2 at bit 0."""
+        labels = self._default_f1_label
+        out = []
+        for cyc in self.alt_decomposition.cycles:
+            arcs = ([], [])
+            for e in cyc:
+                arcs[not labels[e]].append((e[0], self.head(e)))
+            out.append((tuple(arcs[0]), tuple(arcs[1])))
+        return tuple(out)
+
+    @cached_property
     def _matching_f1(self) -> tuple[int, ...]:
         """A perfect matching tail -> head via augmenting paths; deterministic."""
         n = self.n
@@ -162,7 +175,7 @@ class AltCycleDecomposition:
         return len(self.cycles)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Factorization:
     """An ordered pair of 1-factors tagged with its orientation bitmask."""
 
@@ -203,20 +216,17 @@ def alternating_cycles(d: Digraph2, f: Factorization) -> AltCycleDecomposition:
 
 def factorization_at(d: Digraph2, bitmask: int) -> Factorization:
     """The 1-factorization selected by flipping the masked alternating cycles."""
-    dec = d.alt_decomposition
-    if not 0 <= bitmask < (1 << dec.r):
-        raise PreconditionError(f"bitmask {bitmask} out of range for r={dec.r}")
-    labels = d._default_f1_label
+    arcs = d._cycle_arcs
+    if not 0 <= bitmask < (1 << len(arcs)):
+        raise PreconditionError(f"bitmask {bitmask} out of range for r={len(arcs)}")
     f1 = [-1] * d.n
     f2 = [-1] * d.n
-    for ci, cyc in enumerate(dec.cycles):
+    for ci, pair in enumerate(arcs):
         flip = (bitmask >> ci) & 1
-        for e in cyc:
-            v = e[0]
-            if labels[e] ^ bool(flip):
-                f1[v] = d.head(e)
-            else:
-                f2[v] = d.head(e)
+        for v, h in pair[flip]:
+            f1[v] = h
+        for v, h in pair[1 - flip]:
+            f2[v] = h
     return Factorization(d, Perm(f1), Perm(f2), bitmask)
 
 
@@ -352,39 +362,76 @@ class FactorizationClass:
         return len(self.members)
 
 
+def mask_action(d: Digraph2, phi: Perm) -> tuple[tuple[int, ...], int]:
+    """How conjugation by the automorphism phi acts on orientation bitmasks.
+
+    Returns (source, flip): bit j of the image of mask b is bit source[j] of b
+    XOR bit j of flip, with source[j] = -1 for a cycle of two parallel edges,
+    whose bit is always 0 (as in bitmask_of).  phi carries the out-edges of
+    u = phi^-1(w) onto those of w, so the first edge (w, sl) of cycle j is in
+    F1 of the conjugate exactly when its preimage edge at u is in F1.
+    """
+    dec = d.alt_decomposition
+    labels = d._default_f1_label
+    phi_inv = phi.inverse()
+    source = []
+    flip = 0
+    for j, cyc in enumerate(dec.cycles):
+        w, sl = cyc[0]
+        a, b = d.out_edges[w]
+        if a == b:
+            source.append(-1)
+            continue
+        u = phi_inv(w)
+        pre = (u, 0) if d.out_edges[u][0] == phi_inv(d.head((w, sl))) else (u, 1)
+        source.append(dec.cycle_of_edge[pre])
+        if labels[pre] != labels[(w, sl)]:
+            flip |= 1 << j
+    return tuple(source), flip
+
+
+def mask_action_table(source: tuple[int, ...], flip: int) -> list[int]:
+    """The image of every mask in range(2^r), built from per-byte lookup tables."""
+    r = len(source)
+    targets = [0] * r
+    for j, s in enumerate(source):
+        if s >= 0:
+            targets[s] |= 1 << j
+    table = [flip]
+    for lo in range(0, r, 8):
+        byte = [0]
+        for s in range(lo, min(lo + 8, r)):
+            byte += [x ^ targets[s] for x in byte]
+        table = [a ^ x for x in byte for a in table]
+    return table
+
+
 def classify_factorizations(
     d: Digraph2,
-    facs: list[Factorization],
     aut_generators: list[Perm],
     allow_swap: bool,
+    cap: int = DEFAULT_CYCLE_CAP,
 ) -> list[FactorizationClass]:
-    """Orbits of the factorization list under conjugation by <aut_generators>
+    """Orbits of all 2^r factorizations under conjugation by <aut_generators>
     (and the F1<->F2 swap when allowed); canonical representative is the
     minimal orientation bitmask in each orbit.
+
+    Works on bitmasks alone: O(2^r * generators) integer operations plus one
+    factorization build per class, for its cycle types.
     """
+    r = d.alt_decomposition.r
+    if r > cap:
+        raise SizeCapError(f"alternating cycle count {r} exceeds cap {cap}")
     for phi in aut_generators:
         if not is_digraph_automorphism(phi, d):
             raise PreconditionError(f"{phi} is not a digraph automorphism")
-    r = d.alt_decomposition.r
     total = 1 << r
-    by_mask = {f.bitmask: f for f in facs}
-
-    maps = []
-    for phi in aut_generators:
-        phi_inv = phi.inverse()
-        action = [0] * total
-        for b in range(total):
-            f = by_mask.get(b) or factorization_at(d, b)
-            conj = compose(phi, compose(f.f1, phi_inv))
-            action[b] = bitmask_of(d, conj)
-        maps.append(action)
+    maps = [mask_action_table(*mask_action(d, phi)) for phi in aut_generators]
 
     full = total - 1
     seen = [False] * total
     classes = []
-    masks = sorted(by_mask)
-    mask_set = set(masks)
-    for b0 in masks:
+    for b0 in range(total):
         if seen[b0]:
             continue
         orbit = set()
@@ -399,11 +446,11 @@ def classify_factorizations(
                     queue.append(action[b])
             if allow_swap and (b ^ full) not in orbit:
                 queue.append(b ^ full)
-        members = tuple(sorted(orbit & mask_set))
+        members = tuple(sorted(orbit))
         for b in members:
             seen[b] = True
         rep = members[0]
-        f = by_mask[rep]
+        f = factorization_at(d, rep)
         classes.append(
             FactorizationClass(rep, members, (f.f1.cycle_type(), f.f2.cycle_type()))
         )

@@ -12,7 +12,7 @@ Conventions fixed project-wide:
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import SizeMismatchError
 
@@ -104,7 +104,20 @@ class Perm:
 
     def cycle_type(self) -> tuple[int, ...]:
         """Multiset of cycle lengths, ascending."""
-        return tuple(sorted(len(c) for c in self.cycles()))
+        images = self.images
+        seen = bytearray(len(images))
+        lengths = []
+        start = seen.find(0)
+        while start >= 0:
+            length = 0
+            v = start
+            while not seen[v]:
+                seen[v] = 1
+                v = images[v]
+                length += 1
+            lengths.append(length)
+            start = seen.find(0, start)
+        return tuple(sorted(lengths))
 
     def is_derangement(self) -> bool:
         return all(img != v for v, img in enumerate(self.images))
@@ -202,11 +215,6 @@ def parse_word(text: str) -> Word:
     return tuple(reversed(syms))
 
 
-def word_concat(u: Word, v: Word) -> Word:
-    """Concatenation with u applied after v (matching compose(eval(u), eval(v)))."""
-    return u + v
-
-
 # --- text forms -------------------------------------------------------------
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
@@ -258,17 +266,3 @@ def parse_perm(text: str, n: int | None = None) -> Perm:
             raise ValueError(f"point {max(points)} out of range for degree {n}")
         degree = n
     return Perm.from_cycles(degree, cycles)
-
-
-def iter_words(max_len: int, alphabet: Sequence[int] = (1, 2)) -> Iterator[Word]:
-    """All words up to max_len, by length then lexicographically, empty word first."""
-    frontier: list[Word] = [()]
-    yield ()
-    for _ in range(max_len):
-        nxt = []
-        for w in frontier:
-            for sym in alphabet:
-                child = (sym,) + w
-                nxt.append(child)
-                yield child
-        frontier = nxt

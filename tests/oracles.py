@@ -1,14 +1,24 @@
 """Independent test-side oracles.
 
-These deliberately share no code with the tree-search kernel or the refinement
-classifier: the tree oracle enumerates word trees directly, and the
-refinement oracle enumerates candidate class subsets and checks invariance
-inline.
+These deliberately share no code with the tree-search kernel, the refinement
+classifier or the bitmask action: the tree oracle enumerates word trees
+directly, the refinement oracle enumerates candidate class subsets and checks
+invariance inline, and the conjugation oracle builds and conjugates every
+factorization.
 """
 from __future__ import annotations
 
-from spanfact.digraph import Factorization
+from spanfact.digraph import Digraph2, Factorization, bitmask_of, factorization_at
 from spanfact.perm import Perm, compose
+
+
+def conjugation_table(d: Digraph2, phi: Perm) -> list[int]:
+    """Bitmask of phi F1 phi^-1 for the factorization at every bitmask."""
+    phi_inv = phi.inverse()
+    return [
+        bitmask_of(d, compose(phi, compose(factorization_at(d, b).f1, phi_inv)))
+        for b in range(1 << d.alt_decomposition.r)
+    ]
 
 
 def _word_image(word, f1: Perm, f2: Perm) -> tuple[int, ...]:

@@ -90,8 +90,7 @@ def test_criterion_2_ex2_classification():
     fx = load_fixture("a5-ex2")
     d = fx.digraph
     r = d.alt_decomposition.r
-    facs = enumerate_factorizations(d)
-    classes = classify_factorizations(d, facs, fx.aut_generators(), allow_swap=True)
+    classes = classify_factorizations(d, fx.aut_generators(), allow_swap=True)
     dist = Counter(cls.cycle_type_pair[0] for cls in classes)
     elapsed = time.monotonic() - t0
     exact_match = len(classes) == 19 and dict(dist) == TABLE1
@@ -121,8 +120,7 @@ def test_criterion_3_max_relocatable_trees():
     t0 = time.monotonic()
     fx = load_fixture("a5-ex2")
     d = fx.digraph
-    facs = enumerate_factorizations(d)
-    classes = classify_factorizations(d, facs, fx.aut_generators(), allow_swap=True)
+    classes = classify_factorizations(d, fx.aut_generators(), allow_swap=True)
     chosen = []
     seen_types = set()
     for cls in classes:
@@ -159,8 +157,7 @@ def test_full_ex2_tree_landscape():
     # every class certified: non-Hamiltonian types max 19, 30-cycle types max 30
     fx = load_fixture("a5-ex2")
     d = fx.digraph
-    facs = enumerate_factorizations(d)
-    classes = classify_factorizations(d, facs, fx.aut_generators(), allow_swap=True)
+    classes = classify_factorizations(d, fx.aut_generators(), allow_swap=True)
     assert len(classes) == 20
     for cls in classes:
         f = factorization_at(d, cls.representative)
@@ -176,8 +173,7 @@ def test_hamiltonian_class_full_tree_note():
     # published uniform bound of 19 holds only for the other classes
     fx = load_fixture("a5-ex2")
     d = fx.digraph
-    facs = enumerate_factorizations(d)
-    classes = classify_factorizations(d, facs, fx.aut_generators(), allow_swap=True)
+    classes = classify_factorizations(d, fx.aut_generators(), allow_swap=True)
     ham = next(cls for cls in classes if cls.cycle_type_pair[0] == (30,))
     f = factorization_at(d, ham.representative)
     res = max_relocatable_tree(f)

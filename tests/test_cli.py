@@ -176,6 +176,37 @@ def test_config_file_toy(tmp_path, capsys):
     assert len(out.strip().split("\n")) == 16
 
 
+def test_config_format_toggle(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"toy": {"m": 4}, "format": "json-lines"}))
+    code, out, _ = run_cli(capsys, "enumerate", "--config", str(path))
+    assert code == 0
+    records = [json.loads(line) for line in out.strip().split("\n")]
+    assert [rec["bitmask"] for rec in records] == list(range(16))
+    code, out, _ = run_cli(capsys, "enumerate", "--config", str(path), "--format", "tsv")
+    assert code == 0
+    assert out.startswith("schema\t")
+
+
+def test_config_bad_format_toggle(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"toy": {"m": 4}, "format": "csv"}))
+    code, out, err = run_cli(capsys, "enumerate", "--config", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error:") and "csv" in err
+
+
+def test_config_broken_json_is_config_error(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"toy": {"m": 4}, "classify": tru')
+    for command in ("enumerate", "tree-search"):
+        code, out, err = run_cli(capsys, command, "--config", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("config error:")
+
+
 def test_config_exactly_one_source(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"toy": {"m": 4}, "presentation": {}}))

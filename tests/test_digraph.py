@@ -15,11 +15,15 @@ from spanfact.digraph import (
     factorization_at,
     initial_factorization,
     is_digraph_automorphism,
+    mask_action,
+    mask_action_table,
 )
 from spanfact.errors import PreconditionError, SizeCapError, StrongConnectivityError
 from spanfact.fixtures import load_fixture
 from spanfact.groups import normalize_degree2
 from spanfact.perm import Perm
+
+from oracles import conjugation_table
 
 
 def test_build_toy_values():
@@ -138,9 +142,12 @@ def test_enumeration_counts_and_complement():
 
 
 def test_enumeration_cap():
-    d = load_fixture("a5-ex2").digraph
+    fx = load_fixture("a5-ex2")
+    d = fx.digraph
     with pytest.raises(SizeCapError):
         enumerate_factorizations(d, cap=9)
+    with pytest.raises(SizeCapError):
+        classify_factorizations(d, fx.aut_generators(), allow_swap=True, cap=9)
 
 
 def test_bitmask_roundtrip():
@@ -172,36 +179,47 @@ def test_left_multiplications_are_automorphisms():
 
 def test_classify_trivial_group_no_swap():
     d, _ = build_toy(3)
-    facs = enumerate_factorizations(d)
-    classes = classify_factorizations(d, facs, [], allow_swap=False)
+    classes = classify_factorizations(d, [], allow_swap=False)
     assert len(classes) == 8
     assert all(c.size == 1 for c in classes)
 
 
 def test_classify_swap_only_pairs_complements():
     d, _ = build_toy(3)
-    facs = enumerate_factorizations(d)
-    classes = classify_factorizations(d, facs, [], allow_swap=True)
+    classes = classify_factorizations(d, [], allow_swap=True)
     assert len(classes) == 4
     assert all(c.size == 2 for c in classes)
 
 
 def test_classify_ex3():
     fx = load_fixture("a5-ex3")
-    facs = enumerate_factorizations(fx.digraph)
-    classes = classify_factorizations(fx.digraph, facs, fx.aut_generators(), allow_swap=True)
+    classes = classify_factorizations(fx.digraph, fx.aut_generators(), allow_swap=True)
     assert len(classes) == 4
     assert sum(c.size for c in classes) == 64
     sizes = sorted(c.size for c in classes)
     assert sizes == [12, 12, 20, 20]
 
 
+@pytest.mark.parametrize("name", ["a5-ex2", "a5-ex3", "morris"])
+def test_mask_action_matches_conjugation(name):
+    fx = load_fixture(name)
+    for phi in fx.aut_generators():
+        assert mask_action_table(*mask_action(fx.digraph, phi)) == conjugation_table(fx.digraph, phi)
+
+
+def test_mask_action_parallel_cycles_map_to_zero():
+    d = build_doubled_cycle(4)
+    rot = Perm([1, 2, 3, 0])
+    assert is_digraph_automorphism(rot, d)
+    assert mask_action(d, rot) == ((-1, -1, -1, -1), 0)
+    assert mask_action_table(*mask_action(d, rot)) == conjugation_table(d, rot)
+
+
 def test_classify_rejects_non_automorphism():
     d, _ = build_toy(3)
-    facs = enumerate_factorizations(d)
     bad = Perm([1, 0, 2, 3, 4, 5])
     with pytest.raises(PreconditionError):
-        classify_factorizations(d, facs, [bad], allow_swap=False)
+        classify_factorizations(d, [bad], allow_swap=False)
 
 
 def test_normalize_preserves_edge_set():

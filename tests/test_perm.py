@@ -91,6 +91,11 @@ def test_orbits_of_inverse_same_partition(p):
     assert part == part_inv
 
 
+@given(perms(max_n=12))
+def test_cycle_type_is_sorted_cycle_lengths(p):
+    assert p.cycle_type() == tuple(sorted(len(c) for c in p.cycles()))
+
+
 @given(perms())
 def test_derangement_iff_no_fixed_cycle(p):
     assert p.is_derangement() == (1 not in p.cycle_type())
