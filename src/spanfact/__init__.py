@@ -40,6 +40,7 @@ from .blocks import (
     difference_class_orbits,
     invariant_refinements,
     is_invariant,
+    law_suite,
     phase_profile,
     position_block_system,
     position_system,

@@ -1,5 +1,6 @@
 """Position systems, tied refinements, phases, atoms, invariant refinements,
-block actions, and the block-derangement criterion.
+block actions, the block-derangement criterion, and the law suite that checks
+the block/phase laws over every factorization of a digraph.
 
 The phase of an x-cycle is the constant offset between a vertex's position
 and the index of the tied block containing it; the profile computation
@@ -10,11 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .digraph import Factorization, factorization_at
+from .digraph import DEFAULT_CYCLE_CAP, Digraph2, Factorization, factorization_at
 from .errors import (
     NonInvarianceError,
     PhaseInconsistencyError,
     PreconditionError,
+    SizeCapError,
     UniformityError,
 )
 from .perm import Perm, compose
@@ -220,35 +222,40 @@ def invariant_refinements(
 
 def is_invariant(g: Perm, bs: BlockSystem) -> bool:
     """Whether g maps every block of the system onto a block of the system."""
-    block_index = {}
-    for i, blk in enumerate(bs.blocks):
-        for v in blk:
-            block_index[v] = i
-    for blk in bs.blocks:
-        targets = {block_index.get(g(v)) for v in blk}
-        if None in targets or len(targets) != 1:
-            return False
-    return True
+    return _block_images(g, _block_index(bs, g.n), bs.blocks) is not None
 
 
 def block_action(g: Perm, bs: BlockSystem) -> Perm:
-    """The induced permutation of block ids, or NonInvarianceError if g splits one."""
-    block_index = {}
-    for i, blk in enumerate(bs.blocks):
-        for v in blk:
-            block_index[v] = i
-    images = []
-    for i, blk in enumerate(bs.blocks):
-        targets = set()
-        for v in blk:
-            u = g(v)
-            if u not in block_index:
-                raise NonInvarianceError(f"{g} maps block {i} outside the support")
-            targets.add(block_index[u])
-            if len(targets) > 1:
-                raise NonInvarianceError(f"{g} splits block {i}")
-        images.append(targets.pop())
+    """The induced permutation of block ids, or NonInvarianceError if g splits
+    a block or maps one outside the support."""
+    images = _block_images(g, _block_index(bs, g.n), bs.blocks)
+    if images is None:
+        raise NonInvarianceError(f"{g} splits a block or maps one outside the support")
     return Perm(images)
+
+
+def _block_index(bs: BlockSystem, n: int) -> list[int]:
+    """Block id per vertex, -1 outside the support."""
+    block_of = [-1] * n
+    for i, blk in enumerate(bs.blocks):
+        for v in blk:
+            block_of[v] = i
+    return block_of
+
+
+def _block_images(
+    g: Perm, block_of: list[int], blocks: tuple[frozenset[int], ...]
+) -> list[int] | None:
+    """The block id each block is carried onto by g, or None when g splits a
+    block or maps it outside the support."""
+    images = g.images
+    out = []
+    for blk in blocks:
+        targets = {block_of[images[v]] for v in blk}
+        if len(targets) != 1 or -1 in targets:
+            return None
+        out.append(targets.pop())
+    return out
 
 
 def relative_block_permutation(f: Factorization, bs: BlockSystem) -> tuple[Perm, bool]:
@@ -265,6 +272,133 @@ def swap_relabel(f: Factorization, swap_mask: int) -> Factorization:
     if not 0 <= swap_mask < (1 << r):
         raise PreconditionError(f"mask {swap_mask} out of range for r={r}")
     return factorization_at(f.digraph, f.bitmask ^ swap_mask)
+
+
+def swap_relabelled_taus(
+    f: Factorization, bs: BlockSystem, masks: list[int]
+) -> tuple[tuple[int, ...], list[tuple[int, ...] | None]] | None:
+    """tau on block ids for f and for swap_relabel(f, mask), per mask, without
+    building the relabelled factorizations; None when f's own tau is
+    undefined, and a None entry where the relabelled one is.
+
+    Both out-edges of a vertex lie on one alternating cycle, so the relabelled
+    F1 is F2 on the vertices of masked cycles and F1 elsewhere.  A block whose
+    cycles are all masked therefore swaps sigma(F1) and sigma(F2), one with no
+    masked cycle keeps them, and a partly masked block is split by both
+    relabelled factors unless sigma(F1) and sigma(F2) agree on it.
+    """
+    d = f.digraph
+    block_of = _block_index(bs, d.n)
+    s1 = _block_images(f.f1, block_of, bs.blocks)
+    s2 = _block_images(f.f2, block_of, bs.blocks)
+    if s1 is None or s2 is None:
+        return None
+    tau0 = _relative(s1, s2)
+    cycle_of_edge = d.alt_decomposition.cycle_of_edge
+    movers = []
+    for i, blk in enumerate(bs.blocks):
+        if s1[i] != s2[i]:
+            bits = 0
+            for v in blk:
+                bits |= 1 << cycle_of_edge[(v, 0)]
+            movers.append((i, bits))
+    if not movers:
+        return tau0, [tau0] * len(masks)
+    taus: list[tuple[int, ...] | None] = []
+    for mask in masks:
+        t1, t2 = s1, s2
+        for i, bits in movers:
+            hit = mask & bits
+            if hit == 0:
+                continue
+            if hit != bits:
+                taus.append(None)
+                break
+            if t1 is s1:
+                t1, t2 = s1.copy(), s2.copy()
+            t1[i], t2[i] = s2[i], s1[i]
+        else:
+            taus.append(tau0 if t1 is s1 else _relative(t1, t2))
+    return tau0, taus
+
+
+def _relative(s1: list[int], s2: list[int]) -> tuple[int, ...]:
+    """s1^-1 s2 on block ids."""
+    inv = [0] * len(s1)
+    for i, t in enumerate(s1):
+        inv[t] = i
+    return tuple(inv[t] for t in s2)
+
+
+def law_suite(d: Digraph2, masks: list[int]) -> dict[str, tuple[int, int]]:
+    """(checked, failures) per law over all 2^r factorizations of d, keyed
+    phase_constancy, atom_counts, refinements and swap_invariance.
+
+    phase_constancy, atom_counts and refinements are checked once per
+    factorization (a factorization without constant phases skips the other
+    two).  swap_invariance compares tau before and after swap_relabel by each
+    of masks, on the position and the cycle block systems, counting only the
+    pairs where both are defined.  The 2^r factorizations are walked once and
+    nothing is kept between them.
+    """
+    r = d.alt_decomposition.r
+    if r > DEFAULT_CYCLE_CAP:
+        raise SizeCapError(f"alternating cycle count {r} exceeds cap {DEFAULT_CYCLE_CAP}")
+    for mask in masks:
+        if not 0 <= mask < (1 << r):
+            raise PreconditionError(f"mask {mask} out of range for r={r}")
+    phase_fail = law_fail = refinement_fail = 0
+    swap_checked = swap_fail = 0
+    for b in range(1 << r):
+        f = factorization_at(d, b)
+        try:
+            ps = position_system(f)
+        except UniformityError:
+            phase_fail += 1
+            continue
+        try:
+            pp = phase_profile(f, ps)
+        except PhaseInconsistencyError:
+            phase_fail += 1
+        else:
+            if not _atom_laws_hold(f, ps, pp):
+                law_fail += 1
+            pi = difference_class_orbits(f, ps)
+            refs = invariant_refinements(f, ps, pi)
+            if len(refs) != (1 << len(pi)) - 1 or not all(rs.invariant for rs in refs):
+                refinement_fail += 1
+        for system in (position_block_system(ps), cycle_block_system(ps)):
+            taus = swap_relabelled_taus(f, system, masks)
+            if taus is None:
+                continue
+            tau0, relabelled = taus
+            for tau1 in relabelled:
+                if tau1 is not None:
+                    swap_checked += 1
+                    if tau1 != tau0:
+                        swap_fail += 1
+    total = 1 << r
+    return {
+        "phase_constancy": (total, phase_fail),
+        "atom_counts": (total, law_fail),
+        "refinements": (total, refinement_fail),
+        "swap_invariance": (swap_checked, swap_fail),
+    }
+
+
+def _atom_laws_hold(f: Factorization, ps: PositionSystem, pp: PhaseProfile) -> bool:
+    """|A_{j,j+d}| = r_d for all j, d with sum r_d = r, and A_{j,k} = P_j
+    intersect F1(P_k)."""
+    m = ps.m
+    A = atoms(f, ps, pp)
+    counts_ok = sum(pp.phase_counts) == ps.r and all(
+        len(A[(j, (j + dd) % m)]) == pp.phase_counts[dd]
+        for j in range(m)
+        for dd in range(m)
+    )
+    return counts_ok and all(
+        A[(j, k)] == (ps.blocks[j] & pp.tied_blocks[k]) for j in range(m) for k in range(m)
+    )
 
 
 @dataclass(frozen=True)

@@ -417,9 +417,12 @@ def classify_factorizations(
     minimal orientation bitmask in each orbit.
 
     Works on bitmasks alone: O(2^r * generators) integer operations plus one
-    factorization build per class, for its cycle types.
+    factorization build per class, for its cycle types.  The bit of a cycle of
+    two parallel edges does not change the factorization, so the walk runs on
+    masks with those bits clear and each class takes every setting of them.
     """
-    r = d.alt_decomposition.r
+    dec = d.alt_decomposition
+    r = dec.r
     if r > cap:
         raise SizeCapError(f"alternating cycle count {r} exceeds cap {cap}")
     for phi in aut_generators:
@@ -428,7 +431,12 @@ def classify_factorizations(
     total = 1 << r
     maps = [mask_action_table(*mask_action(d, phi)) for phi in aut_generators]
 
-    full = total - 1
+    fibre = [0]
+    for j, cyc in enumerate(dec.cycles):
+        heads = d.out_edges[cyc[0][0]]
+        if heads[0] == heads[1]:
+            fibre += [x | 1 << j for x in fibre]
+    swap_flip = (total - 1) ^ fibre[-1]
     seen = [False] * total
     classes = []
     for b0 in range(total):
@@ -444,8 +452,10 @@ def classify_factorizations(
             for action in maps:
                 if action[b] not in orbit:
                     queue.append(action[b])
-            if allow_swap and (b ^ full) not in orbit:
-                queue.append(b ^ full)
+            if allow_swap and (b ^ swap_flip) not in orbit:
+                queue.append(b ^ swap_flip)
+        if len(fibre) > 1:
+            orbit = {b | x for b in orbit for x in fibre}
         members = tuple(sorted(orbit))
         for b in members:
             seen[b] = True

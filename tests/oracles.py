@@ -1,14 +1,23 @@
 """Independent test-side oracles.
 
 These deliberately share no code with the tree-search kernel, the refinement
-classifier or the bitmask action: the tree oracle enumerates word trees
-directly, the refinement oracle enumerates candidate class subsets and checks
-invariance inline, and the conjugation oracle builds and conjugates every
-factorization.
+classifier, the bitmask action or the swap shortcut: the tree oracle
+enumerates word trees directly, the refinement oracle enumerates candidate
+class subsets and checks invariance inline, the conjugation and class oracles
+build and conjugate every factorization, and the swap oracle builds every
+relabelled factorization and computes its block actions inline.
 """
 from __future__ import annotations
 
+from spanfact.blocks import (
+    BlockSystem,
+    cycle_block_system,
+    position_block_system,
+    position_system,
+    swap_relabel,
+)
 from spanfact.digraph import Digraph2, Factorization, bitmask_of, factorization_at
+from spanfact.errors import SpanfactError
 from spanfact.perm import Perm, compose
 
 
@@ -19,6 +28,87 @@ def conjugation_table(d: Digraph2, phi: Perm) -> list[int]:
         bitmask_of(d, compose(phi, compose(factorization_at(d, b).f1, phi_inv)))
         for b in range(1 << d.alt_decomposition.r)
     ]
+
+
+def factorization_classes(
+    d: Digraph2, generators: list[Perm], allow_swap: bool
+) -> set[frozenset[int]]:
+    """Masks grouped by the orbit of their factorization (f1, f2) under
+    conjugation by the generators, and the swap when allowed."""
+    r = d.alt_decomposition.r
+    by_pair: dict[tuple, list[int]] = {}
+    for b in range(1 << r):
+        f = factorization_at(d, b)
+        by_pair.setdefault((f.f1.images, f.f2.images), []).append(b)
+    moves = []
+    for phi in generators:
+        phi_inv = phi.inverse()
+        moves.append(lambda p, q, phi=phi, phi_inv=phi_inv: (
+            compose(phi, compose(p, phi_inv)), compose(phi, compose(q, phi_inv))))
+    if allow_swap:
+        moves.append(lambda p, q: (q, p))
+    seen: set[tuple] = set()
+    classes = set()
+    for pair in by_pair:
+        if pair in seen:
+            continue
+        orbit = {pair}
+        stack = [pair]
+        while stack:
+            p, q = stack.pop()
+            for move in moves:
+                p2, q2 = move(Perm(p), Perm(q))
+                img = (p2.images, q2.images)
+                if img not in orbit:
+                    orbit.add(img)
+                    stack.append(img)
+        seen |= orbit
+        classes.add(frozenset(b for pr in orbit for b in by_pair[pr]))
+    return classes
+
+
+def swap_invariance_counts(d: Digraph2, masks: list[int]) -> tuple[int, int]:
+    """(checked, failures) of the swap-invariance law by building every
+    relabelled factorization: tau before and after swap_relabel by each mask,
+    on the position and cycle systems, where both are defined."""
+    checked = failures = 0
+    for b in range(1 << d.alt_decomposition.r):
+        f = factorization_at(d, b)
+        try:
+            ps = position_system(f)
+        except SpanfactError:
+            continue
+        for system in (position_block_system(ps), cycle_block_system(ps)):
+            tau0 = relabelled_tau(f, system, 0)
+            if tau0 is None:
+                continue
+            for mask in masks:
+                tau1 = relabelled_tau(f, system, mask)
+                if tau1 is not None:
+                    checked += 1
+                    failures += tau1 != tau0
+    return checked, failures
+
+
+def relabelled_tau(f: Factorization, system: BlockSystem, mask: int) -> Perm | None:
+    """sigma(G1)^-1 sigma(G2) on block ids for G = swap_relabel(f, mask),
+    None when G1 or G2 splits a block or leaves the support."""
+    g = swap_relabel(f, mask)
+    lookup = {v: i for i, blk in enumerate(system.blocks) for v in blk}
+
+    def action(p: Perm) -> Perm | None:
+        images = []
+        for blk in system.blocks:
+            targets = {lookup.get(p(v)) for v in blk}
+            if None in targets or len(targets) != 1:
+                return None
+            images.append(targets.pop())
+        return Perm(images)
+
+    s1, s2 = action(g.f1), action(g.f2)
+    if s1 is None or s2 is None:
+        return None
+    return compose(s1.inverse(), s2)
 
 
 def _word_image(word, f1: Perm, f2: Perm) -> tuple[int, ...]:

@@ -1,6 +1,8 @@
 import random
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, strategies as st
 
 from spanfact.blocks import (
     BlockSystem,
@@ -10,11 +12,13 @@ from spanfact.blocks import (
     cycle_block_system,
     difference_class_orbits,
     invariant_refinements,
+    law_suite,
     phase_profile,
     position_block_system,
     position_system,
     relative_block_permutation,
     swap_relabel,
+    swap_relabelled_taus,
 )
 from spanfact.digraph import (
     Digraph2,
@@ -35,7 +39,7 @@ from spanfact.fixtures import load_fixture
 from spanfact.perm import Perm
 from spanfact.spanning import WordSet, verify_sharply_transitive
 
-from oracles import brute_force_refinement_families
+from oracles import brute_force_refinement_families, relabelled_tau, swap_invariance_counts
 
 
 def test_position_system_toy():
@@ -283,6 +287,63 @@ def test_swap_invariance_cycle_blocks_toy():
                 g = swap_relabel(f, mask)
                 tau1, _ = relative_block_permutation(g, bs)
                 assert tau1 == tau0
+
+
+SWAP_INSTANCES = ("toy:3", "toy:4", "toy:5", "shift:5", "shift:7", "morris", "a5-ex3", "doubled:4")
+
+
+@lru_cache(maxsize=None)
+def _digraph(name: str) -> Digraph2:
+    if name.startswith("doubled:"):
+        return build_doubled_cycle(int(name.split(":")[1]))
+    return load_fixture(name).digraph
+
+
+@pytest.mark.parametrize("name", SWAP_INSTANCES + ("a5-ex2", "toy:8", "shift:101"))
+def test_out_edges_share_an_alternating_cycle(name):
+    d = _digraph(name)
+    cycle_of_edge = d.alt_decomposition.cycle_of_edge
+    assert all(cycle_of_edge[(v, 0)] == cycle_of_edge[(v, 1)] for v in range(d.n))
+
+
+@given(
+    st.sampled_from(SWAP_INSTANCES),
+    st.integers(min_value=0),
+    st.booleans(),
+    st.lists(st.integers(min_value=0), min_size=1, max_size=8),
+)
+def test_swap_relabelled_taus_match_oracle(name, b, cycles, raw_masks):
+    d = _digraph(name)
+    r = d.alt_decomposition.r
+    f = factorization_at(d, b % (1 << r))
+    try:
+        ps = position_system(f)
+    except UniformityError:
+        return
+    system = cycle_block_system(ps) if cycles else position_block_system(ps)
+    masks = [mask % (1 << r) for mask in raw_masks]
+    got = swap_relabelled_taus(f, system, masks)
+    tau0 = relabelled_tau(f, system, 0)
+    if tau0 is None:
+        assert got is None
+        return
+    assert got[0] == tau0.images
+    expected = [relabelled_tau(f, system, mask) for mask in masks]
+    assert got[1] == [None if tau is None else tau.images for tau in expected]
+
+
+@pytest.mark.parametrize("name", ["toy:3", "toy:5", "shift:7", "morris", "a5-ex3", "doubled:4"])
+def test_law_suite_swap_counts_match_oracle(name):
+    d = _digraph(name)
+    rng = random.Random(7)
+    masks = [rng.randrange(1 << d.alt_decomposition.r) for _ in range(40)]
+    assert law_suite(d, masks)["swap_invariance"] == swap_invariance_counts(d, masks)
+
+
+def test_law_suite_rejects_out_of_range_mask():
+    d, _ = build_toy(3)
+    with pytest.raises(PreconditionError):
+        law_suite(d, [8])
 
 
 def test_block_construction_toy_success():

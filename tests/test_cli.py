@@ -1,6 +1,12 @@
 import json
+from pathlib import Path
+
+import pytest
 
 from spanfact.cli import emit_table, main
+
+# "<fixture>/<seed>" -> [exit code, stdout] of verify --seed <seed> --masks 200
+GOLDEN_VERIFY = json.loads(Path(__file__).with_name("golden_verify.json").read_text())
 
 
 def run_cli(capsys, *argv):
@@ -138,6 +144,32 @@ def test_verify_toy(capsys):
     assert laws["phase_constancy"] is True
     assert laws["atom_counts"] is True
     assert laws["swap_invariance"] is True
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_VERIFY))
+def test_verify_golden(capsys, key):
+    name, seed = key.split("/")
+    code, out, _ = run_cli(capsys, "verify", "--fixture", name, "--seed", seed, "--masks", "200")
+    assert [code, out] == GOLDEN_VERIFY[key]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("blocks", "--fixture", "toy:3", "--seed", "1"),
+        ("build", "--fixture", "toy:3", "--max-nodes", "5"),
+        ("verify", "--fixture", "toy:3", "--max-nodes", "5"),
+        ("tree-search", "--fixture", "toy:3", "--bitmask", "0", "--seed", "1"),
+    ],
+)
+def test_flags_only_where_read(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "unrecognized arguments" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_missing_instance_is_config_error(capsys):

@@ -23,7 +23,7 @@ from spanfact.fixtures import load_fixture
 from spanfact.groups import normalize_degree2
 from spanfact.perm import Perm
 
-from oracles import conjugation_table
+from oracles import conjugation_table, factorization_classes
 
 
 def test_build_toy_values():
@@ -213,6 +213,35 @@ def test_mask_action_parallel_cycles_map_to_zero():
     assert is_digraph_automorphism(rot, d)
     assert mask_action(d, rot) == ((-1, -1, -1, -1), 0)
     assert mask_action_table(*mask_action(d, rot)) == conjugation_table(d, rot)
+
+
+def test_classify_doubled_cycle_is_one_class():
+    # every mask gives the same factorization, so there is one class of all 8
+    d = build_doubled_cycle(3)
+    classes = classify_factorizations(d, [Perm([1, 2, 0])], allow_swap=False)
+    assert [(c.representative, c.members) for c in classes] == [(0, tuple(range(8)))]
+
+
+@pytest.mark.parametrize(
+    "out_edges, generators",
+    [
+        # the directed 5-cycle with doubled edges, and its rotation
+        (tuple(((v + 1) % 5, (v + 1) % 5) for v in range(5)), [Perm([1, 2, 3, 4, 0])]),
+        # vertex 0 has parallel edges, the others do not; (2 3) is an automorphism
+        (((1, 1), (2, 3), (0, 3), (0, 2)), [Perm([0, 1, 3, 2])]),
+        (((1, 1), (2, 3), (0, 3), (0, 2)), []),
+        # even vertices have parallel edges (3 parallel cycles and one 6-cycle)
+        (tuple((v + 1, v + 1) if v % 2 == 0 else ((v + 1) % 6, (v + 3) % 6) for v in range(6)),
+         [Perm([(v + 2) % 6 for v in range(6)])]),
+    ],
+    ids=["doubled-5-cycle", "mixed-4", "mixed-4-no-generators", "mixed-6"],
+)
+@pytest.mark.parametrize("allow_swap", [False, True])
+def test_classify_with_parallel_cycles_matches_oracle(out_edges, generators, allow_swap):
+    d = Digraph2(out_edges)
+    classes = classify_factorizations(d, generators, allow_swap)
+    assert sum(c.size for c in classes) == 1 << d.alt_decomposition.r
+    assert {frozenset(c.members) for c in classes} == factorization_classes(d, generators, allow_swap)
 
 
 def test_classify_rejects_non_automorphism():
