@@ -48,7 +48,6 @@ from .blocks import (
     swap_relabel,
 )
 from .spanning import (
-    RelocTree,
     WordSet,
     equivalent,
     max_relocatable_tree,

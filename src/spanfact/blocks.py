@@ -114,10 +114,14 @@ def atoms(
     return out
 
 
-def difference_class_orbits(f: Factorization, ps: PositionSystem) -> tuple[tuple[int, ...], ...]:
+def difference_class_orbits(
+    f: Factorization, ps: PositionSystem, pp: PhaseProfile | None = None
+) -> tuple[tuple[int, ...], ...]:
     """Orbits on difference classes d in Z_m under the images of atoms by F1 and x,
-    traced explicitly; empty classes stay singleton orbits."""
-    pp = phase_profile(f, ps)
+    traced explicitly; empty classes stay singleton orbits.  pp is f's phase
+    profile, computed here when not given."""
+    if pp is None:
+        pp = phase_profile(f, ps)
     m = ps.m
     parent = list(range(m))
 
@@ -154,19 +158,6 @@ class BlockSystem:
 
     blocks: tuple[frozenset[int], ...]
 
-    @property
-    def support(self) -> frozenset[int]:
-        out: set[int] = set()
-        for blk in self.blocks:
-            out |= blk
-        return frozenset(out)
-
-    def block_of(self, v: int) -> int:
-        for i, blk in enumerate(self.blocks):
-            if v in blk:
-                return i
-        raise KeyError(v)
-
 
 def position_block_system(ps: PositionSystem) -> BlockSystem:
     """The m transversal-position blocks of size r."""
@@ -194,11 +185,16 @@ class RefinementSystem:
 
 
 def invariant_refinements(
-    f: Factorization, ps: PositionSystem, pi: tuple[tuple[int, ...], ...]
+    f: Factorization,
+    ps: PositionSystem,
+    pi: tuple[tuple[int, ...], ...],
+    pp: PhaseProfile | None = None,
 ) -> list[RefinementSystem]:
     """One system per nonempty subcollection of Pi, each with its verified
-    invariance flag; deterministic order by subcollection bitmask."""
-    pp = phase_profile(f, ps)
+    invariance flag; deterministic order by subcollection bitmask.  pp is f's
+    phase profile, computed here when not given."""
+    if pp is None:
+        pp = phase_profile(f, ps)
     m = ps.m
     out = []
     k = len(pi)
@@ -363,8 +359,8 @@ def law_suite(d: Digraph2, masks: list[int]) -> dict[str, tuple[int, int]]:
         else:
             if not _atom_laws_hold(f, ps, pp):
                 law_fail += 1
-            pi = difference_class_orbits(f, ps)
-            refs = invariant_refinements(f, ps, pi)
+            pi = difference_class_orbits(f, ps, pp)
+            refs = invariant_refinements(f, ps, pi, pp)
             if len(refs) != (1 << len(pi)) - 1 or not all(rs.invariant for rs in refs):
                 refinement_fail += 1
         for system in (position_block_system(ps), cycle_block_system(ps)):

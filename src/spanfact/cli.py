@@ -10,6 +10,7 @@ import argparse
 import json
 import random
 import sys
+from collections.abc import Sequence
 
 from . import __version__
 from .blocks import (
@@ -25,11 +26,7 @@ from .blocks import (
     position_system,
     relative_block_permutation,
 )
-from .digraph import (
-    classify_factorizations,
-    enumerate_factorizations,
-    factorization_at,
-)
+from .digraph import classify_factorizations, factorization_at
 from .errors import BudgetExhausted, ConfigError, SpanfactError
 from .fixtures import Fixture, load_fixture
 from .groups import coset_space, presentation_from_config
@@ -114,18 +111,34 @@ def _cell(value) -> str:
     return str(value)
 
 
-def emit_table(records: list[dict], fmt: str) -> str:
+def emit_table(records: Sequence[dict], fmt: str) -> str:
     """Render records; TSV always carries a header row; both forms are
-    byte-stable for identical records."""
+    byte-stable for identical records.  Tuple cells are rendered once per
+    tuple object, so records sharing their tuples share the work."""
     if fmt == "json-lines":
         return "".join(json.dumps(rec, separators=(", ", ": ")) + "\n" for rec in records)
     if fmt == "tsv":
         if not records:
             return "schema\n"
         header = list(records[0].keys())
+        # id -> (the tuple, its cell); holding the tuple keeps its id unique
+        rendered: dict[int, tuple[tuple, str]] = {}
+
+        def cell(value) -> str:
+            kind = type(value)
+            if kind is str:
+                return value
+            if kind is tuple:
+                hit = rendered.get(id(value))
+                if hit is None:
+                    hit = rendered[id(value)] = (value, _cell(value))
+                return hit[1]
+            return _cell(value)
+
+        blanks = [""] * len(header)
         lines = ["\t".join(header)]
         for rec in records:
-            lines.append("\t".join(_cell(rec.get(k, "")) for k in header))
+            lines.append("\t".join(map(cell, map(rec.get, header, blanks))))
         return "\n".join(lines) + "\n"
     raise ConfigError(f"unknown format {fmt!r}")
 
@@ -149,7 +162,41 @@ def cmd_build(args, fx: Fixture, toggles: dict) -> tuple[list[dict], int]:
     return [rec], EXIT_OK
 
 
-def cmd_enumerate(args, fx: Fixture, toggles: dict) -> tuple[list[dict], int]:
+class _FactorizationRows(Sequence):
+    """The plain listing: one record per bitmask, built on access from the
+    cycle types its conjugation class shares."""
+
+    def __init__(self, base: dict, pairs: list[tuple[tuple[int, ...], tuple[int, ...]]]):
+        self._base = base
+        self._pairs = pairs
+
+    def __len__(self) -> int:
+        return len(self._pairs)
+
+    def __getitem__(self, b):
+        if isinstance(b, slice):
+            return [self[i] for i in range(len(self))[b]]
+        b = range(len(self._pairs))[b]
+        return self._record(b, self._pairs[b])
+
+    def __iter__(self):
+        for b, pair in enumerate(self._pairs):
+            yield self._record(b, pair)
+
+    def _record(self, b: int, pair) -> dict:
+        return {
+            **self._base,
+            "bitmask": b,
+            "cycle_type_f1": pair[0],
+            "cycle_type_f2": pair[1],
+            "class_id": "",
+        }
+
+
+def cmd_enumerate(args, fx: Fixture, toggles: dict) -> tuple[Sequence[dict], int]:
+    """Cycle types are invariant under conjugation by an automorphism, so the
+    plain listing reads them per class (no swap, which exchanges F1 and F2)
+    and builds one factorization per class."""
     classify = args.classify or bool(toggles.get("classify"))
     swap = args.swap or bool(toggles.get("swap"))
     d = fx.digraph
@@ -167,15 +214,12 @@ def cmd_enumerate(args, fx: Fixture, toggles: dict) -> tuple[list[dict], int]:
             )
             records.append(rec)
     else:
-        for f in enumerate_factorizations(d):
-            rec = _base_record("factorization", fx)
-            rec.update(
-                bitmask=f.bitmask,
-                cycle_type_f1=list(f.f1.cycle_type()),
-                cycle_type_f2=list(f.f2.cycle_type()),
-                class_id="",
-            )
-            records.append(rec)
+        classes = classify_factorizations(d, fx.aut_generators(), allow_swap=False)
+        pairs = [None] * (1 << d.alt_decomposition.r)
+        for cls in classes:
+            for b in cls.members:
+                pairs[b] = cls.cycle_type_pair
+        records = _FactorizationRows(_base_record("factorization", fx), pairs)
     return records, EXIT_OK
 
 
@@ -184,8 +228,8 @@ def cmd_blocks(args, fx: Fixture, toggles: dict) -> tuple[list[dict], int]:
     f = factorization_at(d, args.bitmask)
     ps = position_system(f)
     pp = phase_profile(f, ps)
-    pi = difference_class_orbits(f, ps)
-    refs = invariant_refinements(f, ps, pi)
+    pi = difference_class_orbits(f, ps, pp)
+    refs = invariant_refinements(f, ps, pi, pp)
     records = []
     for name, system in (
         ("position", position_block_system(ps)),

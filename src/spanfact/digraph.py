@@ -188,17 +188,9 @@ class Factorization:
     def n(self) -> int:
         return self.digraph.n
 
-    def swapped(self) -> "Factorization":
-        full = (1 << self.digraph.alt_decomposition.r) - 1
-        return Factorization(self.digraph, self.f2, self.f1, self.bitmask ^ full)
-
     def x(self) -> Perm:
         """The orbit operator F2^{-1} F1."""
         return compose(self.f2.inverse(), self.f1)
-
-    def y(self) -> Perm:
-        """The conjugate operator F1 F2^{-1}."""
-        return compose(self.f1, self.f2.inverse())
 
     def is_valid(self) -> bool:
         return all(

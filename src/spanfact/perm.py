@@ -139,22 +139,6 @@ def compose(g: Perm, f: Perm) -> Perm:
     return Perm(tuple(gi[v] for v in f.images), check=False)
 
 
-def inverse(p: Perm) -> Perm:
-    return p.inverse()
-
-
-def cycle_type(p: Perm) -> tuple[int, ...]:
-    return p.cycle_type()
-
-
-def orbits(p: Perm) -> tuple[tuple[int, ...], ...]:
-    return p.cycles()
-
-
-def is_derangement(p: Perm) -> bool:
-    return p.is_derangement()
-
-
 def agree_somewhere(a: Perm, b: Perm) -> bool:
     """True iff a(v) = b(v) for some point v."""
     return any(x == y for x, y in zip(a.images, b.images))

@@ -33,7 +33,6 @@ class WordSet:
     words: tuple[Word, ...]
     images: tuple[Perm, ...]
     root: int | None = None
-    positive_only: bool = True
 
     def __len__(self) -> int:
         return len(self.words)
@@ -42,8 +41,7 @@ class WordSet:
     def from_words(cls, words, f: Factorization, root: int | None = None) -> "WordSet":
         words = tuple(tuple(w) for w in words)
         images = tuple(evaluate(w, f.f1, f.f2) for w in words)
-        positive = all(sym > 0 for w in words for sym in w)
-        return cls(words, images, root, positive)
+        return cls(words, images, root)
 
     def duplicate_pairs(self) -> list[tuple[int, int]]:
         """Index pairs whose words evaluate to the same permutation."""
@@ -96,25 +94,6 @@ def verify_sharply_transitive(ws: WordSet, f: Factorization) -> Verdict:
 
 
 # --- relocatable trees --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RelocTree:
-    """A prefix-closed, pairwise-relocatable word set containing the empty word."""
-
-    words: tuple[Word, ...]
-    images: tuple[Perm, ...]
-
-    @classmethod
-    def build(cls, words, f: Factorization, prefix_mode: str = "last") -> "RelocTree":
-        words = tuple(tuple(w) for w in words)
-        check = verify_reloc_tree(words, f, prefix_mode)
-        if not check.valid:
-            raise PreconditionError(f"not a relocatable tree: {check.reason}")
-        return cls(words, tuple(evaluate(w, f.f1, f.f2) for w in words))
-
-    def __len__(self) -> int:
-        return len(self.words)
 
 
 @dataclass(frozen=True)
@@ -260,7 +239,7 @@ def search_sharply_transitive(
         return None
     words = tuple(w for w, _ in result)
     images = tuple(e for _, e in result)
-    return WordSet(words, images, root, all(sym > 0 for w in words for sym in w))
+    return WordSet(words, images, root)
 
 
 # --- phase-corrected addressing ----------------------------------------------
@@ -346,7 +325,7 @@ def phase_addressing(
     hits = {img(root) for img in images}
     if len(hits) != f.n:
         raise PreconditionError("addressing family is not bijective at the root")
-    return WordSet(tuple(words), tuple(images), root, positive_only=False)
+    return WordSet(tuple(words), tuple(images), root)
 
 
 def splice_generators(s0: WordSet, f: Factorization) -> WordSet:
@@ -370,9 +349,4 @@ def splice_generators(s0: WordSet, f: Factorization) -> WordSet:
         else:
             new_words.append(w)
             new_images.append(img)
-    return WordSet(
-        tuple(new_words),
-        tuple(new_images),
-        root,
-        all(sym > 0 for w in new_words for sym in w),
-    )
+    return WordSet(tuple(new_words), tuple(new_images), root)

@@ -1,9 +1,14 @@
+import argparse
 import json
 from pathlib import Path
 
 import pytest
 
-from spanfact.cli import emit_table, main
+from spanfact import __version__
+from spanfact.cli import cmd_enumerate, emit_table, main
+from spanfact.digraph import build_coset_digraph, factorization_at
+from spanfact.fixtures import load_fixture
+from spanfact.groups import presentation_from_config
 
 # "<fixture>/<seed>" -> [exit code, stdout] of verify --seed <seed> --masks 200
 GOLDEN_VERIFY = json.loads(Path(__file__).with_name("golden_verify.json").read_text())
@@ -44,6 +49,77 @@ def test_enumerate_classified(capsys):
     records = [json.loads(line) for line in out.strip().split("\n")]
     assert len(records) == 4
     assert sorted(rec["class_size"] for rec in records) == [12, 12, 20, 20]
+
+
+# two of the benchmark's scale presentations (n = 60, r = 12 and n = 84, r = 14)
+SCALE_CONFIGS = {
+    "s5-r12": {
+        "group_generators": ["(0 1 2 3 4)", "(0 1)"],
+        "H_generators": ["(1 3)(2 4)"],
+        "S": ["(0 2 3 4)", "(0 4)(1 3 2)"],
+        "name": "s5-r12",
+    },
+    "agl18-r14": {
+        "group_generators": ["(1 2 3 4 5 6 7)", "(0 1)(2 4)(3 7)(5 6)"],
+        "H_generators": ["(0 1)(2 4)(3 7)(5 6)"],
+        "S": ["(1 2 3 4 5 6 7)", "(0 1 4 6 3 2 7)"],
+        "name": "agl18-r14",
+    },
+}
+
+
+def per_mask_listing(d, name: str) -> dict[str, str]:
+    """The plain enumerate output in both formats, one factorization build
+    and two cycle_type calls per mask, rendered without emit_table."""
+    header = ["schema", "version", "instance", "bitmask", "cycle_type_f1", "cycle_type_f2", "class_id"]
+    tsv = ["\t".join(header)]
+    jsonl = []
+    for b in range(1 << d.alt_decomposition.r):
+        f = factorization_at(d, b)
+        t1, t2 = f.f1.cycle_type(), f.f2.cycle_type()
+        row = ["factorization", __version__, name, b, list(t1), list(t2), ""]
+        tsv.append("\t".join([*map(str, row[:4]), ",".join(map(str, t1)), ",".join(map(str, t2)), ""]))
+        jsonl.append(json.dumps(dict(zip(header, row)), separators=(", ", ": ")) + "\n")
+    return {"tsv": "\n".join(tsv) + "\n", "json-lines": "".join(jsonl)}
+
+
+@pytest.mark.parametrize("instance", ["a5-ex2", "a5-ex3", "morris", "toy:5", *SCALE_CONFIGS])
+def test_enumerate_matches_per_mask_oracle(tmp_path, capsys, instance):
+    if instance in SCALE_CONFIGS:
+        path = tmp_path / f"{instance}.json"
+        path.write_text(json.dumps({"presentation": SCALE_CONFIGS[instance]}))
+        source = ("--config", str(path))
+        d = build_coset_digraph(presentation_from_config(SCALE_CONFIGS[instance])).digraph
+    else:
+        source = ("--fixture", instance)
+        d = load_fixture(instance).digraph
+    expected = per_mask_listing(d, instance)
+    for fmt, text in expected.items():
+        code, out, err = run_cli(capsys, "enumerate", *source, "--format", fmt)
+        assert (code, err) == (0, "")
+        assert out == text
+
+
+def test_enumerate_rows_are_a_sized_sequence():
+    rows, code = cmd_enumerate(
+        argparse.Namespace(classify=False, swap=False), load_fixture("morris"), {}
+    )
+    assert code == 0
+    assert len(rows) == 8
+    listed = list(rows)
+    assert [rows[b] for b in range(8)] == listed
+    assert rows[-1] == listed[7]
+    assert rows[2:5] == listed[2:5]
+    with pytest.raises(IndexError):
+        rows[8]
+
+
+def test_enumerate_over_cap_leaves_stdout_empty(capsys):
+    code, out, err = run_cli(capsys, "enumerate", "--fixture", "toy:25")
+    assert code == 3
+    assert out == ""
+    assert "Traceback" not in err
+    assert "exceeds cap 24" in err
 
 
 def test_blocks_toy(capsys):
