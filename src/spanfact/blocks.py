@@ -11,7 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .digraph import DEFAULT_CYCLE_CAP, Digraph2, Factorization, factorization_at
+from .digraph import (
+    DEFAULT_CYCLE_CAP,
+    REFINEMENT_ORBIT_CAP,
+    Digraph2,
+    Factorization,
+    factorization_at,
+)
 from .errors import (
     NonInvarianceError,
     PhaseInconsistencyError,
@@ -192,12 +198,15 @@ def invariant_refinements(
 ) -> list[RefinementSystem]:
     """One system per nonempty subcollection of Pi, each with its verified
     invariance flag; deterministic order by subcollection bitmask.  pp is f's
-    phase profile, computed here when not given."""
+    phase profile, computed here when not given.  More than
+    REFINEMENT_ORBIT_CAP orbits raise SizeCapError before any is listed."""
+    k = len(pi)
+    if k > REFINEMENT_ORBIT_CAP:
+        raise SizeCapError(f"difference-class orbit count {k} exceeds cap {REFINEMENT_ORBIT_CAP}")
     if pp is None:
         pp = phase_profile(f, ps)
     m = ps.m
     out = []
-    k = len(pi)
     x = f.x()
     for mask in range(1, 1 << k):
         chosen = tuple(pi[t] for t in range(k) if (mask >> t) & 1)

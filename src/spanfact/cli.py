@@ -111,28 +111,61 @@ def _cell(value) -> str:
     return str(value)
 
 
+def _once_per_object(render):
+    """render as a cell function that renders each object once; the memo
+    holds every object it saw, so their ids stay unique."""
+    rendered: dict[int, tuple[object, str]] = {}
+
+    def cell(value) -> str:
+        hit = rendered.get(id(value))
+        if hit is None:
+            hit = rendered[id(value)] = (value, render(value))
+        return hit[1]
+
+    return cell
+
+
 def emit_table(records: Sequence[dict], fmt: str) -> str:
-    """Render records; TSV always carries a header row; both forms are
-    byte-stable for identical records.  Tuple cells are rendered once per
-    tuple object, so records sharing their tuples share the work."""
+    """Render records (dicts with string keys); TSV always carries a header
+    row; both forms are byte-stable for identical records.  Tuple cells (and,
+    in JSON, string cells) are rendered once per object, so records sharing
+    them share the work; each JSON line is json.dumps of its record, byte for
+    byte."""
     if fmt == "json-lines":
-        return "".join(json.dumps(rec, separators=(", ", ": ")) + "\n" for rec in records)
+        encode = json.JSONEncoder(separators=(", ", ": ")).encode
+        shared = _once_per_object(encode)
+
+        def value_json(value) -> str:
+            kind = type(value)
+            if kind is int:
+                return int.__repr__(value)
+            if kind is str or kind is tuple:
+                return shared(value)
+            return encode(value)
+
+        # key tuple -> "{"key": %s, ...}\n"
+        templates: dict[tuple, str] = {}
+        lines = []
+        for rec in records:
+            keys = tuple(rec)
+            template = templates.get(keys)
+            if template is None:
+                fields = (encode(key).replace("%", "%%") + ": %s" for key in keys)
+                template = templates[keys] = "{" + ", ".join(fields) + "}\n"
+            lines.append(template % tuple(map(value_json, rec.values())))
+        return "".join(lines)
     if fmt == "tsv":
         if not records:
             return "schema\n"
         header = list(records[0].keys())
-        # id -> (the tuple, its cell); holding the tuple keeps its id unique
-        rendered: dict[int, tuple[tuple, str]] = {}
+        shared = _once_per_object(_cell)
 
         def cell(value) -> str:
             kind = type(value)
             if kind is str:
                 return value
             if kind is tuple:
-                hit = rendered.get(id(value))
-                if hit is None:
-                    hit = rendered[id(value)] = (value, _cell(value))
-                return hit[1]
+                return shared(value)
             return _cell(value)
 
         blanks = [""] * len(header)
@@ -256,8 +289,21 @@ def cmd_blocks(args, fx: Fixture, toggles: dict) -> tuple[list[dict], int]:
     return records, EXIT_OK
 
 
+def _count(value, where: str, minimum: int) -> int:
+    """value if it is an integer no smaller than minimum; otherwise a
+    ConfigError naming where the value came from."""
+    if type(value) is not int or value < minimum:
+        raise ConfigError(f"{where}, token {value!r}: expected an integer >= {minimum}")
+    return value
+
+
 def cmd_tree_search(args, fx: Fixture, toggles: dict) -> tuple[list[dict], int]:
-    node_cap = args.max_nodes or toggles.get("max_nodes") or 100_000_000
+    if args.max_nodes is not None:
+        node_cap = _count(args.max_nodes, "flag '--max-nodes'", 1)
+    elif "max_nodes" in toggles:
+        node_cap = _count(toggles["max_nodes"], "field 'max_nodes'", 1)
+    else:
+        node_cap = 100_000_000
     d = fx.digraph
     targets: list[tuple[str, int]] = []
     if args.all_classes:
@@ -313,8 +359,9 @@ def cmd_spanning(args, fx: Fixture, toggles: dict) -> tuple[list[dict], int]:
 
 def cmd_verify(args, fx: Fixture, toggles: dict) -> tuple[list[dict], int]:
     d = fx.digraph
+    count = _count(args.masks, "flag '--masks'", 0)
     rng = random.Random(args.seed)
-    masks = [rng.randrange(1 << d.alt_decomposition.r) for _ in range(args.masks)]
+    masks = [rng.randrange(1 << d.alt_decomposition.r) for _ in range(count)]
     records = []
     for law, (checked, failures) in law_suite(d, masks).items():
         rec = _base_record("verify-report", fx)

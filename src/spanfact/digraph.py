@@ -20,6 +20,8 @@ Edge = tuple[int, int]
 Arc = tuple[int, int]  # (tail, head)
 
 DEFAULT_CYCLE_CAP = 24
+# blocks.invariant_refinements lists 2^k - 1 systems for k difference-class orbits
+REFINEMENT_ORBIT_CAP = 16
 
 
 class Digraph2:

@@ -4,9 +4,18 @@ Search states are element sets (evaluation images as ``bytes``), grown one
 frontier element at a time; branching is include-first on the oldest
 frontier entry.  The bound at a node is the member count plus, minimized
 over vertices, the number of distinct images that elements reachable
-through still-admissible elements can take at that vertex.  Witnesses are
-returned as (parent, symbol) pairs indexing the member list, so callers can
-rebuild the tree words.
+through still-admissible elements can take at that vertex.  A node is
+pruned iff that count is at most its slack, the best size so far minus the
+member count.  The count only grows as the closure grows, so the BFS checks
+it when the closure reaches n, 2n, 4n, ... elements and stops as soon as it
+exceeds the slack: the rest of the closure could not change the decision.
+Checks stop at half of ``closure_cap``: a later one would read more cells
+than the BFS elements left before the cap, and the column tuples it builds
+would raise the search's peak memory above that of a capped closure.
+A closure that passes ``closure_cap`` elements counts as n, so a cap hit
+means a prune may really have been lost: the bound was still within the
+slack at the last check.  Witnesses are returned as (parent, symbol) pairs
+indexing the member list, so callers can rebuild the tree words.
 
 "Does ``e`` agree with some member at some vertex?" is one SWAR (SIMD within
 a register) test: the k members are kept as one integer blob, member i in
@@ -67,11 +76,14 @@ def run_search(n, f1_images, f2_images, node_cap, closure_cap):
     nodes = 0
     aborted = False
 
-    def closure_bound(frontier) -> int:
-        """Upper bound on how many more members this branch can gain."""
+    def closure_bound(frontier, slack: int) -> int:
+        """Upper bound on how many more members this branch can gain, or a
+        partial bound as soon as it exceeds slack (the branch then survives
+        whatever the rest of the closure adds)."""
         k = len(members)
         low, high = lanes(k)
         seen = set()
+        check_at = n
         queue = [entry[0] for entry in frontier]
         for e in queue:
             if e in seen:
@@ -79,6 +91,11 @@ def run_search(n, f1_images, f2_images, node_cap, closure_cap):
             seen.add(e)
             if len(seen) > closure_cap:
                 return n
+            if len(seen) == check_at and 2 * check_at <= closure_cap:
+                partial = min(len(set(col)) for col in zip(*seen))
+                if partial > slack:
+                    return partial
+                check_at *= 2
             for table in tables:
                 ne = e.translate(table)
                 if ne in seen or ne in excluded:
@@ -97,7 +114,8 @@ def run_search(n, f1_images, f2_images, node_cap, closure_cap):
             return
         if not frontier:
             return
-        if len(members) + closure_bound(frontier) <= best_size:
+        slack = best_size - len(members)
+        if closure_bound(frontier, slack) <= slack:
             return
         elem, parent, sym = frontier[0]
 

@@ -2,10 +2,11 @@
 
 These deliberately share no code with the tree-search kernel, the refinement
 classifier, the bitmask action or the swap shortcut: the tree oracle
-enumerates word trees directly, the refinement oracle enumerates candidate
-class subsets and checks invariance inline, the conjugation and class oracles
-build and conjugate every factorization, and the swap oracle builds every
-relabelled factorization and computes its block actions inline.
+enumerates word trees directly, the reference tree kernel runs every closure
+bound to completion, the refinement oracle enumerates candidate class subsets
+and checks invariance inline, the conjugation and class oracles build and
+conjugate every factorization, and the swap oracle builds every relabelled
+factorization and computes its block actions inline.
 """
 from __future__ import annotations
 
@@ -207,3 +208,110 @@ def brute_force_refinement_families(f: Factorization):
         if invariant(fam, f.f1) and invariant(fam, x):
             found.add(fam)
     return found
+
+
+def reference_run_search(n, f1_images, f2_images, node_cap, closure_cap):
+    """The tree kernel with every closure bound run to completion (or to
+    the cap, which counts as n).  Returns (best_size, witness, nodes,
+    certified), which spanfact.treesearch.run_search must match exactly."""
+    tables = (
+        bytes(f1_images) + bytes(range(n, 256)),
+        bytes(f2_images) + bytes(range(n, 256)),
+    )
+    identity = bytes(range(n))
+    from_bytes = int.from_bytes
+
+    def agrees(a: bytes, b: bytes) -> bool:
+        return any(x == y for x, y in zip(a, b))
+
+    members = [identity]
+    member_set = {identity}
+    blob = from_bytes(identity, "little")
+    prov = [(-1, 0)]
+    excluded: set[bytes] = set()
+
+    def lanes(k: int) -> tuple[int, int]:
+        low = from_bytes(b"\x01" * (n * k), "little")
+        return low, low << 7
+
+    best_size = 1
+    best_witness = list(prov)
+    nodes = 0
+    aborted = False
+
+    def closure_bound(frontier) -> int:
+        k = len(members)
+        low, high = lanes(k)
+        seen = set()
+        queue = [entry[0] for entry in frontier]
+        for e in queue:
+            if e in seen:
+                continue
+            seen.add(e)
+            if len(seen) > closure_cap:
+                return n
+            for table in tables:
+                ne = e.translate(table)
+                if ne in seen or ne in excluded:
+                    continue
+                x = from_bytes(ne * k, "little") ^ blob
+                if (x - low) & ~x & high:
+                    continue
+                queue.append(ne)
+        return min(len(set(col)) for col in zip(*seen))
+
+    def rec(frontier) -> None:
+        nonlocal best_size, best_witness, nodes, aborted, blob
+        nodes += 1
+        if nodes > node_cap:
+            aborted = True
+            return
+        if not frontier:
+            return
+        if len(members) + closure_bound(frontier) <= best_size:
+            return
+        elem, parent, sym = frontier[0]
+
+        # include
+        outer_blob = blob
+        blob |= from_bytes(elem, "little") << (8 * n * len(members))
+        members.append(elem)
+        member_set.add(elem)
+        prov.append((parent, sym))
+        my_index = len(members) - 1
+        k = len(members)
+        low, high = lanes(k)
+        new_frontier = [f for f in frontier[1:] if not agrees(f[0], elem)]
+        for s, table in ((1, tables[0]), (2, tables[1])):
+            ne = elem.translate(table)
+            if ne in excluded or ne in member_set:
+                continue
+            if any(ne == f[0] for f in new_frontier):
+                continue
+            x = from_bytes(ne * k, "little") ^ blob
+            if (x - low) & ~x & high:
+                continue
+            new_frontier.append((ne, my_index, s))
+        if len(members) > best_size:
+            best_size = len(members)
+            best_witness = list(prov)
+        rec(new_frontier)
+        members.pop()
+        member_set.discard(elem)
+        prov.pop()
+        blob = outer_blob
+        if aborted:
+            return
+
+        # exclude
+        excluded.add(elem)
+        rec(frontier[1:])
+        excluded.discard(elem)
+
+    frontier0 = []
+    for s, table in ((1, tables[0]), (2, tables[1])):
+        ne = identity.translate(table)
+        if not agrees(ne, identity) and all(ne != f[0] for f in frontier0):
+            frontier0.append((ne, 0, s))
+    rec(frontier0)
+    return best_size, best_witness[:best_size], nodes, not aborted

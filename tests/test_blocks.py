@@ -4,6 +4,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, strategies as st
 
+from spanfact import blocks
 from spanfact.blocks import (
     BlockSystem,
     atoms,
@@ -33,6 +34,7 @@ from spanfact.errors import (
     NonInvarianceError,
     PhaseInconsistencyError,
     PreconditionError,
+    SizeCapError,
     UniformityError,
 )
 from spanfact.fixtures import load_fixture
@@ -172,6 +174,28 @@ def test_refinement_block_sizes_uniform():
             pi = difference_class_orbits(f, ps)
             for rs in invariant_refinements(f, ps, pi):
                 assert all(len(b) == rs.block_size for b in rs.system.blocks)
+
+
+def test_refinement_listing_is_capped(monkeypatch):
+    """shift:n has n singleton difference-class orbits, so 2^n - 1 systems;
+    past the cap the listing raises before it starts."""
+    for n in (17, 101):
+        _, f = build_shift(n)
+        ps = position_system(f)
+        pi = difference_class_orbits(f, ps)
+        assert len(pi) == n
+        with pytest.raises(SizeCapError, match=f"orbit count {n} exceeds cap 16"):
+            invariant_refinements(f, ps, pi)
+    monkeypatch.setattr(blocks, "REFINEMENT_ORBIT_CAP", 7)
+    for n, listed in ((7, 127), (8, None)):
+        _, f = build_shift(n)
+        ps = position_system(f)
+        pi = difference_class_orbits(f, ps)
+        if listed is None:
+            with pytest.raises(SizeCapError, match="exceeds cap 7"):
+                invariant_refinements(f, ps, pi)
+        else:
+            assert len(invariant_refinements(f, ps, pi)) == listed
 
 
 @pytest.mark.parametrize(

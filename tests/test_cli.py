@@ -3,6 +3,7 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from spanfact import __version__
 from spanfact.cli import cmd_enumerate, emit_table, main
@@ -248,6 +249,59 @@ def test_flags_only_where_read(capsys, argv):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (("tree-search", "--bitmask", "0", "--max-nodes", "0"), None),
+        (("tree-search", "--bitmask", "0", "--max-nodes", "-5"), None),
+        (("verify", "--masks", "-1"), None),
+        (("tree-search", "--bitmask", "0"), {"max_nodes": 0}),
+        (("tree-search", "--bitmask", "0"), {"max_nodes": -5}),
+        (("tree-search", "--bitmask", "0"), {"max_nodes": "100"}),
+        (("tree-search", "--bitmask", "0"), {"max_nodes": True}),
+        (("tree-search", "--bitmask", "0"), {"max_nodes": 2.5}),
+        (("tree-search", "--bitmask", "0", "--max-nodes", "0"), {"max_nodes": 10}),
+    ],
+)
+def test_meaningless_counts_are_config_errors(tmp_path, capsys, argv, config):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"toy": {"m": 4}, **(config or {})}))
+    code, out, err = run_cli(capsys, *argv, "--config", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error:")
+    assert "Traceback" not in err
+
+
+def test_max_nodes_flag_overrides_config(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"toy": {"m": 4}, "max_nodes": 1}))
+    search = ("tree-search", "--config", str(path), "--bitmask", "0", "--format", "json-lines")
+    code, out, _ = run_cli(capsys, *search)
+    assert code == 4
+    assert json.loads(out)["certificate"] is False
+    code, out, _ = run_cli(capsys, *search, "--max-nodes", "1000")
+    assert code == 0
+    assert json.loads(out)["certificate"] is True
+
+
+def test_verify_zero_masks_samples_none(capsys):
+    code, out, err = run_cli(capsys, "verify", "--fixture", "toy:3", "--masks", "0", "--format", "json-lines")
+    assert code != 2 and err == ""
+    checked = {rec["law"]: rec["checked"] for rec in map(json.loads, out.splitlines())}
+    assert checked["swap_invariance"] == 0
+    assert checked["phase_constancy"] == 8
+
+
+@pytest.mark.parametrize("command", ["verify", "blocks"])
+def test_refinement_cap_exits_at_once(capsys, command):
+    code, out, err = run_cli(capsys, command, "--fixture", "shift:101")
+    assert code == 3
+    assert out == ""
+    assert "orbit count 101 exceeds cap 16" in err
+    assert "Traceback" not in err
+
+
 def test_missing_instance_is_config_error(capsys):
     code, _, err = run_cli(capsys, "build")
     assert code == 2
@@ -341,6 +395,32 @@ def test_json_lines_round_trip(capsys):
     _, out, _ = run_cli(capsys, "enumerate", "--fixture", "toy:3", "--format", "json-lines")
     records = [json.loads(line) for line in out.strip().split("\n")]
     assert emit_table(records, "json-lines") == out
+
+
+CELLS = st.one_of(
+    st.text(max_size=6),
+    st.integers(),
+    st.booleans(),
+    st.none(),
+    st.floats(),
+    st.lists(st.integers(0, 9), max_size=4),
+    st.lists(st.integers(0, 9), max_size=4).map(tuple),
+)
+
+
+@given(
+    keys=st.lists(st.text(max_size=4), min_size=1, max_size=4, unique=True),
+    rows=st.lists(st.lists(CELLS, min_size=4, max_size=4), max_size=5),
+    share=st.booleans(),
+)
+def test_emit_json_lines_is_json_dumps(keys, rows, share):
+    """Each line is json.dumps of its record, also when records share their
+    cell objects or differ in their keys."""
+    records = [dict(zip(keys[: 1 + i % len(keys)], row)) for i, row in enumerate(rows)]
+    if share and records:
+        records += [dict(records[0]) for _ in range(2)]
+    expected = "".join(json.dumps(rec, separators=(", ", ": ")) + "\n" for rec in records)
+    assert emit_table(records, "json-lines") == expected
 
 
 def test_emit_table_zero_records():
