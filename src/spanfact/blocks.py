@@ -6,9 +6,18 @@ The phase of an x-cycle is the constant offset between a vertex's position
 and the index of the tied block containing it; the profile computation
 verifies that constancy along every cycle and reports the failing cycle
 when the offset drifts.
+
+The phase law is read on image lists, by the helpers behind both
+position_system/phase_profile and law_suite: one walk over x gives every
+vertex's cycle index and position, and F1(v) lies in tied block pos_of[v].
+law_suite reads each factorization as the F1, F2 and x image lists of
+digraph.factor_images, uses positions and cycle indices directly as the
+block ids of the two swap-invariance systems, and builds Factorization,
+PositionSystem and PhaseProfile objects only where the phases are constant.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from .digraph import (
@@ -16,6 +25,7 @@ from .digraph import (
     REFINEMENT_ORBIT_CAP,
     Digraph2,
     Factorization,
+    factor_images,
     factorization_at,
 )
 from .errors import (
@@ -37,15 +47,16 @@ class PositionSystem:
     """The m position blocks P_j = x^j(P_0) built from the canonical transversal.
 
     cycle_list holds the x-cycles sorted by minimum vertex, each starting at
-    its minimum vertex, so P_0 is the set of cycle minima.
+    its minimum vertex, so P_0 is the set of cycle minima.  _cycle_of and
+    _pos_of are indexed by vertex.
     """
 
     m: int
     r: int
     cycle_list: tuple[tuple[int, ...], ...]
     blocks: tuple[frozenset[int], ...]
-    _cycle_of: dict[int, int]
-    _pos_of: dict[int, int]
+    _cycle_of: list[int]
+    _pos_of: list[int]
 
     def cycle_of(self, v: int) -> int:
         return self._cycle_of[v]
@@ -55,19 +66,45 @@ class PositionSystem:
 
 
 def position_system(f: Factorization) -> PositionSystem:
-    x = f.x()
-    cycles = x.cycles()
-    lengths = {len(c) for c in cycles}
-    if len(lengths) != 1:
+    cycles, cycle_of, pos_of, m = _positions(f.x().images)
+    if not m:
         raise UniformityError(
             f"x-cycle lengths are not uniform: {sorted(len(c) for c in cycles)}"
         )
-    m = lengths.pop()
-    r = len(cycles)
-    blocks = tuple(frozenset(c[j] for c in cycles) for j in range(m))
-    cycle_of = {v: i for i, cyc in enumerate(cycles) for v in cyc}
-    pos_of = {v: j for cyc in cycles for j, v in enumerate(cyc)}
-    return PositionSystem(m, r, cycles, blocks, cycle_of, pos_of)
+    return _position_system(cycles, cycle_of, pos_of, m)
+
+
+def _positions(x: Sequence[int]) -> tuple[list[list[int]], list[int], list[int], int]:
+    """The cycles of x sorted by minimum, each from its minimum, the cycle
+    index and the position of every vertex, and the common cycle length m
+    (0 when the lengths are not uniform)."""
+    n = len(x)
+    cycle_of = [-1] * n
+    pos_of = [0] * n
+    cycles = []
+    for start in range(n):
+        if cycle_of[start] >= 0:
+            continue
+        i = len(cycles)
+        cyc = []
+        v = start
+        while cycle_of[v] < 0:
+            cycle_of[v] = i
+            pos_of[v] = len(cyc)
+            cyc.append(v)
+            v = x[v]
+        cycles.append(cyc)
+    lengths = set(map(len, cycles))
+    return cycles, cycle_of, pos_of, lengths.pop() if len(lengths) == 1 else 0
+
+
+def _position_system(
+    cycles: list[list[int]], cycle_of: list[int], pos_of: list[int], m: int
+) -> PositionSystem:
+    return PositionSystem(
+        m, len(cycles), tuple(map(tuple, cycles)), tuple(map(frozenset, zip(*cycles))),
+        cycle_of, pos_of,
+    )
 
 
 @dataclass(frozen=True)
@@ -82,27 +119,50 @@ class PhaseProfile:
 def phase_profile(f: Factorization, ps: PositionSystem) -> PhaseProfile:
     """Phases from tied-block membership, verified constant along every cycle."""
     m = ps.m
-    f1 = f.f1
-    tied = tuple(frozenset(f1(v) for v in ps.blocks[k]) for k in range(m))
-    tied_pos = {}
-    for k, blk in enumerate(tied):
-        for v in blk:
-            tied_pos[v] = k
+    f1 = f.f1.images
+    tied = _tied_positions(f1, ps._pos_of)
+    delta, drift = _phases(tied, ps.cycle_list, m)
+    if drift is not None:
+        i, j = drift
+        cyc = ps.cycle_list[i]
+        raise PhaseInconsistencyError(
+            f"phase not constant on cycle {i}: offset {tied[cyc[0]] % m} at position 0 "
+            f"but {(tied[cyc[j]] - j) % m} at position {j}"
+        )
+    return _phase_profile(f1, ps, delta)
+
+
+def _tied_positions(f1: Sequence[int], pos_of: list[int]) -> list[int]:
+    """The tied block of every vertex: F1 carries P_j onto tied block j, so
+    F1(v) lies in tied block pos_of[v]."""
+    tied = [0] * len(f1)
+    for v, w in enumerate(f1):
+        tied[w] = pos_of[v]
+    return tied
+
+
+def _phases(
+    tied: list[int], cycles: Sequence[Sequence[int]], m: int
+) -> tuple[list[int], tuple[int, int] | None]:
+    """Per-cycle phases, the offset of tied block over position mod m, and
+    the first (cycle, position) where a cycle's offset differs from its
+    offset at position 0; the phases are complete only when that is None."""
     delta = []
-    for i, cyc in enumerate(ps.cycle_list):
-        d0 = tied_pos[cyc[0]] % m
+    for i, cyc in enumerate(cycles):
+        d0 = tied[cyc[0]] % m
         for j in range(1, m):
-            dj = (tied_pos[cyc[j]] - j) % m
-            if dj != d0:
-                raise PhaseInconsistencyError(
-                    f"phase not constant on cycle {i}: offset {d0} at position 0 "
-                    f"but {dj} at position {j}"
-                )
+            if (tied[cyc[j]] - j) % m != d0:
+                return delta, (i, j)
         delta.append(d0)
-    counts = [0] * m
+    return delta, None
+
+
+def _phase_profile(f1: Sequence[int], ps: PositionSystem, delta: list[int]) -> PhaseProfile:
+    counts = [0] * ps.m
     for d in delta:
         counts[d] += 1
-    return PhaseProfile(tuple(delta), tuple(counts), tied)
+    tied_blocks = tuple(frozenset(f1[v] for v in blk) for blk in ps.blocks)
+    return PhaseProfile(tuple(delta), tuple(counts), tied_blocks)
 
 
 def atoms(
@@ -227,13 +287,13 @@ def invariant_refinements(
 
 def is_invariant(g: Perm, bs: BlockSystem) -> bool:
     """Whether g maps every block of the system onto a block of the system."""
-    return _block_images(g, _block_index(bs, g.n), bs.blocks) is not None
+    return _block_images(g.images, _block_index(bs, g.n), bs.blocks) is not None
 
 
 def block_action(g: Perm, bs: BlockSystem) -> Perm:
     """The induced permutation of block ids, or NonInvarianceError if g splits
     a block or maps one outside the support."""
-    images = _block_images(g, _block_index(bs, g.n), bs.blocks)
+    images = _block_images(g.images, _block_index(bs, g.n), bs.blocks)
     if images is None:
         raise NonInvarianceError(f"{g} splits a block or maps one outside the support")
     return Perm(images)
@@ -249,11 +309,11 @@ def _block_index(bs: BlockSystem, n: int) -> list[int]:
 
 
 def _block_images(
-    g: Perm, block_of: list[int], blocks: tuple[frozenset[int], ...]
+    images: Sequence[int], block_of: list[int], blocks: Iterable[Iterable[int]]
 ) -> list[int] | None:
-    """The block id each block is carried onto by g, or None when g splits a
-    block or maps it outside the support."""
-    images = g.images
+    """The block id each block is carried onto by the map with these images,
+    or None when it splits a block or maps one outside the support (block id
+    -1 in block_of)."""
     out = []
     for blk in blocks:
         targets = {block_of[images[v]] for v in blk}
@@ -284,7 +344,29 @@ def swap_relabelled_taus(
 ) -> tuple[tuple[int, ...], list[tuple[int, ...] | None]] | None:
     """tau on block ids for f and for swap_relabel(f, mask), per mask, without
     building the relabelled factorizations; None when f's own tau is
-    undefined, and a None entry where the relabelled one is.
+    undefined, and a None entry where the relabelled one is."""
+    return _swap_taus(
+        f.f1.images, f.f2.images, _block_index(bs, f.n), bs.blocks,
+        _tail_bits(f.digraph), masks,
+    )
+
+
+def _tail_bits(d: Digraph2) -> list[int]:
+    """1 << (the alternating cycle holding v's out-edges), per vertex v."""
+    cycle_of_edge = d.alt_decomposition.cycle_of_edge
+    return [1 << cycle_of_edge[(v, 0)] for v in range(d.n)]
+
+
+def _swap_taus(
+    f1: Sequence[int],
+    f2: Sequence[int],
+    block_of: list[int],
+    blocks: Sequence[Iterable[int]],
+    tail_bits: list[int],
+    masks: list[int],
+) -> tuple[tuple[int, ...], list[tuple[int, ...] | None]] | None:
+    """swap_relabelled_taus on image lists and block ids (block_of, -1
+    outside the support of the vertex lists blocks).
 
     Both out-edges of a vertex lie on one alternating cycle, so the relabelled
     F1 is F2 on the vertices of masked cycles and F1 elsewhere.  A block whose
@@ -292,20 +374,17 @@ def swap_relabelled_taus(
     masked cycle keeps them, and a partly masked block is split by both
     relabelled factors unless sigma(F1) and sigma(F2) agree on it.
     """
-    d = f.digraph
-    block_of = _block_index(bs, d.n)
-    s1 = _block_images(f.f1, block_of, bs.blocks)
-    s2 = _block_images(f.f2, block_of, bs.blocks)
-    if s1 is None or s2 is None:
+    s1 = _block_images(f1, block_of, blocks)
+    s2 = None if s1 is None else _block_images(f2, block_of, blocks)
+    if s2 is None:
         return None
     tau0 = _relative(s1, s2)
-    cycle_of_edge = d.alt_decomposition.cycle_of_edge
     movers = []
-    for i, blk in enumerate(bs.blocks):
+    for i, blk in enumerate(blocks):
         if s1[i] != s2[i]:
             bits = 0
             for v in blk:
-                bits |= 1 << cycle_of_edge[(v, 0)]
+                bits |= tail_bits[v]
             movers.append((i, bits))
     if not movers:
         return tau0, [tau0] * len(masks)
@@ -344,7 +423,11 @@ def law_suite(d: Digraph2, masks: list[int]) -> dict[str, tuple[int, int]]:
     two).  swap_invariance compares tau before and after swap_relabel by each
     of masks, on the position and the cycle block systems, counting only the
     pairs where both are defined.  The 2^r factorizations are walked once and
-    nothing is kept between them.
+    nothing is kept between them.  Each is read as image lists, with
+    positions and cycle indices as the block ids of the two systems;
+    Factorization, PositionSystem and PhaseProfile objects are built only for
+    the factorizations with constant phases, which the atom and refinement
+    laws need.
     """
     r = d.alt_decomposition.r
     if r > DEFAULT_CYCLE_CAP:
@@ -352,28 +435,30 @@ def law_suite(d: Digraph2, masks: list[int]) -> dict[str, tuple[int, int]]:
     for mask in masks:
         if not 0 <= mask < (1 << r):
             raise PreconditionError(f"mask {mask} out of range for r={r}")
+    tail_bits = _tail_bits(d)
     phase_fail = law_fail = refinement_fail = 0
     swap_checked = swap_fail = 0
     for b in range(1 << r):
-        f = factorization_at(d, b)
-        try:
-            ps = position_system(f)
-        except UniformityError:
+        f1, f2, x = factor_images(d, b)
+        cycles, cycle_of, pos_of, m = _positions(x)
+        if not m:
             phase_fail += 1
             continue
-        try:
-            pp = phase_profile(f, ps)
-        except PhaseInconsistencyError:
+        delta, drift = _phases(_tied_positions(f1, pos_of), cycles, m)
+        if drift is not None:
             phase_fail += 1
         else:
+            f = Factorization(d, Perm(f1, check=False), Perm(f2, check=False), b)
+            ps = _position_system(cycles, cycle_of, pos_of, m)
+            pp = _phase_profile(f1, ps, delta)
             if not _atom_laws_hold(f, ps, pp):
                 law_fail += 1
             pi = difference_class_orbits(f, ps, pp)
             refs = invariant_refinements(f, ps, pi, pp)
             if len(refs) != (1 << len(pi)) - 1 or not all(rs.invariant for rs in refs):
                 refinement_fail += 1
-        for system in (position_block_system(ps), cycle_block_system(ps)):
-            taus = swap_relabelled_taus(f, system, masks)
+        for block_of, blocks in ((pos_of, list(zip(*cycles))), (cycle_of, cycles)):
+            taus = _swap_taus(f1, f2, block_of, blocks, tail_bits, masks)
             if taus is None:
                 continue
             tau0, relabelled = taus

@@ -17,7 +17,7 @@ from .groups import CosetSpace, Presentation, left_multiplication, validate_pres
 from .perm import Perm, compose
 
 Edge = tuple[int, int]
-Arc = tuple[int, int]  # (tail, head)
+Row = tuple[int, int, int, int]  # (v, F1(v), F2(v), x(v))
 
 DEFAULT_CYCLE_CAP = 24
 # blocks.invariant_refinements lists 2^k - 1 systems for k difference-class orbits
@@ -128,15 +128,25 @@ class Digraph2:
         return labels
 
     @cached_property
-    def _cycle_arcs(self) -> tuple[tuple[tuple[Arc, ...], tuple[Arc, ...]], ...]:
-        """Per alternating cycle, its arcs in F1 and in F2 at bit 0."""
+    def _cycle_rows(self) -> tuple[tuple[tuple[Row, ...], tuple[Row, ...]], ...]:
+        """Per alternating cycle, at bit 0 and at bit 1, one row (v, F1(v),
+        F2(v), x(v)) per tail v, with x = F2^-1 F1.
+
+        Both in-edges of w = F1(v) lie on v's cycle, so x(v), the tail of the
+        F2 in-edge at w, depends on that cycle's bit alone.
+        """
         labels = self._default_f1_label
         out = []
         for cyc in self.alt_decomposition.cycles:
-            arcs = ([], [])
+            arcs: tuple[dict[int, int], dict[int, int]] = ({}, {})
             for e in cyc:
-                arcs[not labels[e]].append((e[0], self.head(e)))
-            out.append((tuple(arcs[0]), tuple(arcs[1])))
+                arcs[not labels[e]][e[0]] = self.head(e)
+            rows = []
+            for bit in (0, 1):
+                f1, f2 = arcs[bit], arcs[1 - bit]
+                f2_tail = {h: v for v, h in f2.items()}
+                rows.append(tuple((v, h, f2[v], f2_tail[h]) for v, h in f1.items()))
+            out.append((rows[0], rows[1]))
         return tuple(out)
 
     @cached_property
@@ -145,24 +155,35 @@ class Digraph2:
         n = self.n
         match_l = [-1] * n
         match_r = [-1] * n
-
-        def augment(v: int, visited: list[bool]) -> bool:
-            for u in self.out_edges[v]:
-                if visited[u]:
-                    continue
-                visited[u] = True
-                if match_r[u] == -1 or augment(match_r[u], visited):
-                    match_l[v] = u
-                    match_r[u] = v
-                    return True
-            return False
-
         for v in range(n):
             if match_l[v] == -1:
-                augment(v, [False] * n)
+                _augment(self.out_edges, v, [False] * n, match_l, match_r)
         if any(m == -1 for m in match_l):
             raise PreconditionError("no perfect matching; digraph is not 2-regular")
         return tuple(match_l)
+
+
+def _augment(
+    out_edges: tuple[tuple[int, int], ...],
+    v: int,
+    visited: list[bool],
+    match_l: list[int],
+    match_r: list[int],
+) -> bool:
+    """Extend the matching along an augmenting path from tail v, if one exists.
+
+    A module-level function: a recursive closure would reference itself and,
+    through its cell, keep its digraph alive until the cyclic collector runs.
+    """
+    for u in out_edges[v]:
+        if visited[u]:
+            continue
+        visited[u] = True
+        if match_r[u] == -1 or _augment(out_edges, match_r[u], visited, match_l, match_r):
+            match_l[v] = u
+            match_r[u] = v
+            return True
+    return False
 
 
 @dataclass(frozen=True)
@@ -208,19 +229,27 @@ def alternating_cycles(d: Digraph2, f: Factorization) -> AltCycleDecomposition:
     return d.alt_decomposition
 
 
+def factor_images(d: Digraph2, bitmask: int) -> tuple[list[int], list[int], list[int]]:
+    """Image lists of F1, F2 and x = F2^-1 F1 for the factorization at
+    bitmask: one row per vertex, read from its cycle's bit; not range-checked."""
+    n = d.n
+    f1 = [0] * n
+    f2 = [0] * n
+    x = [0] * n
+    for ci, rows in enumerate(d._cycle_rows):
+        for v, a, b, y in rows[(bitmask >> ci) & 1]:
+            f1[v] = a
+            f2[v] = b
+            x[v] = y
+    return f1, f2, x
+
+
 def factorization_at(d: Digraph2, bitmask: int) -> Factorization:
     """The 1-factorization selected by flipping the masked alternating cycles."""
-    arcs = d._cycle_arcs
-    if not 0 <= bitmask < (1 << len(arcs)):
-        raise PreconditionError(f"bitmask {bitmask} out of range for r={len(arcs)}")
-    f1 = [-1] * d.n
-    f2 = [-1] * d.n
-    for ci, pair in enumerate(arcs):
-        flip = (bitmask >> ci) & 1
-        for v, h in pair[flip]:
-            f1[v] = h
-        for v, h in pair[1 - flip]:
-            f2[v] = h
+    r = d.alt_decomposition.r
+    if not 0 <= bitmask < (1 << r):
+        raise PreconditionError(f"bitmask {bitmask} out of range for r={r}")
+    f1, f2, _ = factor_images(d, bitmask)
     return Factorization(d, Perm(f1), Perm(f2), bitmask)
 
 

@@ -8,10 +8,16 @@ Conventions fixed project-wide:
 * A word is a tuple of factor symbols drawn from ``1, 2`` (and ``-1, -2``
   for inverse factors), stored in composition order: the *rightmost*
   symbol is applied first, so ``(2, 1)`` means "F2 after F1".
+
+"Do two permutations agree at some point?" is answered for many pairs at
+once by ``ImageBlob``, which packs image arrays into one integer and tests an
+image against all of them with one SWAR zero-lane test;
+``first_agreeing_pair`` finds the first agreeing pair of a list with it.
 """
 from __future__ import annotations
 
 import re
+from array import array
 from typing import Iterable, Sequence
 
 from .errors import SizeMismatchError
@@ -139,9 +145,77 @@ def compose(g: Perm, f: Perm) -> Perm:
     return Perm(tuple(gi[v] for v in f.images), check=False)
 
 
-def agree_somewhere(a: Perm, b: Perm) -> bool:
-    """True iff a(v) = b(v) for some point v."""
-    return any(x == y for x, y in zip(a.images, b.images))
+class ImageBlob:
+    """Image arrays of one degree n packed into one integer, image i in lanes
+    [i*n, (i+1)*n), so that "does this image agree with some packed image at
+    some point?" is one SWAR (SIMD within a register) test.
+
+    A lane is the narrowest array item that holds the points 0..n-1: 1 byte
+    up to 256 points, 2 bytes up to 65,536.  With image e repeated once per
+    packed image, x = rep(e) ^ value has a zero lane exactly where e agrees
+    with a packed image.  ``(x - low) & ~x & high``, with low and high the
+    lowest and the highest bit of every lane ("haszero", Bit Twiddling
+    Hacks), is nonzero iff some lane of x is zero, and its lowest set bit
+    lies in the lowest zero lane: the lanes below it borrow nothing.
+    """
+
+    __slots__ = ("n", "count", "value", "_code", "_lane_bits", "_image_bits", "_one")
+
+    def __init__(self, n: int, images: Iterable[Sequence[int]] = ()):
+        self.n = n
+        self.count = 0
+        self.value = 0
+        self._code = next(c for c in "BHILQ" if array(c).itemsize * 8 >= (n - 1).bit_length())
+        width = array(self._code).itemsize
+        self._lane_bits = 8 * width
+        self._image_bits = n * self._lane_bits
+        # lanes are read little-endian whatever the host order: a big-endian
+        # host holds every point byte-swapped, which keeps lane equality
+        self._one = (1).to_bytes(width, "little")
+        for image in images:
+            self.push(image)
+
+    def _pack(self, image: Sequence[int]) -> bytes:
+        return array(self._code, image).tobytes()
+
+    def push(self, image: Sequence[int]) -> None:
+        """Pack image as the last image."""
+        packed = int.from_bytes(self._pack(image), "little")
+        self.value |= packed << (self.count * self._image_bits)
+        self.count += 1
+
+    def pop(self) -> None:
+        """Drop the last packed image."""
+        self.count -= 1
+        self.value &= (1 << (self.count * self._image_bits)) - 1
+
+    def first_agreeing(self, image: Sequence[int], start: int = 0) -> int | None:
+        """The least index i >= start whose packed image agrees with image at
+        some point, or None."""
+        k = self.count - start
+        if k <= 0:
+            return None
+        x = int.from_bytes(self._pack(image) * k, "little") ^ (
+            self.value >> (start * self._image_bits)
+        )
+        low = int.from_bytes(self._one * (k * self.n), "little")
+        hits = (x - low) & ~x & (low << (self._lane_bits - 1))
+        if not hits:
+            return None
+        return start + ((hits & -hits).bit_length() - 1) // self._image_bits
+
+
+def first_agreeing_pair(images: Sequence[Sequence[int]]) -> tuple[int, int] | None:
+    """The least index pair i < j, in lexicographic order, such that images i
+    and j agree at some point; None when every pair disagrees everywhere."""
+    if not images:
+        return None
+    blob = ImageBlob(len(images[0]), images)
+    for i, image in enumerate(images):
+        j = blob.first_agreeing(image, i + 1)
+        if j is not None:
+            return i, j
+    return None
 
 
 def evaluate(word: Word, f1: Perm, f2: Perm) -> Perm:

@@ -1,6 +1,12 @@
 """Walk semantics over a factorization: equivalence and relocatability,
 sharply transitive verification, relocatable-tree search, and the
 phase-corrected addressing construction with generator splicing.
+
+Every "do two words' images agree at some vertex?" test here (the pair
+reading of verify_sharply_transitive, verify_reloc_tree, and the member
+check of search_sharply_transitive) goes through perm.ImageBlob: the images
+are packed into one integer and an image is tested against all of them at
+once with one SWAR zero-lane test.
 """
 from __future__ import annotations
 
@@ -10,7 +16,7 @@ from dataclasses import dataclass
 from .blocks import PhaseProfile, PositionSystem
 from .digraph import Factorization
 from .errors import PreconditionError
-from .perm import Perm, Word, agree_somewhere, compose, evaluate
+from .perm import ImageBlob, Perm, Word, compose, evaluate, first_agreeing_pair
 from . import treesearch
 
 
@@ -67,28 +73,16 @@ def verify_sharply_transitive(ws: WordSet, f: Factorization) -> Verdict:
     """Size n, all pairs relocatable; cross-checked against the per-pair
     unique-word reading, which must agree."""
     n = f.n
-    images = ws.images
-    pair_ok = True
-    violation = None
     if len(ws) != n:
         return Verdict(False, f"size {len(ws)} != n = {n}")
-    for i in range(n):
-        for j in range(i + 1, n):
-            if agree_somewhere(images[i], images[j]):
-                pair_ok = False
-                violation = (ws.words[i], ws.words[j])
-                break
-        if not pair_ok:
-            break
+    images = [img.images for img in ws.images]
+    pair = first_agreeing_pair(images)
+    pair_ok = pair is None
     # independent reading: every ordered vertex pair hit by exactly one word
-    table_ok = True
-    for u in range(n):
-        hits = [img(u) for img in images]
-        if len(set(hits)) != n:
-            table_ok = False
-            break
+    table_ok = all(len(set(column)) == n for column in zip(*images))
     agree = pair_ok == table_ok
     if not pair_ok:
+        violation = (ws.words[pair[0]], ws.words[pair[1]])
         return Verdict(False, "two words agree at a vertex", violation, agree)
     return Verdict(True, "", None, agree)
 
@@ -118,13 +112,10 @@ def verify_reloc_tree(
         parent = w[1:] if prefix_mode == "last" else w[:-1]
         if parent not in wordset:
             return RelocTreeReport(False, f"missing prefix of {w}")
-    imgs = [evaluate(w, f.f1, f.f2) for w in words]
-    for i in range(len(imgs)):
-        for j in range(i + 1, len(imgs)):
-            if agree_somewhere(imgs[i], imgs[j]):
-                return RelocTreeReport(
-                    False, f"words {words[i]} and {words[j]} agree at a vertex"
-                )
+    pair = first_agreeing_pair([evaluate(w, f.f1, f.f2).images for w in words])
+    if pair is not None:
+        i, j = pair
+        return RelocTreeReport(False, f"words {words[i]} and {words[j]} agree at a vertex")
     return RelocTreeReport(True)
 
 
@@ -200,11 +191,13 @@ def search_sharply_transitive(
     req_imgs = [evaluate(w, f.f1, f.f2) for w in required]
     if len({img(root) for img in req_imgs}) != len(required):
         raise PreconditionError("required words collide at the root")
+    # the members' images, in member order
+    blob = ImageBlob(n)
+    for img in req_imgs:
+        if blob.first_agreeing(img.images) is not None:
+            return None
+        blob.push(img.images)
     chosen: list[tuple[Word, Perm]] = list(zip(required, req_imgs))
-    for i in range(len(chosen)):
-        for j in range(i + 1, len(chosen)):
-            if agree_somewhere(chosen[i][1], chosen[j][1]):
-                return None
 
     by_root_image: dict[int, list[tuple[Perm, Word]]] = {v: [] for v in range(n)}
     for elem, w in universe.items():
@@ -218,20 +211,19 @@ def search_sharply_transitive(
         key=lambda v: len(by_root_image[v]),
     )
 
-    def compatible(elem: Perm, members: list[tuple[Word, Perm]]) -> bool:
-        return not any(agree_somewhere(elem, mb) for _, mb in members)
-
     def backtrack(k: int, members: list[tuple[Word, Perm]]):
         if k == len(vertices):
             return members
         v = vertices[k]
         for elem, w in by_root_image[v]:
-            if compatible(elem, members):
+            if blob.first_agreeing(elem.images) is None:
                 members.append((w, elem))
+                blob.push(elem.images)
                 res = backtrack(k + 1, members)
                 if res is not None:
                     return res
                 members.pop()
+                blob.pop()
         return None
 
     result = backtrack(0, chosen)
@@ -251,8 +243,8 @@ def _top_action(f: Factorization, ps: PositionSystem, g: Perm) -> Perm | None:
     """Induced permutation of x-cycle indices, or None when g splits a cycle."""
     images = []
     for cyc in ps.cycle_list:
-        targets = {ps.cycle_of(g(v)) if g(v) in ps._cycle_of else None for v in cyc}
-        if len(targets) != 1 or None in targets:
+        targets = {ps.cycle_of(g(v)) for v in cyc}
+        if len(targets) != 1:
             return None
         images.append(targets.pop())
     seen = set(images)

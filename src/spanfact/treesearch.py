@@ -108,10 +108,10 @@ def run_search(n, f1_images, f2_images, node_cap, closure_cap):
 
     def rec(frontier) -> None:
         nonlocal best_size, best_witness, nodes, aborted, blob
-        nodes += 1
-        if nodes > node_cap:
+        if nodes >= node_cap:
             aborted = True
             return
+        nodes += 1
         if not frontier:
             return
         slack = best_size - len(members)

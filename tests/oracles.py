@@ -1,24 +1,36 @@
 """Independent test-side oracles.
 
 These deliberately share no code with the tree-search kernel, the refinement
-classifier, the bitmask action or the swap shortcut: the tree oracle
-enumerates word trees directly, the reference tree kernel runs every closure
-bound to completion, the refinement oracle enumerates candidate class subsets
-and checks invariance inline, the conjugation and class oracles build and
-conjugate every factorization, and the swap oracle builds every relabelled
-factorization and computes its block actions inline.
+classifier, the bitmask action, the swap shortcut or the list-based law
+suite: the tree oracle enumerates word trees directly, the reference tree
+kernel runs every closure bound to completion, the refinement oracle
+enumerates candidate class subsets and checks invariance inline, the
+conjugation and class oracles build and conjugate every factorization, the
+swap oracle builds every relabelled factorization and computes its block
+actions inline, and the reference law suite builds every factorization, its
+position system and its tied blocks as objects, one mask at a time.
 """
 from __future__ import annotations
 
 from spanfact.blocks import (
     BlockSystem,
+    PhaseProfile,
+    PositionSystem,
+    atoms,
     cycle_block_system,
+    difference_class_orbits,
+    invariant_refinements,
     position_block_system,
-    position_system,
     swap_relabel,
 )
-from spanfact.digraph import Digraph2, Factorization, bitmask_of, factorization_at
-from spanfact.errors import SpanfactError
+from spanfact.digraph import (
+    DEFAULT_CYCLE_CAP,
+    Digraph2,
+    Factorization,
+    bitmask_of,
+    factorization_at,
+)
+from spanfact.errors import PreconditionError, SizeCapError
 from spanfact.perm import Perm, compose
 
 
@@ -75,9 +87,8 @@ def swap_invariance_counts(d: Digraph2, masks: list[int]) -> tuple[int, int]:
     checked = failures = 0
     for b in range(1 << d.alt_decomposition.r):
         f = factorization_at(d, b)
-        try:
-            ps = position_system(f)
-        except SpanfactError:
+        ps = reference_position_system(f)
+        if ps is None:
             continue
         for system in (position_block_system(ps), cycle_block_system(ps)):
             tau0 = relabelled_tau(f, system, 0)
@@ -262,10 +273,10 @@ def reference_run_search(n, f1_images, f2_images, node_cap, closure_cap):
 
     def rec(frontier) -> None:
         nonlocal best_size, best_witness, nodes, aborted, blob
-        nodes += 1
-        if nodes > node_cap:
+        if nodes >= node_cap:
             aborted = True
             return
+        nodes += 1
         if not frontier:
             return
         if len(members) + closure_bound(frontier) <= best_size:
@@ -315,3 +326,136 @@ def reference_run_search(n, f1_images, f2_images, node_cap, closure_cap):
             frontier0.append((ne, 0, s))
     rec(frontier0)
     return best_size, best_witness[:best_size], nodes, not aborted
+
+
+def reference_position_system(f: Factorization) -> PositionSystem | None:
+    """The position system from the cycles of x = F2^-1 F1 as Perm objects,
+    with dict lookups; None when the cycle lengths are not uniform."""
+    cycles = compose(f.f2.inverse(), f.f1).cycles()
+    if len({len(c) for c in cycles}) != 1:
+        return None
+    m = len(cycles[0])
+    blocks = tuple(frozenset(c[j] for c in cycles) for j in range(m))
+    cycle_of = {v: i for i, cyc in enumerate(cycles) for v in cyc}
+    pos_of = {v: j for cyc in cycles for j, v in enumerate(cyc)}
+    return PositionSystem(m, len(cycles), cycles, blocks, cycle_of, pos_of)
+
+
+def reference_phase_profile(f: Factorization, ps: PositionSystem) -> PhaseProfile | None:
+    """Phases read from the tied blocks F1(P_k) as frozensets; None when the
+    offset is not constant along some x-cycle."""
+    m = ps.m
+    tied = tuple(frozenset(f.f1(v) for v in ps.blocks[k]) for k in range(m))
+    tied_pos = {v: k for k, blk in enumerate(tied) for v in blk}
+    delta = []
+    for cyc in ps.cycle_list:
+        offsets = {(tied_pos[v] - j) % m for j, v in enumerate(cyc)}
+        if len(offsets) != 1:
+            return None
+        delta.append(offsets.pop())
+    counts = tuple(delta.count(d) for d in range(m))
+    return PhaseProfile(tuple(delta), counts, tied)
+
+
+def reference_law_suite(d: Digraph2, masks: list[int]) -> dict[str, tuple[int, int]]:
+    """The law suite one factorization object at a time: its position system
+    and phase profile as objects, and swap invariance from the block actions
+    of the Perms on per-block vertex sets (the relabelled taus by the
+    cycle-bit shortcut).  spanfact.blocks.law_suite must match it exactly."""
+    r = d.alt_decomposition.r
+    if r > DEFAULT_CYCLE_CAP:
+        raise SizeCapError(f"alternating cycle count {r} exceeds cap {DEFAULT_CYCLE_CAP}")
+    for mask in masks:
+        if not 0 <= mask < (1 << r):
+            raise PreconditionError(f"mask {mask} out of range for r={r}")
+    phase_fail = law_fail = refinement_fail = 0
+    swap_checked = swap_fail = 0
+    for b in range(1 << r):
+        f = factorization_at(d, b)
+        ps = reference_position_system(f)
+        if ps is None:
+            phase_fail += 1
+            continue
+        pp = reference_phase_profile(f, ps)
+        if pp is None:
+            phase_fail += 1
+        else:
+            if not _reference_atom_laws(f, ps, pp):
+                law_fail += 1
+            pi = difference_class_orbits(f, ps, pp)
+            refs = invariant_refinements(f, ps, pi, pp)
+            if len(refs) != (1 << len(pi)) - 1 or not all(rs.invariant for rs in refs):
+                refinement_fail += 1
+        for system in (position_block_system(ps), cycle_block_system(ps)):
+            taus = _reference_swap_taus(f, system, masks)
+            if taus is None:
+                continue
+            tau0, relabelled = taus
+            for tau1 in relabelled:
+                if tau1 is not None:
+                    swap_checked += 1
+                    swap_fail += tau1 != tau0
+    total = 1 << r
+    return {
+        "phase_constancy": (total, phase_fail),
+        "atom_counts": (total, law_fail),
+        "refinements": (total, refinement_fail),
+        "swap_invariance": (swap_checked, swap_fail),
+    }
+
+
+def _reference_atom_laws(f: Factorization, ps: PositionSystem, pp: PhaseProfile) -> bool:
+    m = ps.m
+    A = atoms(f, ps, pp)
+    counts_ok = sum(pp.phase_counts) == ps.r and all(
+        len(A[(j, (j + dd) % m)]) == pp.phase_counts[dd] for j in range(m) for dd in range(m)
+    )
+    return counts_ok and all(
+        A[(j, k)] == (ps.blocks[j] & pp.tied_blocks[k]) for j in range(m) for k in range(m)
+    )
+
+
+def _reference_swap_taus(f: Factorization, system: BlockSystem, masks: list[int]):
+    """(tau0, relabelled taus) from block actions on vertex sets: a block
+    whose cycles are all masked swaps sigma(F1) and sigma(F2), one with no
+    masked cycle keeps them, and a partly masked block is split unless they
+    agree on it."""
+    lookup = {v: i for i, blk in enumerate(system.blocks) for v in blk}
+
+    def action(p: Perm) -> list[int] | None:
+        out = []
+        for blk in system.blocks:
+            targets = {lookup.get(p(v)) for v in blk}
+            if None in targets or len(targets) != 1:
+                return None
+            out.append(targets.pop())
+        return out
+
+    def relative(s1: list[int], s2: list[int]) -> tuple[int, ...]:
+        inv = {t: i for i, t in enumerate(s1)}
+        return tuple(inv[t] for t in s2)
+
+    s1, s2 = action(f.f1), action(f.f2)
+    if s1 is None or s2 is None:
+        return None
+    tau0 = relative(s1, s2)
+    cycle_of_edge = f.digraph.alt_decomposition.cycle_of_edge
+    movers = {
+        i: sum({1 << cycle_of_edge[(v, 0)] for v in blk})
+        for i, blk in enumerate(system.blocks)
+        if s1[i] != s2[i]
+    }
+    taus = []
+    for mask in masks:
+        t1, t2 = list(s1), list(s2)
+        for i, bits in movers.items():
+            hit = mask & bits
+            if hit == 0:
+                continue
+            if hit != bits:
+                taus.append(None)
+                break
+            t1[i], t2[i] = s2[i], s1[i]
+        else:
+            taus.append(relative(t1, t2))
+    return tau0, taus

@@ -41,7 +41,12 @@ from spanfact.fixtures import load_fixture
 from spanfact.perm import Perm
 from spanfact.spanning import WordSet, verify_sharply_transitive
 
-from oracles import brute_force_refinement_families, relabelled_tau, swap_invariance_counts
+from oracles import (
+    brute_force_refinement_families,
+    reference_law_suite,
+    relabelled_tau,
+    swap_invariance_counts,
+)
 
 
 def test_position_system_toy():
@@ -362,6 +367,30 @@ def test_law_suite_swap_counts_match_oracle(name):
     rng = random.Random(7)
     masks = [rng.randrange(1 << d.alt_decomposition.r) for _ in range(40)]
     assert law_suite(d, masks)["swap_invariance"] == swap_invariance_counts(d, masks)
+
+
+LAW_SUITE_INSTANCES = (
+    "toy:3", "toy:4", "toy:5", "toy:8", "morris", "a5-ex2", "a5-ex3", "doubled:3", "doubled:4",
+    *(f"shift:{n}" for n in range(5, 12)),
+)
+
+
+@pytest.mark.parametrize("name", LAW_SUITE_INSTANCES)
+def test_law_suite_matches_reference(name):
+    d = _digraph(name)
+    rng = random.Random(11)
+    masks = [rng.randrange(1 << d.alt_decomposition.r) for _ in range(30)]
+    assert law_suite(d, masks) == reference_law_suite(d, masks)
+
+
+@given(
+    st.sampled_from(("toy:3", "toy:4", "morris", "a5-ex3", "shift:7", "doubled:3")),
+    st.lists(st.integers(min_value=0), max_size=12),
+)
+def test_law_suite_matches_reference_on_mask_lists(name, raw_masks):
+    d = _digraph(name)
+    masks = [mask % (1 << d.alt_decomposition.r) for mask in raw_masks]
+    assert law_suite(d, masks) == reference_law_suite(d, masks)
 
 
 def test_law_suite_rejects_out_of_range_mask():

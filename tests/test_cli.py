@@ -1,5 +1,8 @@
 import argparse
+import io
 import json
+import random
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -10,6 +13,8 @@ from spanfact.cli import cmd_enumerate, emit_table, main
 from spanfact.digraph import build_coset_digraph, factorization_at
 from spanfact.fixtures import load_fixture
 from spanfact.groups import presentation_from_config
+
+from oracles import reference_law_suite
 
 # "<fixture>/<seed>" -> [exit code, stdout] of verify --seed <seed> --masks 200
 GOLDEN_VERIFY = json.loads(Path(__file__).with_name("golden_verify.json").read_text())
@@ -425,3 +430,85 @@ def test_emit_json_lines_is_json_dumps(keys, rows, share):
 
 def test_emit_table_zero_records():
     assert emit_table([], "tsv") == "schema\n"
+
+
+def test_node_cap_counts_no_extra_node(capsys):
+    for cap in (1, 3):
+        code, out, err = run_cli(
+            capsys, "tree-search", "--fixture", "toy:4", "--bitmask", "0",
+            "--max-nodes", str(cap), "--format", "json-lines",
+        )
+        assert (code, err) == (4, "")
+        rec = json.loads(out)
+        assert (rec["nodes"], rec["certificate"]) == (cap, False)
+
+
+PERFBENCH_CONFIGS = {
+    **SCALE_CONFIGS,
+    "c2wrc4-r16": {
+        "group_generators": ["(0 1)", "(0 2 4 6)(1 3 5 7)"],
+        "H_generators": ["(0 1)"],
+        "S": ["(0 2 4 6)(1 3 5 7)", "(0 2 4 6 1 3 5 7)"],
+        "name": "c2wrc4-r16",
+    },
+}
+
+
+@pytest.mark.parametrize("instance", PERFBENCH_CONFIGS)
+def test_verify_matches_reference_law_suite(tmp_path, capsys, instance):
+    path = tmp_path / f"{instance}.json"
+    path.write_text(json.dumps({"presentation": PERFBENCH_CONFIGS[instance]}))
+    code, out, err = run_cli(
+        capsys, "verify", "--config", str(path), "--seed", "5", "--masks", "10", "--format", "json-lines",
+    )
+    d = build_coset_digraph(presentation_from_config(PERFBENCH_CONFIGS[instance])).digraph
+    rng = random.Random(5)
+    masks = [rng.randrange(1 << d.alt_decomposition.r) for _ in range(10)]
+    expected = reference_law_suite(d, masks)
+    got = {rec["law"]: (rec["checked"], rec["failures"]) for rec in map(json.loads, out.splitlines())}
+    assert got == expected
+    assert err == ""
+    assert code == (0 if all(failures == 0 for _, failures in expected.values()) else 3)
+
+
+def run_in_process(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the command line
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@st.composite
+def command_lines(draw):
+    """A subcommand on a small (or unknown) fixture with flags drawn from every
+    subcommand's, so some are not registered for it, and values that include
+    meaningless ones."""
+    argv = [draw(st.sampled_from(["build", "enumerate", "blocks", "tree-search", "spanning", "verify"]))]
+    argv += ["--fixture", draw(st.sampled_from(["toy:3", "toy:4", "morris", "shift:5", "shift:7", "toy:2", "toy:x", "nosuch"]))]
+    options = {
+        "--bitmask": st.integers(-2, 17).map(str),
+        "--max-nodes": st.sampled_from(["-1", "0", "1", "2", "5", "100", "x"]),
+        "--masks": st.sampled_from(["-1", "0", "3", "20", "2.5"]),
+        "--seed": st.integers(-3, 3).map(str),
+        "--method": st.sampled_from(["blocks", "addressing", "other"]),
+        "--format": st.sampled_from(["tsv", "json-lines", "xml"]),
+    }
+    for flag, values in options.items():
+        if draw(st.booleans()):
+            argv += [flag, draw(values)]
+    for flag in ("--classify", "--swap", "--all-classes"):
+        if draw(st.booleans()):
+            argv.append(flag)
+    return argv
+
+
+@given(command_lines())
+def test_cli_exit_contract_and_stable_output(argv):
+    first = run_in_process(argv)
+    code, out, err = first
+    assert code in (0, 2, 3, 4), (argv, first)
+    assert "Traceback" not in err
+    assert run_in_process(argv) == first

@@ -1,3 +1,5 @@
+import gc
+import weakref
 from collections import Counter
 
 import pytest
@@ -12,6 +14,7 @@ from spanfact.digraph import (
     build_toy,
     classify_factorizations,
     enumerate_factorizations,
+    factor_images,
     factorization_at,
     initial_factorization,
     is_digraph_automorphism,
@@ -266,3 +269,26 @@ def test_shift_digraph():
     assert d.n == 5
     assert f.is_valid()
     assert d.alt_decomposition.r == 1
+
+
+def test_digraph_is_freed_without_the_cyclic_collector():
+    d = load_fixture("a5-ex2").digraph
+    d = Digraph2(d.out_edges)
+    assert len(d._matching_f1) == d.n
+    ref = weakref.ref(d)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del d
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@pytest.mark.parametrize("name", ["toy:3", "morris", "a5-ex2", "shift:7"])
+def test_factor_images_match_factorization(name):
+    d = load_fixture(name).digraph
+    for b in range(1 << d.alt_decomposition.r):
+        f = factorization_at(d, b)
+        assert factor_images(d, b) == (list(f.f1.images), list(f.f2.images), list(f.x().images))

@@ -3,10 +3,12 @@ from hypothesis import given, strategies as st
 
 from spanfact.errors import SizeMismatchError
 from spanfact.perm import (
+    ImageBlob,
     Perm,
     compose,
     evaluate,
     cycle_string,
+    first_agreeing_pair,
     oneline_string,
     parse_perm,
     parse_word,
@@ -145,3 +147,65 @@ def test_word_str_orientation():
     assert w == (2, 1, 1)
     d, f = build_toy(3)
     assert evaluate(w, f.f1, f.f2) == compose(f.f2, compose(f.f1, f.f1))
+
+
+def naive_first_agreeing(images, image, start):
+    return next(
+        (j for j in range(start, len(images)) if any(a == b for a, b in zip(images[j], image))),
+        None,
+    )
+
+
+@st.composite
+def image_lists(draw):
+    """Rows of the cyclic Latin square on n points (distinct shifts never
+    agree, equal ones agree everywhere) with a few entries overwritten, so
+    that agreements land in any lane, the last one included; n = 257 and 300
+    need 2-byte lanes."""
+    n = draw(st.sampled_from([1, 2, 3, 7, 255, 256, 257, 300]))
+    shifts = draw(st.lists(st.integers(0, n - 1), max_size=6))
+    images = [[(v + s) % n for v in range(n)] for s in shifts]
+    if images:
+        edits = st.tuples(st.integers(0, len(images) - 1), st.integers(0, n - 1), st.integers(0, n - 1))
+        for i, v, value in draw(st.lists(edits, max_size=3)):
+            images[i][v] = value
+    return n, images
+
+
+@given(image_lists())
+def test_first_agreeing_pair_matches_pairwise_scan(case):
+    _, images = case
+    naive = next(
+        ((i, j) for i in range(len(images)) for j in range(i + 1, len(images))
+         if any(a == b for a, b in zip(images[i], images[j]))),
+        None,
+    )
+    assert first_agreeing_pair(images) == naive
+
+
+@given(image_lists(), st.data())
+def test_image_blob_first_agreeing_matches_scan(case, data):
+    n, images = case
+    blob = ImageBlob(n, images)
+    probe = data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    for start in range(len(images) + 1):
+        for image in (*images, probe):
+            assert blob.first_agreeing(image, start) == naive_first_agreeing(images, image, start)
+
+
+@given(image_lists(), st.integers(0, 6))
+def test_image_blob_pop_restores_push(case, keep):
+    n, images = case
+    keep = min(keep, len(images))
+    blob = ImageBlob(n, images)
+    for _ in range(len(images) - keep):
+        blob.pop()
+    assert (blob.count, blob.value) == (keep, ImageBlob(n, images[:keep]).value)
+
+
+@pytest.mark.parametrize("n", [3, 256, 257, 300])
+def test_agreement_in_the_last_lane_only(n):
+    images = [[(v + s) % n for v in range(n)] for s in range(3)]
+    images[2][n - 1] = images[1][n - 1]
+    assert first_agreeing_pair(images) == (1, 2)
+    assert ImageBlob(n, images[:2]).first_agreeing(images[2]) == 1
