@@ -58,9 +58,6 @@ class PositionSystem:
     _cycle_of: list[int]
     _pos_of: list[int]
 
-    def cycle_of(self, v: int) -> int:
-        return self._cycle_of[v]
-
     def position_of(self, v: int) -> int:
         return self._pos_of[v]
 
@@ -183,9 +180,10 @@ def atoms(
 def difference_class_orbits(
     f: Factorization, ps: PositionSystem, pp: PhaseProfile | None = None
 ) -> tuple[tuple[int, ...], ...]:
-    """Orbits on difference classes d in Z_m under the images of atoms by F1 and x,
-    traced explicitly; empty classes stay singleton orbits.  pp is f's phase
-    profile, computed here when not given."""
+    """Orbits on difference classes d in Z_m under the images of atoms by F1
+    and x; empty classes stay singleton orbits.  x maps every x-cycle onto
+    itself, so only F1 joins classes: d(cycle of v) with d(cycle of F1(v)).
+    pp is f's phase profile, computed here when not given."""
     if pp is None:
         pp = phase_profile(f, ps)
     m = ps.m
@@ -202,16 +200,9 @@ def difference_class_orbits(
         if ra != rb:
             parent[max(ra, rb)] = min(ra, rb)
 
-    class_of_vertex = {}
-    for i, cyc in enumerate(ps.cycle_list):
-        for v in cyc:
-            class_of_vertex[v] = pp.delta[i]
-    x = f.x()
-    for g in (f.f1, x):
-        for i, cyc in enumerate(ps.cycle_list):
-            d = pp.delta[i]
-            for v in cyc:
-                union(d, class_of_vertex[g(v)])
+    delta, cycle_of = pp.delta, ps._cycle_of
+    for v, w in enumerate(f.f1.images):
+        union(delta[cycle_of[v]], delta[cycle_of[w]])
     orbits: dict[int, list[int]] = {}
     for d in range(m):
         orbits.setdefault(find(d), []).append(d)

@@ -27,7 +27,7 @@ from .blocks import (
     relative_block_permutation,
 )
 from .digraph import classify_factorizations, factorization_at
-from .errors import BudgetExhausted, ConfigError, SpanfactError
+from .errors import ConfigError, SpanfactError
 from .fixtures import Fixture, load_fixture
 from .groups import coset_space, presentation_from_config
 from .perm import cycle_string, word_str
@@ -432,9 +432,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except BudgetExhausted as exc:
-        print(f"budget exhausted: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
     except SpanfactError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION

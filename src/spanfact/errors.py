@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto exit codes: ConfigError -> 2, PreconditionError
-(and subclasses) -> 3, BudgetExhausted -> 4.
+The CLI maps these onto exit codes: ConfigError -> 2, every other error -> 3.
+Exit 4 (a search ran out of its node budget) is returned, not raised.
 """
 
 
@@ -43,7 +43,3 @@ class PhaseInconsistencyError(SpanfactError):
 
 class NonInvarianceError(PreconditionError):
     """A permutation does not map every block of a block system onto a block."""
-
-
-class BudgetExhausted(SpanfactError):
-    """A bounded search ran out of its node or length budget."""

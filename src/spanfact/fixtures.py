@@ -77,6 +77,3 @@ def load_fixture(name: str) -> Fixture:
         raise ConfigError(f"unknown fixture {name!r}")
     cd = build_coset_digraph(p, coset_space(p.group, list(p.H_generators)))
     return Fixture(name, cd.digraph, cd, None)
-
-
-FIXTURE_NAMES = ("a5-ex2", "a5-ex3", "morris", "toy:m", "shift:n")

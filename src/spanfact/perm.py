@@ -12,7 +12,9 @@ Conventions fixed project-wide:
 "Do two permutations agree at some point?" is answered for many pairs at
 once by ``ImageBlob``, which packs image arrays into one integer and tests an
 image against all of them with one SWAR zero-lane test;
-``first_agreeing_pair`` finds the first agreeing pair of a list with it.
+``first_agreeing_pair`` finds the first agreeing pair of a list with it.  It
+is the one agreement test of the package: the relocatable-tree kernel, the
+spanning verifiers and the sharply transitive search all use it.
 """
 from __future__ import annotations
 
@@ -25,6 +27,8 @@ from .errors import SizeMismatchError
 Word = tuple[int, ...]
 
 EMPTY_WORD: Word = ()
+
+_from_bytes = int.from_bytes
 
 
 class Perm:
@@ -156,38 +160,52 @@ class ImageBlob:
     with a packed image.  ``(x - low) & ~x & high``, with low and high the
     lowest and the highest bit of every lane ("haszero", Bit Twiddling
     Hacks), is nonzero iff some lane of x is zero, and its lowest set bit
-    lies in the lowest zero lane: the lanes below it borrow nothing.
+    lies in the lowest zero lane: the lanes below it borrow nothing.  low and
+    high cover the lanes of the packed images and follow push and pop.
     """
 
-    __slots__ = ("n", "count", "value", "_code", "_lane_bits", "_image_bits", "_one")
+    __slots__ = ("n", "count", "value", "_low", "_high", "_code", "_lane_bits", "_image_bits", "_image_low")
 
     def __init__(self, n: int, images: Iterable[Sequence[int]] = ()):
         self.n = n
         self.count = 0
-        self.value = 0
+        self.value = self._low = self._high = 0
         self._code = next(c for c in "BHILQ" if array(c).itemsize * 8 >= (n - 1).bit_length())
         width = array(self._code).itemsize
         self._lane_bits = 8 * width
         self._image_bits = n * self._lane_bits
         # lanes are read little-endian whatever the host order: a big-endian
         # host holds every point byte-swapped, which keeps lane equality
-        self._one = (1).to_bytes(width, "little")
+        self._image_low = _from_bytes((1).to_bytes(width, "little") * n, "little")
         for image in images:
             self.push(image)
 
-    def _pack(self, image: Sequence[int]) -> bytes:
+    def pack(self, image: Sequence[int]) -> bytes:
+        """image in lane form, as ``agrees_packed`` takes it.  With 1-byte
+        lanes (n <= 256) a ``bytes`` image is its own lane form."""
         return array(self._code, image).tobytes()
 
     def push(self, image: Sequence[int]) -> None:
         """Pack image as the last image."""
-        packed = int.from_bytes(self._pack(image), "little")
-        self.value |= packed << (self.count * self._image_bits)
+        shift = self.count * self._image_bits
+        self.value |= _from_bytes(self.pack(image), "little") << shift
+        self._low |= self._image_low << shift
+        self._high = self._low << (self._lane_bits - 1)
         self.count += 1
 
     def pop(self) -> None:
         """Drop the last packed image."""
         self.count -= 1
-        self.value &= (1 << (self.count * self._image_bits)) - 1
+        keep = (1 << (self.count * self._image_bits)) - 1
+        self.value &= keep
+        self._low &= keep
+        self._high &= keep
+
+    def agrees_packed(self, packed: bytes) -> int:
+        """Nonzero iff the image in lane form ``packed`` agrees with some
+        packed image at some point."""
+        x = _from_bytes(packed * self.count, "little") ^ self.value
+        return (x - self._low) & ~x & self._high
 
     def first_agreeing(self, image: Sequence[int], start: int = 0) -> int | None:
         """The least index i >= start whose packed image agrees with image at
@@ -195,11 +213,9 @@ class ImageBlob:
         k = self.count - start
         if k <= 0:
             return None
-        x = int.from_bytes(self._pack(image) * k, "little") ^ (
-            self.value >> (start * self._image_bits)
-        )
-        low = int.from_bytes(self._one * (k * self.n), "little")
-        hits = (x - low) & ~x & (low << (self._lane_bits - 1))
+        shift = start * self._image_bits
+        x = _from_bytes(self.pack(image) * k, "little") ^ (self.value >> shift)
+        hits = (x - (self._low >> shift)) & ~x & (self._high >> shift)
         if not hits:
             return None
         return start + ((hits & -hits).bit_length() - 1) // self._image_bits

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .blocks import PhaseProfile, PositionSystem
+from .blocks import PhaseProfile, PositionSystem, _block_images
 from .digraph import Factorization
 from .errors import PreconditionError
 from .perm import ImageBlob, Perm, Word, compose, evaluate, first_agreeing_pair
@@ -241,16 +241,8 @@ X_WORD: Word = (-2, 1)  # F2^{-1} after F1
 
 def _top_action(f: Factorization, ps: PositionSystem, g: Perm) -> Perm | None:
     """Induced permutation of x-cycle indices, or None when g splits a cycle."""
-    images = []
-    for cyc in ps.cycle_list:
-        targets = {ps.cycle_of(g(v)) for v in cyc}
-        if len(targets) != 1:
-            return None
-        images.append(targets.pop())
-    seen = set(images)
-    if len(seen) != ps.r:
-        return None
-    return Perm(images)
+    images = _block_images(g.images, ps._cycle_of, ps.cycle_list)
+    return None if images is None else Perm(images)
 
 
 def phase_addressing(

@@ -17,27 +17,25 @@ means a prune may really have been lost: the bound was still within the
 slack at the last check.  Witnesses are returned as (parent, symbol) pairs
 indexing the member list, so callers can rebuild the tree words.
 
-"Does ``e`` agree with some member at some vertex?" is one SWAR (SIMD within
-a register) test: the k members are kept as one integer blob, member i in
-bytes [i*n, (i+1)*n), and ``x = int(e * k) ^ blob`` has a zero byte exactly
-when ``e`` agrees with a member somewhere.  The zero-byte test is "haszero"
-from Bit Twiddling Hacks: ``(x - 0x01..01) & ~x & 0x80..80`` is nonzero iff
-some byte of ``x`` is zero.
+"Does ``e`` agree with some member at some vertex?" is one test on a
+``perm.ImageBlob`` of the members.  With n <= 255 its lanes are 1 byte, so
+the ``bytes`` elements are already in lane form.
 """
 from __future__ import annotations
 
 from .errors import PreconditionError
+from .perm import ImageBlob
 
 MAX_POINTS = 255
+
+# stack entries of the depth-first walk: visit a frontier; drop the last
+# member and exclude it; end that exclusion
+_VISIT, _EXCLUDE, _READMIT = 0, 1, 2
 
 
 def active_kernel_name() -> str:
     """Name recorded in search results; there is one kernel."""
     return "python"
-
-
-def _conflicts(a: bytes, b: bytes) -> bool:
-    return any(x == y for x, y in zip(a, b))
 
 
 def run_search(n, f1_images, f2_images, node_cap, closure_cap):
@@ -55,33 +53,16 @@ def run_search(n, f1_images, f2_images, node_cap, closure_cap):
         bytes(f2_images) + bytes(range(n, 256)),
     )
     identity = bytes(range(n))
-    from_bytes = int.from_bytes
 
-    members: list[bytes] = [identity]
-    member_set = {identity}
-    blob = from_bytes(identity, "little")
+    blob = ImageBlob(n, (identity,))
+    agrees = blob.agrees_packed
     prov: list[tuple[int, int]] = [(-1, 0)]
     excluded: set[bytes] = set()
-    # per member count k: (0x01 in every byte, 0x80 in every byte) over k*n bytes
-    masks: dict[int, tuple[int, int]] = {}
-
-    def lanes(k: int) -> tuple[int, int]:
-        if k not in masks:
-            low = from_bytes(b"\x01" * (n * k), "little")
-            masks[k] = (low, low << 7)
-        return masks[k]
-
-    best_size = 1
-    best_witness = list(prov)
-    nodes = 0
-    aborted = False
 
     def closure_bound(frontier, slack: int) -> int:
         """Upper bound on how many more members this branch can gain, or a
         partial bound as soon as it exceeds slack (the branch then survives
         whatever the rest of the closure adds)."""
-        k = len(members)
-        low, high = lanes(k)
         seen = set()
         check_at = n
         queue = [entry[0] for entry in frontier]
@@ -98,67 +79,61 @@ def run_search(n, f1_images, f2_images, node_cap, closure_cap):
                 check_at *= 2
             for table in tables:
                 ne = e.translate(table)
-                if ne in seen or ne in excluded:
-                    continue
-                x = from_bytes(ne * k, "little") ^ blob
-                if (x - low) & ~x & high:
+                if ne in seen or ne in excluded or agrees(ne):
                     continue
                 queue.append(ne)
         return min(len(set(col)) for col in zip(*seen))
 
-    def rec(frontier) -> None:
-        nonlocal best_size, best_witness, nodes, aborted, blob
-        if nodes >= node_cap:
-            aborted = True
-            return
-        nodes += 1
-        if not frontier:
-            return
-        slack = best_size - len(members)
-        if closure_bound(frontier, slack) <= slack:
-            return
-        elem, parent, sym = frontier[0]
-
-        # include
-        outer_blob = blob
-        blob |= from_bytes(elem, "little") << (8 * n * len(members))
-        members.append(elem)
-        member_set.add(elem)
-        prov.append((parent, sym))
-        my_index = len(members) - 1
-        k = len(members)
-        low, high = lanes(k)
-        new_frontier = [f for f in frontier[1:] if not _conflicts(f[0], elem)]
-        for s, table in ((1, tables[0]), (2, tables[1])):
-            ne = elem.translate(table)
-            if ne in excluded or ne in member_set:
-                continue
-            if any(ne == f[0] for f in new_frontier):
-                continue
-            x = from_bytes(ne * k, "little") ^ blob
-            if (x - low) & ~x & high:
-                continue
-            new_frontier.append((ne, my_index, s))
-        if len(members) > best_size:
-            best_size = len(members)
-            best_witness = list(prov)
-        rec(new_frontier)
-        members.pop()
-        member_set.discard(elem)
-        prov.pop()
-        blob = outer_blob
-        if aborted:
-            return
-
-        # exclude
-        excluded.add(elem)
-        rec(frontier[1:])
-        excluded.discard(elem)
-
     frontier0 = []
     for s, table in ((1, tables[0]), (2, tables[1])):
         ne = identity.translate(table)
-        if not _conflicts(ne, identity) and all(ne != f[0] for f in frontier0):
+        if not agrees(ne) and all(ne != f[0] for f in frontier0):
             frontier0.append((ne, 0, s))
-    rec(frontier0)
+
+    best_size = 1
+    best_witness = list(prov)
+    nodes = 0
+    aborted = False
+    # depth-first with an explicit stack rather than a recursive closure,
+    # which would reference itself and be left to the cyclic collector
+    stack = [(_VISIT, frontier0)]
+    while stack:
+        op, arg = stack.pop()
+        if op == _EXCLUDE:
+            blob.pop()
+            prov.pop()
+            excluded.add(arg)
+            continue
+        if op == _READMIT:
+            excluded.discard(arg)
+            continue
+        frontier = arg
+        if nodes >= node_cap:
+            aborted = True
+            break
+        nodes += 1
+        if not frontier:
+            continue
+        slack = best_size - blob.count
+        if closure_bound(frontier, slack) <= slack:
+            continue
+        (elem, parent, sym), rest = frontier[0], frontier[1:]
+        stack += ((_READMIT, elem), (_VISIT, rest), (_EXCLUDE, elem))
+
+        # include
+        blob.push(elem)
+        prov.append((parent, sym))
+        my_index = blob.count - 1
+        # every frontier entry disagrees with every earlier member, so it
+        # agrees with the blob iff it agrees with elem
+        new_frontier = [f for f in rest if not agrees(f[0])]
+        for s, table in ((1, tables[0]), (2, tables[1])):
+            ne = elem.translate(table)
+            if ne in excluded or any(ne == f[0] for f in new_frontier) or agrees(ne):
+                continue
+            new_frontier.append((ne, my_index, s))
+        if blob.count > best_size:
+            best_size = blob.count
+            best_witness = list(prov)
+        stack.append((_VISIT, new_frontier))
     return best_size, best_witness[:best_size], nodes, not aborted

@@ -7,7 +7,8 @@ kernel runs every closure bound to completion, the refinement oracle
 enumerates candidate class subsets and checks invariance inline, the
 conjugation and class oracles build and conjugate every factorization, the
 swap oracle builds every relabelled factorization and computes its block
-actions inline, and the reference law suite builds every factorization, its
+actions inline, the difference-class oracle traces both F1 and x over a
+vertex dict, and the reference law suite builds every factorization, its
 position system and its tied blocks as objects, one mask at a time.
 """
 from __future__ import annotations
@@ -18,7 +19,6 @@ from spanfact.blocks import (
     PositionSystem,
     atoms,
     cycle_block_system,
-    difference_class_orbits,
     invariant_refinements,
     position_block_system,
     swap_relabel,
@@ -382,7 +382,7 @@ def reference_law_suite(d: Digraph2, masks: list[int]) -> dict[str, tuple[int, i
         else:
             if not _reference_atom_laws(f, ps, pp):
                 law_fail += 1
-            pi = difference_class_orbits(f, ps, pp)
+            pi = reference_difference_class_orbits(f, ps, pp)
             refs = invariant_refinements(f, ps, pi, pp)
             if len(refs) != (1 << len(pi)) - 1 or not all(rs.invariant for rs in refs):
                 refinement_fail += 1
@@ -402,6 +402,29 @@ def reference_law_suite(d: Digraph2, masks: list[int]) -> dict[str, tuple[int, i
         "refinements": (total, refinement_fail),
         "swap_invariance": (swap_checked, swap_fail),
     }
+
+
+def reference_difference_class_orbits(
+    f: Factorization, ps: PositionSystem, pp: PhaseProfile
+) -> tuple[tuple[int, ...], ...]:
+    """Orbits on difference classes under F1 and x, both traced over a
+    vertex-to-class dict; spanfact.blocks.difference_class_orbits must match."""
+    parent = list(range(ps.m))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    class_of_vertex = {v: pp.delta[i] for i, cyc in enumerate(ps.cycle_list) for v in cyc}
+    for g in (f.f1, f.x()):
+        for v, d in class_of_vertex.items():
+            ra, rb = find(d), find(class_of_vertex[g(v)])
+            parent[max(ra, rb)] = min(ra, rb)
+    orbits: dict[int, list[int]] = {}
+    for d in range(ps.m):
+        orbits.setdefault(find(d), []).append(d)
+    return tuple(tuple(orbit) for orbit in sorted(orbits.values(), key=min))
 
 
 def _reference_atom_laws(f: Factorization, ps: PositionSystem, pp: PhaseProfile) -> bool:

@@ -43,6 +43,7 @@ from spanfact.spanning import WordSet, verify_sharply_transitive
 
 from oracles import (
     brute_force_refinement_families,
+    reference_difference_class_orbits,
     reference_law_suite,
     relabelled_tau,
     swap_invariance_counts,
@@ -157,6 +158,25 @@ def test_difference_class_orbits_m1():
     ps = position_system(f)
     assert ps.m == 1
     assert difference_class_orbits(f, ps) == ((0,),)
+
+
+def test_difference_class_orbits_match_reference():
+    """On every factorization with constant phases of these fixtures (none
+    on a5-ex3 and a5-ex2), tracing F1 alone gives the orbits of F1 and x."""
+    checked = 0
+    for name in ("toy:3", "toy:4", "toy:5", "toy:8", "toy:11", "morris",
+                 "shift:5", "shift:7", "shift:9", "shift:11", "a5-ex3", "a5-ex2"):
+        d = load_fixture(name).digraph
+        for b in range(1 << d.alt_decomposition.r):
+            f = factorization_at(d, b)
+            try:
+                ps = position_system(f)
+                pp = phase_profile(f, ps)
+            except (UniformityError, PhaseInconsistencyError):
+                continue
+            assert difference_class_orbits(f, ps, pp) == reference_difference_class_orbits(f, ps, pp), (name, b)
+            checked += 1
+    assert checked == 2376
 
 
 def test_refinement_count_and_full_union():

@@ -191,6 +191,8 @@ def test_image_blob_first_agreeing_matches_scan(case, data):
     for start in range(len(images) + 1):
         for image in (*images, probe):
             assert blob.first_agreeing(image, start) == naive_first_agreeing(images, image, start)
+    for image in (*images, probe):
+        assert bool(blob.agrees_packed(blob.pack(image))) == (naive_first_agreeing(images, image, 0) is not None)
 
 
 @given(image_lists(), st.integers(0, 6))
@@ -201,6 +203,8 @@ def test_image_blob_pop_restores_push(case, keep):
     for _ in range(len(images) - keep):
         blob.pop()
     assert (blob.count, blob.value) == (keep, ImageBlob(n, images[:keep]).value)
+    for image in images:
+        assert bool(blob.agrees_packed(blob.pack(image))) == (naive_first_agreeing(images[:keep], image, 0) is not None)
 
 
 @pytest.mark.parametrize("n", [3, 256, 257, 300])

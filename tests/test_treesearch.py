@@ -6,6 +6,7 @@ keyed "<fixture>/<bitmask>"; a word is its symbol tuple written as digits.
 The cases are every factorization of toy:3/4/5 and shift:5 and one class
 representative per factorization class of a5-ex3 and a5-ex2.
 """
+import gc
 import json
 from functools import cache
 from pathlib import Path
@@ -85,6 +86,19 @@ def test_kernel_matches_reference_under_caps(node_cap, closure_cap):
         assert got == want, key
         uncertified += not got[3]
     assert uncertified == (21 if node_cap == 30 else 0)
+
+
+def test_search_leaves_no_reference_cycle():
+    f = factorization_at(load_fixture("a5-ex2").digraph, 6)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        assert run_search(f.n, f.f1.images, f.f2.images, NODE_CAP, CLOSURE_CAP)[0] == 30
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @cache
