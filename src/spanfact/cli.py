@@ -7,6 +7,7 @@ records carry a schema field and the version.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -111,69 +112,29 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _once_per_object(render):
-    """render as a cell function that renders each object once; the memo
-    holds every object it saw, so their ids stay unique."""
-    rendered: dict[int, tuple[object, str]] = {}
-
-    def cell(value) -> str:
-        hit = rendered.get(id(value))
-        if hit is None:
-            hit = rendered[id(value)] = (value, render(value))
-        return hit[1]
-
-    return cell
+# json.dumps(value, separators=(", ", ": ")), the one JSON cell renderer
+_json = json.JSONEncoder(separators=(", ", ": ")).encode
 
 
 def emit_table(records: Sequence[dict], fmt: str) -> str:
     """Render records (dicts with string keys); TSV always carries a header
-    row; both forms are byte-stable for identical records.  Tuple cells (and,
-    in JSON, string cells) are rendered once per object, so records sharing
-    them share the work; each JSON line is json.dumps of its record, byte for
-    byte."""
+    row; both forms are byte-stable for identical records, and each JSON line
+    is json.dumps of its record, byte for byte.  The plain factorization
+    listing renders itself from its shared cells."""
+    if fmt not in FORMATS:
+        raise ConfigError(f"unknown format {fmt!r}")
+    if isinstance(records, _FactorizationRows):
+        return records.render(fmt)
     if fmt == "json-lines":
-        encode = json.JSONEncoder(separators=(", ", ": ")).encode
-        shared = _once_per_object(encode)
-
-        def value_json(value) -> str:
-            kind = type(value)
-            if kind is int:
-                return int.__repr__(value)
-            if kind is str or kind is tuple:
-                return shared(value)
-            return encode(value)
-
-        # key tuple -> "{"key": %s, ...}\n"
-        templates: dict[tuple, str] = {}
-        lines = []
-        for rec in records:
-            keys = tuple(rec)
-            template = templates.get(keys)
-            if template is None:
-                fields = (encode(key).replace("%", "%%") + ": %s" for key in keys)
-                template = templates[keys] = "{" + ", ".join(fields) + "}\n"
-            lines.append(template % tuple(map(value_json, rec.values())))
-        return "".join(lines)
-    if fmt == "tsv":
-        if not records:
-            return "schema\n"
-        header = list(records[0].keys())
-        shared = _once_per_object(_cell)
-
-        def cell(value) -> str:
-            kind = type(value)
-            if kind is str:
-                return value
-            if kind is tuple:
-                return shared(value)
-            return _cell(value)
-
-        blanks = [""] * len(header)
-        lines = ["\t".join(header)]
-        for rec in records:
-            lines.append("\t".join(map(cell, map(rec.get, header, blanks))))
-        return "\n".join(lines) + "\n"
-    raise ConfigError(f"unknown format {fmt!r}")
+        return "".join([_json(rec) + "\n" for rec in records])
+    if not records:
+        return "schema\n"
+    header = list(records[0].keys())
+    blanks = [""] * len(header)
+    lines = ["\t".join(header)]
+    for rec in records:
+        lines.append("\t".join(map(_cell, map(rec.get, header, blanks))))
+    return "\n".join(lines) + "\n"
 
 
 def _base_record(schema: str, fx: Fixture) -> dict:
@@ -199,31 +160,48 @@ class _FactorizationRows(Sequence):
     """The plain listing: one record per bitmask, built on access from the
     cycle types its conjugation class shares."""
 
-    def __init__(self, base: dict, pairs: list[tuple[tuple[int, ...], tuple[int, ...]]]):
+    def __init__(self, base: dict, pairs: list[tuple[tuple, tuple]], class_of: list[int]):
         self._base = base
         self._pairs = pairs
+        self._class_of = class_of
 
     def __len__(self) -> int:
-        return len(self._pairs)
+        return len(self._class_of)
 
     def __getitem__(self, b):
         if isinstance(b, slice):
             return [self[i] for i in range(len(self))[b]]
-        b = range(len(self._pairs))[b]
-        return self._record(b, self._pairs[b])
+        b = range(len(self))[b]
+        return self._record(b, self._pairs[self._class_of[b]])
 
     def __iter__(self):
-        for b, pair in enumerate(self._pairs):
-            yield self._record(b, pair)
+        for b, c in enumerate(self._class_of):
+            yield self._record(b, self._pairs[c])
+
+    @staticmethod
+    def _class_cells(pair) -> dict:
+        return {"cycle_type_f1": pair[0], "cycle_type_f2": pair[1], "class_id": ""}
 
     def _record(self, b: int, pair) -> dict:
-        return {
-            **self._base,
-            "bitmask": b,
-            "cycle_type_f1": pair[0],
-            "cycle_type_f2": pair[1],
-            "class_id": "",
-        }
+        return {**self._base, "bitmask": b, **self._class_cells(pair)}
+
+    def render(self, fmt: str) -> str:
+        """emit_table(list(self), fmt), each row written as the base cells
+        (rendered once), its bitmask and the cells of its class (rendered
+        once per class)."""
+        if fmt == "json-lines":
+            # the JSON of a dict is "{", its cells joined by ", ", then "}"
+            header = ""
+            head = _json(self._base)[:-1] + ', "bitmask": '
+            tails = [", " + _json(self._class_cells(pair))[1:] + "\n" for pair in self._pairs]
+        else:
+            header = "\t".join(self[0]) + "\n"
+            head = "".join(_cell(v) + "\t" for v in self._base.values())
+            tails = [
+                "".join("\t" + _cell(v) for v in self._class_cells(pair).values()) + "\n"
+                for pair in self._pairs
+            ]
+        return header + "".join([f"{head}{b}{tails[c]}" for b, c in enumerate(self._class_of)])
 
 
 def cmd_enumerate(args, fx: Fixture, toggles: dict) -> tuple[Sequence[dict], int]:
@@ -248,11 +226,12 @@ def cmd_enumerate(args, fx: Fixture, toggles: dict) -> tuple[Sequence[dict], int
             records.append(rec)
     else:
         classes = classify_factorizations(d, fx.aut_generators(), allow_swap=False)
-        pairs = [None] * (1 << d.alt_decomposition.r)
-        for cls in classes:
+        class_of = [0] * (1 << d.alt_decomposition.r)
+        for cid, cls in enumerate(classes):
             for b in cls.members:
-                pairs[b] = cls.cycle_type_pair
-        records = _FactorizationRows(_base_record("factorization", fx), pairs)
+                class_of[b] = cid
+        pairs = [cls.cycle_type_pair for cls in classes]
+        records = _FactorizationRows(_base_record("factorization", fx), pairs, class_of)
     return records, EXIT_OK
 
 
@@ -382,7 +361,9 @@ def _add_common(sp, bitmask=False):
         sp.add_argument("--bitmask", type=int, default=None)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process; parsing does not change it."""
     ap = argparse.ArgumentParser(prog="spanfact", description=__doc__)
     ap.add_argument("--version", action="version", version=f"spanfact {__version__}")
     subs = ap.add_subparsers(dest="command", required=True)

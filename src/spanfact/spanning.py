@@ -197,7 +197,7 @@ def search_sharply_transitive(
         if blob.first_agreeing(img.images) is not None:
             return None
         blob.push(img.images)
-    chosen: list[tuple[Word, Perm]] = list(zip(required, req_imgs))
+    members: list[tuple[Word, Perm]] = list(zip(required, req_imgs))
 
     by_root_image: dict[int, list[tuple[Perm, Word]]] = {v: [] for v in range(n)}
     for elem, w in universe.items():
@@ -211,26 +211,29 @@ def search_sharply_transitive(
         key=lambda v: len(by_root_image[v]),
     )
 
-    def backtrack(k: int, members: list[tuple[Word, Perm]]):
-        if k == len(vertices):
-            return members
-        v = vertices[k]
-        for elem, w in by_root_image[v]:
-            if blob.first_agreeing(elem.images) is None:
-                members.append((w, elem))
-                blob.push(elem.images)
-                res = backtrack(k + 1, members)
-                if res is not None:
-                    return res
-                members.pop()
-                blob.pop()
-        return None
-
-    result = backtrack(0, chosen)
-    if result is None:
-        return None
-    words = tuple(w for w, _ in result)
-    images = tuple(e for _, e in result)
+    # depth-first over the vertices with an explicit stack rather than a
+    # recursive closure, which would reference itself and be left to the
+    # cyclic collector; tried[k] counts the candidates tried at vertices[k]
+    tried = [0]
+    while len(tried) <= len(vertices):
+        candidates = by_root_image[vertices[len(tried) - 1]]
+        i = tried[-1]
+        while i < len(candidates) and blob.first_agreeing(candidates[i][0].images) is not None:
+            i += 1
+        if i == len(candidates):
+            tried.pop()
+            if not tried:
+                return None
+            members.pop()
+            blob.pop()
+            continue
+        tried[-1] = i + 1
+        elem, w = candidates[i]
+        members.append((w, elem))
+        blob.push(elem.images)
+        tried.append(0)
+    words = tuple(w for w, _ in members)
+    images = tuple(e for _, e in members)
     return WordSet(words, images, root)
 
 

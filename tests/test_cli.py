@@ -1,4 +1,5 @@
 import argparse
+import gc
 import io
 import json
 import random
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from spanfact import __version__
-from spanfact.cli import cmd_enumerate, emit_table, main
+from spanfact.cli import FORMATS, cmd_enumerate, emit_table, instance_from_config, main
 from spanfact.digraph import build_coset_digraph, factorization_at
 from spanfact.fixtures import load_fixture
 from spanfact.groups import presentation_from_config
@@ -89,21 +90,47 @@ def per_mask_listing(d, name: str) -> dict[str, str]:
     return {"tsv": "\n".join(tsv) + "\n", "json-lines": "".join(jsonl)}
 
 
-@pytest.mark.parametrize("instance", ["a5-ex2", "a5-ex3", "morris", "toy:5", *SCALE_CONFIGS])
+# the a5-ex3 presentation under a name that JSON escapes and TSV keeps raw
+ODD_NAME_CONFIG = {
+    "group_generators": ["(0 1 2 3 4)", "(0 1)(2 3)"],
+    "H_generators": ["(0 1)(2 3)"],
+    "S": ["(0 1 2 3 4)", "(1 3 4)"],
+    "name": '50% "ä"\\',
+}
+LISTING_CONFIGS = {**SCALE_CONFIGS, "odd-name": ODD_NAME_CONFIG}
+
+
+@pytest.mark.parametrize("instance", ["a5-ex2", "a5-ex3", "morris", "toy:5", *LISTING_CONFIGS])
 def test_enumerate_matches_per_mask_oracle(tmp_path, capsys, instance):
-    if instance in SCALE_CONFIGS:
-        path = tmp_path / f"{instance}.json"
-        path.write_text(json.dumps({"presentation": SCALE_CONFIGS[instance]}))
+    if instance in LISTING_CONFIGS:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"presentation": LISTING_CONFIGS[instance]}))
         source = ("--config", str(path))
-        d = build_coset_digraph(presentation_from_config(SCALE_CONFIGS[instance])).digraph
+        d = build_coset_digraph(presentation_from_config(LISTING_CONFIGS[instance])).digraph
+        name = LISTING_CONFIGS[instance]["name"]
     else:
         source = ("--fixture", instance)
         d = load_fixture(instance).digraph
-    expected = per_mask_listing(d, instance)
+        name = instance
+    expected = per_mask_listing(d, name)
     for fmt, text in expected.items():
         code, out, err = run_cli(capsys, "enumerate", *source, "--format", fmt)
         assert (code, err) == (0, "")
         assert out == text
+
+
+@pytest.mark.parametrize("instance", ["a5-ex2", "a5-ex3", "morris", "toy:5", *SCALE_CONFIGS])
+def test_listing_renders_as_its_records(instance):
+    """The listing's own renderer writes what the generic one writes for the
+    same records."""
+    if instance in SCALE_CONFIGS:
+        fx = instance_from_config({"presentation": SCALE_CONFIGS[instance]})
+    else:
+        fx = load_fixture(instance)
+    rows, _ = cmd_enumerate(argparse.Namespace(classify=False, swap=False), fx, {})
+    records = list(rows)
+    for fmt in FORMATS:
+        assert emit_table(rows, fmt) == emit_table(records, fmt)
 
 
 def test_enumerate_rows_are_a_sized_sequence():
@@ -118,6 +145,31 @@ def test_enumerate_rows_are_a_sized_sequence():
     assert rows[2:5] == listed[2:5]
     with pytest.raises(IndexError):
         rows[8]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build", "--fixture", "morris"],
+        ["enumerate", "--fixture", "morris"],
+        ["blocks", "--fixture", "toy:5"],
+        ["tree-search", "--fixture", "toy:5", "--bitmask", "0"],
+        ["spanning", "--fixture", "toy:5", "--method", "blocks"],
+        ["verify", "--fixture", "toy:5", "--masks", "20"],
+    ],
+)
+def test_cli_call_leaves_no_reference_cycle(argv):
+    """A main call frees everything it made by reference counting alone."""
+    code = main(argv)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        assert main(argv) == code
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_enumerate_over_cap_leaves_stdout_empty(capsys):
