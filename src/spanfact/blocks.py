@@ -487,14 +487,12 @@ class BlockConstructionFailure:
     """Bounded search ended without a verified set; not a precondition failure."""
 
     reason: str
-    words_tried: int
 
 
 def block_construction(
     f: Factorization,
     ps: PositionSystem,
     blocks: BlockSystem | None = None,
-    word_cap: int | None = None,
 ):
     """Build a sharply transitive word set containing the empty word and both
     single-factor words, gated by the block-derangement criterion.
@@ -514,22 +512,14 @@ def block_construction(
         raise PreconditionError(
             f"relative block permutation {tau} has a fixed block; criterion fails"
         )
-    n = f.n
-    if word_cap is None:
-        word_cap = 4 * n
     root = ps.cycle_list[0][0]
-    result = search_sharply_transitive(
-        f, root=root, required=((), (1,), (2,)), max_len=word_cap
-    )
+    result = search_sharply_transitive(f, root=root, required=((), (1,), (2,)))
     if result is None:
+        # search_sharply_transitive cuts its universe at words of length 4n
         return BlockConstructionFailure(
-            reason=f"no sharply transitive completion within word length {word_cap}",
-            words_tried=word_cap,
+            f"no sharply transitive completion within word length {4 * f.n}"
         )
     verdict = verify_sharply_transitive(result, f)
     if not verdict.passed:
-        return BlockConstructionFailure(
-            reason=f"candidate set failed verification: {verdict.reason}",
-            words_tried=word_cap,
-        )
+        return BlockConstructionFailure(f"candidate set failed verification: {verdict.reason}")
     return result

@@ -7,6 +7,7 @@ records carry a schema field and the version.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import random
@@ -30,7 +31,7 @@ from .blocks import (
 from .digraph import classify_factorizations, factorization_at
 from .errors import ConfigError, SpanfactError
 from .fixtures import Fixture, load_fixture
-from .groups import coset_space, presentation_from_config
+from .groups import config_name, coset_space, presentation_from_config
 from .perm import cycle_string, word_str
 from .spanning import (
     max_relocatable_tree,
@@ -74,6 +75,7 @@ def instance_from_config(doc) -> Fixture:
     unknown = set(doc) - {"presentation", "toy"} - _TOGGLE_KEYS
     if unknown:
         raise ConfigError(f"field {sorted(unknown)[0]!r}: unknown")
+    name = config_name(doc["name"]) if "name" in doc else None
     has_p = "presentation" in doc
     has_t = "toy" in doc
     if has_p == has_t:
@@ -84,13 +86,13 @@ def instance_from_config(doc) -> Fixture:
             raise ConfigError("field 'toy': expected an object with field 'm'")
         if not isinstance(toy["m"], int):
             raise ConfigError(f"field 'toy.m', token {toy['m']!r}: expected an integer")
-        return load_fixture(f"toy:{toy['m']}")
+        fx = load_fixture(f"toy:{toy['m']}")
+        return fx if name is None else dataclasses.replace(fx, name=name)
     p = presentation_from_config(doc["presentation"])
     from .digraph import build_coset_digraph
 
     cd = build_coset_digraph(p, coset_space(p.group, list(p.H_generators)))
-    name = doc.get("name", p.name or "config")
-    return Fixture(name, cd.digraph, cd, None)
+    return Fixture((p.name or "config") if name is None else name, cd.digraph, cd, None)
 
 
 def output_format(args, toggles: dict) -> str:

@@ -111,41 +111,24 @@ class Digraph2:
         return AltCycleDecomposition(tuple(cycles), cycle_of_edge)
 
     @cached_property
-    def _default_f1_label(self) -> dict[Edge, bool]:
-        """Edge -> True when the initial matching assigns it to F1."""
-        f1 = self._matching_f1
-        labels: dict[Edge, bool] = {}
-        for v, (a, b) in enumerate(self.out_edges):
-            if a == b:
-                labels[(v, 0)] = True
-                labels[(v, 1)] = False
-            elif f1[v] == a:
-                labels[(v, 0)] = True
-                labels[(v, 1)] = False
-            else:
-                labels[(v, 0)] = False
-                labels[(v, 1)] = True
-        return labels
-
-    @cached_property
     def _cycle_rows(self) -> tuple[tuple[tuple[Row, ...], tuple[Row, ...]], ...]:
         """Per alternating cycle, at bit 0 and at bit 1, one row (v, F1(v),
         F2(v), x(v)) per tail v, with x = F2^-1 F1.
 
-        Both in-edges of w = F1(v) lie on v's cycle, so x(v), the tail of the
+        Both out-edges of a tail lie on its cycle, so bit 0 sends v to its
+        factorization-0 head F1_0(v) and bit 1 to the other one.  Both
+        in-edges of w = F1(v) lie on v's cycle too, so x(v), the tail of the
         F2 in-edge at w, depends on that cycle's bit alone.
         """
-        labels = self._default_f1_label
+        f1_0 = self._matching_f1
+        f2_0 = [a + b - h for (a, b), h in zip(self.out_edges, f1_0)]
         out = []
         for cyc in self.alt_decomposition.cycles:
-            arcs: tuple[dict[int, int], dict[int, int]] = ({}, {})
-            for e in cyc:
-                arcs[not labels[e]][e[0]] = self.head(e)
+            tails = [v for v, _ in cyc[::2]]
             rows = []
-            for bit in (0, 1):
-                f1, f2 = arcs[bit], arcs[1 - bit]
-                f2_tail = {h: v for v, h in f2.items()}
-                rows.append(tuple((v, h, f2[v], f2_tail[h]) for v, h in f1.items()))
+            for f1, f2 in ((f1_0, f2_0), (f2_0, f1_0)):
+                f2_tail = {f2[v]: v for v in tails}
+                rows.append(tuple((v, f1[v], f2[v], f2_tail[f1[v]]) for v in tails))
             out.append((rows[0], rows[1]))
         return tuple(out)
 
@@ -259,18 +242,15 @@ def initial_factorization(d: Digraph2) -> Factorization:
 
 
 def bitmask_of(d: Digraph2, f1: Perm) -> int:
-    """Recover the orientation bitmask of the factorization whose first factor is f1."""
-    dec = d.alt_decomposition
-    labels = d._default_f1_label
+    """Recover the orientation bitmask of the factorization whose first factor
+    is f1: bit j is set iff f1 and F1 of factorization 0 differ at the first
+    tail of cycle j (never, on a cycle of two parallel edges)."""
+    f1_0 = d._matching_f1
     mask = 0
-    for ci, cyc in enumerate(dec.cycles):
-        v, sl = cyc[0]
-        a, b = d.out_edges[v]
-        if a == b:
-            continue
-        is_f1 = f1(v) == d.head((v, sl))
-        if is_f1 != labels[(v, sl)]:
-            mask |= 1 << ci
+    for j, cyc in enumerate(d.alt_decomposition.cycles):
+        w = cyc[0][0]
+        if f1(w) != f1_0[w]:
+            mask |= 1 << j
     return mask
 
 
@@ -389,27 +369,19 @@ def mask_action(d: Digraph2, phi: Perm) -> tuple[tuple[int, ...], int]:
     """How conjugation by the automorphism phi acts on orientation bitmasks.
 
     Returns (source, flip): bit j of the image of mask b is bit source[j] of b
-    XOR bit j of flip, with source[j] = -1 for a cycle of two parallel edges,
-    whose bit is always 0 (as in bitmask_of).  phi carries the out-edges of
-    u = phi^-1(w) onto those of w, so the first edge (w, sl) of cycle j is in
-    F1 of the conjugate exactly when its preimage edge at u is in F1.
+    XOR bit j of flip.  phi carries the out-edges of u = phi^-1(w_j), w_j the
+    first tail of cycle j, onto those of w_j, and both out-edges of u lie on
+    one cycle, so source[j] is that cycle (-1 for a cycle of two parallel
+    edges, whose bit is always 0, as in bitmask_of).  flip is the image of
+    mask 0, the bitmask of phi F1_0 phi^-1.
     """
     dec = d.alt_decomposition
-    labels = d._default_f1_label
     phi_inv = phi.inverse()
     source = []
-    flip = 0
-    for j, cyc in enumerate(dec.cycles):
-        w, sl = cyc[0]
-        a, b = d.out_edges[w]
-        if a == b:
-            source.append(-1)
-            continue
-        u = phi_inv(w)
-        pre = (u, 0) if d.out_edges[u][0] == phi_inv(d.head((w, sl))) else (u, 1)
-        source.append(dec.cycle_of_edge[pre])
-        if labels[pre] != labels[(w, sl)]:
-            flip |= 1 << j
+    for cyc in dec.cycles:
+        # a cycle of two edges is a pair of parallel out-edges
+        source.append(-1 if len(cyc) == 2 else dec.cycle_of_edge[(phi_inv(cyc[0][0]), 0)])
+    flip = bitmask_of(d, compose(phi, compose(Perm(d._matching_f1, check=False), phi_inv)))
     return tuple(source), flip
 
 
@@ -440,9 +412,12 @@ def classify_factorizations(
     minimal orientation bitmask in each orbit.
 
     Works on bitmasks alone: O(2^r * generators) integer operations plus one
-    factorization build per class, for its cycle types.  The bit of a cycle of
-    two parallel edges does not change the factorization, so the walk runs on
-    masks with those bits clear and each class takes every setting of them.
+    factorization build per class, for its cycle types.  One walk covers the
+    whole orbit: besides the conjugation tables, its generators XOR masks
+    with the bit of each cycle of two parallel edges (that bit does not
+    change the factorization) and, when allowed, with all bits (the swap).
+    Masks are marked seen when queued, and orbits partition the masks, so
+    the first unseen mask starts the next class and is its least member.
     """
     dec = d.alt_decomposition
     r = dec.r
@@ -453,39 +428,31 @@ def classify_factorizations(
             raise PreconditionError(f"{phi} is not a digraph automorphism")
     total = 1 << r
     maps = [mask_action_table(*mask_action(d, phi)) for phi in aut_generators]
-
-    fibre = [0]
-    for j, cyc in enumerate(dec.cycles):
-        heads = d.out_edges[cyc[0][0]]
-        if heads[0] == heads[1]:
-            fibre += [x | 1 << j for x in fibre]
-    swap_flip = (total - 1) ^ fibre[-1]
-    seen = [False] * total
+    # a cycle of two edges is a pair of parallel out-edges
+    xors = [1 << j for j, cyc in enumerate(dec.cycles) if len(cyc) == 2]
+    if allow_swap:
+        xors.append(total - 1)
+    seen = bytearray(total)
     classes = []
     for b0 in range(total):
         if seen[b0]:
             continue
-        orbit = set()
-        queue = deque([b0])
-        while queue:
-            b = queue.popleft()
-            if b in orbit:
-                continue
-            orbit.add(b)
+        seen[b0] = 1
+        orbit = [b0]
+        for b in orbit:
             for action in maps:
-                if action[b] not in orbit:
-                    queue.append(action[b])
-            if allow_swap and (b ^ swap_flip) not in orbit:
-                queue.append(b ^ swap_flip)
-        if len(fibre) > 1:
-            orbit = {b | x for b in orbit for x in fibre}
-        members = tuple(sorted(orbit))
-        for b in members:
-            seen[b] = True
-        rep = members[0]
-        f = factorization_at(d, rep)
+                c = action[b]
+                if not seen[c]:
+                    seen[c] = 1
+                    orbit.append(c)
+            for x in xors:
+                c = b ^ x
+                if not seen[c]:
+                    seen[c] = 1
+                    orbit.append(c)
+        orbit.sort()
+        f = factorization_at(d, b0)
         classes.append(
-            FactorizationClass(rep, members, (f.f1.cycle_type(), f.f2.cycle_type()))
+            FactorizationClass(b0, tuple(orbit), (f.f1.cycle_type(), f.f2.cycle_type()))
         )
-    classes.sort(key=lambda c: c.representative)
     return classes

@@ -261,6 +261,16 @@ def _parse_perm_field(field_name: str, token: str, degree: int | None) -> Perm:
         raise ConfigError(f"field {field_name!r}, token {token!r}: {exc}") from exc
 
 
+def config_name(name) -> str:
+    """A config name as given: it names the instance in every record, so it
+    must be a string that cannot split a TSV cell."""
+    if not isinstance(name, str) or any(c in name for c in "\t\n\r"):
+        raise ConfigError(
+            f"field 'name', token {name!r}: expected a string without tab, newline or carriage return"
+        )
+    return name
+
+
 def presentation_from_config(doc: dict, cap: int = DEFAULT_GROUP_CAP) -> Presentation:
     """Build a Presentation from a config document.
 
@@ -292,7 +302,4 @@ def presentation_from_config(doc: dict, cap: int = DEFAULT_GROUP_CAP) -> Present
         S_idx.append(group.index[sp])
     if len(S_idx) not in (1, 2):
         raise ConfigError(f"field 'S': expected 1 or 2 entries, got {len(S_idx)}")
-    name = doc.get("name", "")
-    if not isinstance(name, str):
-        raise ConfigError(f"field 'name', token {name!r}: expected a string")
-    return Presentation(group, H_gens, tuple(S_idx), name)
+    return Presentation(group, H_gens, tuple(S_idx), config_name(doc.get("name", "")))

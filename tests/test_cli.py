@@ -3,6 +3,7 @@ import gc
 import io
 import json
 import random
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -19,6 +20,9 @@ from oracles import reference_law_suite
 
 # "<fixture>/<seed>" -> [exit code, stdout] of verify --seed <seed> --masks 200
 GOLDEN_VERIFY = json.loads(Path(__file__).with_name("golden_verify.json").read_text())
+# "<instance>/<flags>" -> TSV stdout of enumerate <flags>; pins each class's
+# representative, the class order and the class sizes
+GOLDEN_CLASSIFY = json.loads(Path(__file__).with_name("golden_classify.json").read_text())
 
 
 def run_cli(capsys, *argv):
@@ -73,6 +77,18 @@ SCALE_CONFIGS = {
         "name": "agl18-r14",
     },
 }
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_CLASSIFY))
+def test_classify_golden(tmp_path, capsys, key):
+    instance, flags = key.split("/")
+    if instance in SCALE_CONFIGS:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"presentation": SCALE_CONFIGS[instance]}))
+        source = ("--config", str(path))
+    else:
+        source = ("--fixture", instance)
+    assert run_cli(capsys, "enumerate", *source, *flags.split()) == (0, GOLDEN_CLASSIFY[key], "")
 
 
 def per_mask_listing(d, name: str) -> dict[str, str]:
@@ -564,3 +580,46 @@ def test_cli_exit_contract_and_stable_output(argv):
     assert code in (0, 2, 3, 4), (argv, first)
     assert "Traceback" not in err
     assert run_in_process(argv) == first
+
+
+# a name may sit at the config root, in the presentation, or beside a toy
+# instance; the root one wins
+NAMES = st.one_of(
+    st.text(max_size=6),
+    st.text(alphabet="a\t\n\r\x0b %\"", max_size=4),
+    st.integers(),
+    st.lists(st.text(max_size=2), max_size=2),
+    st.none(),
+    st.booleans(),
+)
+
+
+@given(name=NAMES, where=st.sampled_from(["root", "presentation", "toy"]))
+def test_config_name_names_the_instance_or_is_a_config_error(name, where):
+    presentation = {k: v for k, v in ODD_NAME_CONFIG.items() if k != "name"}
+    if where == "toy":
+        doc = {"toy": {"m": 3}, "name": name}
+    elif where == "root":
+        doc = {"presentation": presentation, "name": name}
+    else:
+        doc = {"presentation": {**presentation, "name": name}}
+    valid = isinstance(name, str) and not set(name) & set("\t\n\r")
+    expected = (name or "config") if where == "presentation" else name
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(doc))
+        for fmt in FORMATS:
+            code, out, err = run_in_process(["build", "--config", str(path), "--format", fmt])
+            if not valid:
+                assert (code, out) == (2, "")
+                assert err.startswith("config error: field 'name'")
+                continue
+            assert (code, err) == (0, "")
+            if fmt == "tsv":
+                header, row, end = out.split("\n")
+                assert end == ""
+                cells = row.split("\t")
+                assert len(cells) == len(header.split("\t"))
+                assert cells[2] == expected
+            else:
+                assert json.loads(out)["instance"] == expected

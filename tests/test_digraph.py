@@ -153,11 +153,20 @@ def test_enumeration_cap():
         classify_factorizations(d, fx.aut_generators(), allow_swap=True, cap=9)
 
 
+# even vertices have parallel edges (3 parallel cycles and one 6-cycle)
+MIXED_6 = tuple((v + 1, v + 1) if v % 2 == 0 else ((v + 1) % 6, (v + 3) % 6) for v in range(6))
+
+
 def test_bitmask_roundtrip():
-    d = load_fixture("a5-ex3").digraph
-    for b in (0, 1, 17, 40, 63):
-        f = factorization_at(d, b)
-        assert bitmask_of(d, f.f1) == b
+    for name in ("a5-ex3", "morris", "mixed-6"):
+        d = Digraph2(MIXED_6) if name == "mixed-6" else load_fixture(name).digraph
+        # the bit of a cycle of two parallel edges does not change the factorization
+        parallel = sum(1 << j for j, cyc in enumerate(d.alt_decomposition.cycles) if len(cyc) == 2)
+        assert (parallel != 0) == (name == "mixed-6")
+        for b in range(1 << d.alt_decomposition.r):
+            f = factorization_at(d, b)
+            assert bitmask_of(d, f.f1) == b & ~parallel, (name, b)
+            assert factorization_at(d, b | parallel).f1 == f.f1, (name, b)
 
 
 def test_ex3_cycle_type_families():
@@ -233,11 +242,15 @@ def test_classify_doubled_cycle_is_one_class():
         # vertex 0 has parallel edges, the others do not; (2 3) is an automorphism
         (((1, 1), (2, 3), (0, 3), (0, 2)), [Perm([0, 1, 3, 2])]),
         (((1, 1), (2, 3), (0, 3), (0, 2)), []),
-        # even vertices have parallel edges (3 parallel cycles and one 6-cycle)
-        (tuple((v + 1, v + 1) if v % 2 == 0 else ((v + 1) % 6, (v + 3) % 6) for v in range(6)),
-         [Perm([(v + 2) % 6 for v in range(6)])]),
+        (MIXED_6, [Perm([(v + 2) % 6 for v in range(6)])]),
+        # no parallel cycles
+        *((fx.digraph.out_edges, fx.aut_generators()) for fx in map(load_fixture, ("a5-ex3", "morris"))),
+        # toy:5, with its column shift and its row swap
+        (build_toy(5)[0].out_edges,
+         [Perm([5 * i + (j + 1) % 5 for i in (0, 1) for j in range(5)]),
+          Perm([5 * (1 - i) + j for i in (0, 1) for j in range(5)])]),
     ],
-    ids=["doubled-5-cycle", "mixed-4", "mixed-4-no-generators", "mixed-6"],
+    ids=["doubled-5-cycle", "mixed-4", "mixed-4-no-generators", "mixed-6", "a5-ex3", "morris", "toy:5"],
 )
 @pytest.mark.parametrize("allow_swap", [False, True])
 def test_classify_with_parallel_cycles_matches_oracle(out_edges, generators, allow_swap):
