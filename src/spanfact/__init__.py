@@ -20,14 +20,12 @@ from .digraph import (
     CosetDigraph,
     Digraph2,
     Factorization,
-    alternating_cycles,
     build_coset_digraph,
     build_shift,
     build_toy,
     classify_factorizations,
     enumerate_factorizations,
     factorization_at,
-    initial_factorization,
 )
 from .blocks import (
     BlockSystem,
@@ -49,10 +47,8 @@ from .blocks import (
 )
 from .spanning import (
     WordSet,
-    equivalent,
     max_relocatable_tree,
     phase_addressing,
-    relocatable,
     search_sharply_transitive,
     splice_generators,
     verify_reloc_tree,

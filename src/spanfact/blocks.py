@@ -323,7 +323,9 @@ def relative_block_permutation(f: Factorization, bs: BlockSystem) -> tuple[Perm,
 
 
 def swap_relabel(f: Factorization, swap_mask: int) -> Factorization:
-    """Swap the F1/F2 labels on exactly the masked alternating cycles."""
+    """Swap the F1/F2 labels on exactly the masked alternating cycles.  The
+    law suite reads swap_relabelled_taus instead; the acceptance suite reads
+    this."""
     r = f.digraph.alt_decomposition.r
     if not 0 <= swap_mask < (1 << r):
         raise PreconditionError(f"mask {swap_mask} out of range for r={r}")

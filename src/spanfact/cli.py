@@ -12,7 +12,6 @@ import functools
 import json
 import random
 import sys
-from collections.abc import Sequence
 
 from . import __version__
 from .blocks import (
@@ -84,7 +83,7 @@ def instance_from_config(doc) -> Fixture:
         toy = doc["toy"]
         if not isinstance(toy, dict) or "m" not in toy:
             raise ConfigError("field 'toy': expected an object with field 'm'")
-        if not isinstance(toy["m"], int):
+        if type(toy["m"]) is not int:
             raise ConfigError(f"field 'toy.m', token {toy['m']!r}: expected an integer")
         fx = load_fixture(f"toy:{toy['m']}")
         return fx if name is None else dataclasses.replace(fx, name=name)
@@ -92,7 +91,7 @@ def instance_from_config(doc) -> Fixture:
     from .digraph import build_coset_digraph
 
     cd = build_coset_digraph(p, coset_space(p.group, list(p.H_generators)))
-    return Fixture((p.name or "config") if name is None else name, cd.digraph, cd, None)
+    return Fixture((p.name or "config") if name is None else name, cd.digraph, cd)
 
 
 def output_format(args, toggles: dict) -> str:
@@ -118,7 +117,7 @@ def _cell(value) -> str:
 _json = json.JSONEncoder(separators=(", ", ": ")).encode
 
 
-def emit_table(records: Sequence[dict], fmt: str) -> str:
+def emit_table(records: list[dict] | _FactorizationRows, fmt: str) -> str:
     """Render records (dicts with string keys); TSV always carries a header
     row; both forms are byte-stable for identical records, and each JSON line
     is json.dumps of its record, byte for byte.  The plain factorization
@@ -158,9 +157,10 @@ def cmd_build(args, fx: Fixture, toggles: dict) -> tuple[list[dict], int]:
     return [rec], EXIT_OK
 
 
-class _FactorizationRows(Sequence):
-    """The plain listing: one record per bitmask, built on access from the
-    cycle types its conjugation class shares."""
+class _FactorizationRows:
+    """The plain listing: per bitmask, a record of the base cells, the
+    bitmask and the cycle types its conjugation class shares.  Callers read
+    its length and its rendering."""
 
     def __init__(self, base: dict, pairs: list[tuple[tuple, tuple]], class_of: list[int]):
         self._base = base
@@ -170,25 +170,12 @@ class _FactorizationRows(Sequence):
     def __len__(self) -> int:
         return len(self._class_of)
 
-    def __getitem__(self, b):
-        if isinstance(b, slice):
-            return [self[i] for i in range(len(self))[b]]
-        b = range(len(self))[b]
-        return self._record(b, self._pairs[self._class_of[b]])
-
-    def __iter__(self):
-        for b, c in enumerate(self._class_of):
-            yield self._record(b, self._pairs[c])
-
     @staticmethod
     def _class_cells(pair) -> dict:
         return {"cycle_type_f1": pair[0], "cycle_type_f2": pair[1], "class_id": ""}
 
-    def _record(self, b: int, pair) -> dict:
-        return {**self._base, "bitmask": b, **self._class_cells(pair)}
-
     def render(self, fmt: str) -> str:
-        """emit_table(list(self), fmt), each row written as the base cells
+        """emit_table of the records, each row written as the base cells
         (rendered once), its bitmask and the cells of its class (rendered
         once per class)."""
         if fmt == "json-lines":
@@ -197,7 +184,7 @@ class _FactorizationRows(Sequence):
             head = _json(self._base)[:-1] + ', "bitmask": '
             tails = [", " + _json(self._class_cells(pair))[1:] + "\n" for pair in self._pairs]
         else:
-            header = "\t".join(self[0]) + "\n"
+            header = "\t".join([*self._base, "bitmask", *self._class_cells(self._pairs[0])]) + "\n"
             head = "".join(_cell(v) + "\t" for v in self._base.values())
             tails = [
                 "".join("\t" + _cell(v) for v in self._class_cells(pair).values()) + "\n"
@@ -206,12 +193,20 @@ class _FactorizationRows(Sequence):
         return header + "".join([f"{head}{b}{tails[c]}" for b, c in enumerate(self._class_of)])
 
 
-def cmd_enumerate(args, fx: Fixture, toggles: dict) -> tuple[Sequence[dict], int]:
+def _toggle(toggles: dict, key: str) -> bool:
+    """The config's boolean toggle key, false when absent."""
+    value = toggles.get(key, False)
+    if not isinstance(value, bool):
+        raise ConfigError(f"field {key!r}, token {value!r}: expected true or false")
+    return value
+
+
+def cmd_enumerate(args, fx: Fixture, toggles: dict) -> tuple[list[dict] | _FactorizationRows, int]:
     """Cycle types are invariant under conjugation by an automorphism, so the
     plain listing reads them per class (no swap, which exchanges F1 and F2)
     and builds one factorization per class."""
-    classify = args.classify or bool(toggles.get("classify"))
-    swap = args.swap or bool(toggles.get("swap"))
+    classify = _toggle(toggles, "classify") or args.classify
+    swap = _toggle(toggles, "swap") or args.swap
     d = fx.digraph
     records = []
     if classify:
@@ -288,6 +283,8 @@ def cmd_tree_search(args, fx: Fixture, toggles: dict) -> tuple[list[dict], int]:
     d = fx.digraph
     targets: list[tuple[str, int]] = []
     if args.all_classes:
+        if args.bitmask is not None:
+            raise ConfigError("give either --bitmask or --all-classes, not both")
         classes = classify_factorizations(d, fx.aut_generators(), allow_swap=True)
         targets = [(str(cid), cls.representative) for cid, cls in enumerate(classes)]
     else:
@@ -355,12 +352,10 @@ def cmd_verify(args, fx: Fixture, toggles: dict) -> tuple[list[dict], int]:
 # --- entry point ----------------------------------------------------------------
 
 
-def _add_common(sp, bitmask=False):
+def _add_common(sp):
     sp.add_argument("--config", help="JSON config document")
     sp.add_argument("--fixture", help="built-in instance, e.g. a5-ex2, a5-ex3, morris, toy:3")
     sp.add_argument("--format", choices=FORMATS, default=None)
-    if bitmask:
-        sp.add_argument("--bitmask", type=int, default=None)
 
 
 @functools.cache
@@ -381,17 +376,20 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_enumerate)
 
     sp = subs.add_parser("blocks", help="phase profile and block criteria for one factorization")
-    _add_common(sp, bitmask=True)
+    _add_common(sp)
+    sp.add_argument("--bitmask", type=int, default=0)
     sp.set_defaults(func=cmd_blocks)
 
     sp = subs.add_parser("tree-search", help="maximum relocatable tree search")
-    _add_common(sp, bitmask=True)
+    _add_common(sp)
+    sp.add_argument("--bitmask", type=int, default=None)
     sp.add_argument("--all-classes", action="store_true")
     sp.add_argument("--max-nodes", type=int, default=None)
     sp.set_defaults(func=cmd_tree_search)
 
     sp = subs.add_parser("spanning", help="construct a spanning word set")
-    _add_common(sp, bitmask=True)
+    _add_common(sp)
+    sp.add_argument("--bitmask", type=int, default=0)
     sp.add_argument("--method", choices=("blocks", "addressing"), required=True)
     sp.set_defaults(func=cmd_spanning)
 
@@ -406,8 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    if getattr(args, "bitmask", None) is None and args.command in ("blocks", "spanning"):
-        args.bitmask = 0
     try:
         fx, toggles = load_instance(args)
         fmt = output_format(args, toggles)

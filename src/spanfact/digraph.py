@@ -205,13 +205,6 @@ class Factorization:
         )
 
 
-def alternating_cycles(d: Digraph2, f: Factorization) -> AltCycleDecomposition:
-    """The alternating-cycle decomposition; identical for every valid labeling."""
-    if f.digraph is not d or not f.is_valid():
-        raise PreconditionError("factorization does not belong to this digraph")
-    return d.alt_decomposition
-
-
 def factor_images(d: Digraph2, bitmask: int) -> tuple[list[int], list[int], list[int]]:
     """Image lists of F1, F2 and x = F2^-1 F1 for the factorization at
     bitmask: one row per vertex, read from its cycle's bit; not range-checked."""
@@ -236,11 +229,6 @@ def factorization_at(d: Digraph2, bitmask: int) -> Factorization:
     return Factorization(d, Perm(f1), Perm(f2), bitmask)
 
 
-def initial_factorization(d: Digraph2) -> Factorization:
-    """The all-default factorization; defines bit 0 on every alternating cycle."""
-    return factorization_at(d, 0)
-
-
 def bitmask_of(d: Digraph2, f1: Perm) -> int:
     """Recover the orientation bitmask of the factorization whose first factor
     is f1: bit j is set iff f1 and F1 of factorization 0 differ at the first
@@ -255,7 +243,9 @@ def bitmask_of(d: Digraph2, f1: Perm) -> int:
 
 
 def enumerate_factorizations(d: Digraph2, cap: int = DEFAULT_CYCLE_CAP) -> list[Factorization]:
-    """All 2^r factorizations, bitmask ascending."""
+    """All 2^r factorizations, bitmask ascending.  No CLI path reads this
+    list (the listing and classification walk bitmasks); the acceptance suite
+    and the tests do."""
     r = d.alt_decomposition.r
     if r > cap:
         raise SizeCapError(f"alternating cycle count {r} exceeds cap {cap}")

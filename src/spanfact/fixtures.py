@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from .digraph import (
     CosetDigraph,
     Digraph2,
-    Factorization,
     build_coset_digraph,
     build_shift,
     build_toy,
@@ -27,7 +26,6 @@ class Fixture:
     name: str
     digraph: Digraph2
     coset: CosetDigraph | None
-    canonical: Factorization | None
 
     def aut_generators(self):
         return self.coset.default_aut_generators() if self.coset else []
@@ -64,16 +62,14 @@ def load_fixture(name: str) -> Fixture:
             m = int(name.split(":", 1)[1])
         except ValueError as exc:
             raise ConfigError(f"fixture {name!r}: bad toy parameter") from exc
-        d, canonical = build_toy(m)
-        return Fixture(name, d, None, canonical)
+        return Fixture(name, build_toy(m)[0], None)
     elif name.startswith("shift:"):
         try:
             n = int(name.split(":", 1)[1])
         except ValueError as exc:
             raise ConfigError(f"fixture {name!r}: bad shift parameter") from exc
-        d, canonical = build_shift(n)
-        return Fixture(name, d, None, canonical)
+        return Fixture(name, build_shift(n)[0], None)
     else:
         raise ConfigError(f"unknown fixture {name!r}")
     cd = build_coset_digraph(p, coset_space(p.group, list(p.H_generators)))
-    return Fixture(name, cd.digraph, cd, None)
+    return Fixture(name, cd.digraph, cd)

@@ -118,15 +118,11 @@ class Presentation:
     S: tuple[int, ...]
     name: str = ""
 
-    def s_elements(self) -> tuple[Perm, ...]:
-        return tuple(self.group.elements[i] for i in self.S)
-
 
 @dataclass(frozen=True)
 class ConditionCheck:
     label: str
     passed: bool
-    detail: str = ""
 
 
 @dataclass(frozen=True)
@@ -254,7 +250,9 @@ def left_multiplication(space: CosetSpace, g: Perm) -> Perm:
 # --- configuration parsing ---------------------------------------------------
 
 
-def _parse_perm_field(field_name: str, token: str, degree: int | None) -> Perm:
+def _parse_perm_field(field_name: str, token, degree: int | None) -> Perm:
+    if not isinstance(token, str):
+        raise ConfigError(f"field {field_name!r}, token {token!r}: expected a cycle-notation string")
     try:
         return parse_perm(token, n=degree)
     except ValueError as exc:
@@ -271,7 +269,7 @@ def config_name(name) -> str:
     return name
 
 
-def presentation_from_config(doc: dict, cap: int = DEFAULT_GROUP_CAP) -> Presentation:
+def presentation_from_config(doc: dict) -> Presentation:
     """Build a Presentation from a config document.
 
     Expected fields: group_generators, H_generators, S (lists of cycle-notation
@@ -292,7 +290,7 @@ def presentation_from_config(doc: dict, cap: int = DEFAULT_GROUP_CAP) -> Present
     for tok in raw_gens[1:]:
         degree = max(degree, _parse_perm_field("group_generators", tok, None).n)
     gens = [_parse_perm_field("group_generators", tok, degree) for tok in raw_gens]
-    group = enumerate_group(gens, cap=cap)
+    group = enumerate_group(gens)
     H_gens = tuple(_parse_perm_field("H_generators", tok, degree) for tok in doc["H_generators"])
     S_perms = [_parse_perm_field("S", tok, degree) for tok in doc["S"]]
     S_idx = []

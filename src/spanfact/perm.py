@@ -4,7 +4,8 @@ Conventions fixed project-wide:
 
 * A permutation is stored as its image array: ``images[v]`` is the image
   of point ``v``.
-* The product ``g * f`` applies ``f`` first: ``(g * f)(v) = g(f(v))``.
+* The product ``compose(g, f)`` applies ``f`` first:
+  ``compose(g, f)(v) = g(f(v))``.
 * A word is a tuple of factor symbols drawn from ``1, 2`` (and ``-1, -2``
   for inverse factors), stored in composition order: the *rightmost*
   symbol is applied first, so ``(2, 1)`` means "F2 after F1".
@@ -25,8 +26,6 @@ from typing import Iterable, Sequence
 from .errors import SizeMismatchError
 
 Word = tuple[int, ...]
-
-EMPTY_WORD: Word = ()
 
 _from_bytes = int.from_bytes
 
@@ -69,9 +68,6 @@ class Perm:
 
     def __call__(self, v: int) -> int:
         return self.images[v]
-
-    def __mul__(self, other: "Perm") -> "Perm":
-        return compose(self, other)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Perm) and self.images == other.images

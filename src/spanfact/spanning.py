@@ -1,6 +1,6 @@
-"""Walk semantics over a factorization: equivalence and relocatability,
-sharply transitive verification, relocatable-tree search, and the
-phase-corrected addressing construction with generator splicing.
+"""Walk semantics over a factorization: sharply transitive verification,
+relocatable-tree search, and the phase-corrected addressing construction
+with generator splicing.
 
 Every "do two words' images agree at some vertex?" test here (the pair
 reading of verify_sharply_transitive, verify_reloc_tree, and the member
@@ -20,16 +20,10 @@ from .perm import ImageBlob, Perm, Word, compose, evaluate, first_agreeing_pair
 from . import treesearch
 
 
-def equivalent(a: Word, b: Word, f: Factorization) -> bool:
-    """Walks agreeing at every vertex."""
-    return evaluate(a, f.f1, f.f2) == evaluate(b, f.f1, f.f2)
-
-
-def relocatable(a: Word, b: Word, f: Factorization) -> bool:
-    """Walks disagreeing at every vertex."""
-    ea = evaluate(a, f.f1, f.f2)
-    eb = evaluate(b, f.f1, f.f2)
-    return compose(eb, ea.inverse()).is_derangement()
+# closure elements the tree search's bound reads before it counts as n
+CLOSURE_CAP = 4000
+# distinct elements the sharply transitive search lists at most
+ELEMENT_CAP = 200_000
 
 
 @dataclass(frozen=True)
@@ -48,17 +42,6 @@ class WordSet:
         words = tuple(tuple(w) for w in words)
         images = tuple(evaluate(w, f.f1, f.f2) for w in words)
         return cls(words, images, root)
-
-    def duplicate_pairs(self) -> list[tuple[int, int]]:
-        """Index pairs whose words evaluate to the same permutation."""
-        seen: dict[Perm, int] = {}
-        out = []
-        for i, img in enumerate(self.images):
-            if img in seen:
-                out.append((seen[img], i))
-            else:
-                seen[img] = i
-        return out
 
 
 @dataclass(frozen=True)
@@ -96,12 +79,10 @@ class RelocTreeReport:
     reason: str = ""
 
 
-def verify_reloc_tree(
-    words: tuple[Word, ...], f: Factorization, prefix_mode: str = "last"
-) -> RelocTreeReport:
+def verify_reloc_tree(words: tuple[Word, ...], f: Factorization) -> RelocTreeReport:
     """Independent post-hoc check: contains the empty word, prefix-closed,
-    pairwise relocatable.  prefix_mode 'last' removes the last-applied
-    (leftmost) symbol; 'first' removes the first-applied symbol instead.
+    pairwise relocatable.  A word's prefix drops its last-applied (leftmost)
+    symbol.
     """
     wordset = set(words)
     if () not in wordset:
@@ -109,8 +90,7 @@ def verify_reloc_tree(
     for w in words:
         if not w:
             continue
-        parent = w[1:] if prefix_mode == "last" else w[:-1]
-        if parent not in wordset:
+        if w[1:] not in wordset:
             return RelocTreeReport(False, f"missing prefix of {w}")
     pair = first_agreeing_pair([evaluate(w, f.f1, f.f2).images for w in words])
     if pair is not None:
@@ -128,15 +108,11 @@ class TreeSearchResult:
     kernel: str
 
 
-def max_relocatable_tree(
-    f: Factorization,
-    node_cap: int = 100_000_000,
-    closure_cap: int = 4000,
-) -> TreeSearchResult:
+def max_relocatable_tree(f: Factorization, node_cap: int = 100_000_000) -> TreeSearchResult:
     """Exact branch-and-bound over prefix-closed pairwise-relocatable word
     trees; certificate is emitted only when the search ran to exhaustion."""
     size, witness, nodes, certified = treesearch.run_search(
-        f.n, f.f1.images, f.f2.images, node_cap, closure_cap
+        f.n, f.f1.images, f.f2.images, node_cap, CLOSURE_CAP
     )
     words: list[Word] = []
     for parent, sym in witness:
@@ -152,14 +128,15 @@ def max_relocatable_tree(
 # --- exact sharply transitive search -----------------------------------------
 
 
-def _bfs_elements(f: Factorization, max_len: int, element_cap: int = 200_000):
-    """Distinct evaluation images by word length; first word per element."""
+def _bfs_elements(f: Factorization):
+    """Distinct evaluation images by word length, of words of at most 4n
+    letters and at most ELEMENT_CAP elements; first word per element."""
     n = f.n
     ident = Perm.identity(n)
     f1, f2 = f.f1, f.f2
     found: dict[Perm, Word] = {ident: ()}
     frontier: list[tuple[Perm, Word]] = [(ident, ())]
-    for _ in range(max_len):
+    for _ in range(4 * n):
         nxt = []
         for elem, w in frontier:
             for sym, g in ((1, f1), (2, f2)):
@@ -167,7 +144,7 @@ def _bfs_elements(f: Factorization, max_len: int, element_cap: int = 200_000):
                 if ne not in found:
                     found[ne] = (sym,) + w
                     nxt.append((ne, (sym,) + w))
-                    if len(found) >= element_cap:
+                    if len(found) >= ELEMENT_CAP:
                         return found
         frontier = nxt
         if not frontier:
@@ -179,15 +156,11 @@ def search_sharply_transitive(
     f: Factorization,
     root: int,
     required: tuple[Word, ...] = ((),),
-    max_len: int | None = None,
-    element_cap: int = 200_000,
 ) -> WordSet | None:
     """Exact backtracking search for a sharply transitive word set containing
     the required words; None when the bounded word universe admits none."""
     n = f.n
-    if max_len is None:
-        max_len = 4 * n
-    universe = _bfs_elements(f, max_len, element_cap)
+    universe = _bfs_elements(f)
     req_imgs = [evaluate(w, f.f1, f.f2) for w in required]
     if len({img(root) for img in req_imgs}) != len(required):
         raise PreconditionError("required words collide at the root")

@@ -28,7 +28,6 @@ from spanfact.digraph import (
     build_toy,
     enumerate_factorizations,
     factorization_at,
-    initial_factorization,
 )
 from spanfact.errors import (
     NonInvarianceError,
@@ -60,10 +59,10 @@ def test_position_system_toy():
 
 def test_position_system_fixture_shapes():
     # computed x-structure: ex3 five blocks of six, ex2 three blocks of ten
-    f3 = initial_factorization(load_fixture("a5-ex3").digraph)
+    f3 = factorization_at(load_fixture("a5-ex3").digraph, 0)
     ps3 = position_system(f3)
     assert (ps3.m, ps3.r) == (5, 6)
-    f2 = initial_factorization(load_fixture("a5-ex2").digraph)
+    f2 = factorization_at(load_fixture("a5-ex2").digraph, 0)
     ps2 = position_system(f2)
     assert (ps2.m, ps2.r) == (3, 10)
 
@@ -77,7 +76,7 @@ def test_position_system_single_cycle():
 
 def test_position_system_uniformity_error():
     d = Digraph2([(1, 1), (2, 0), (0, 2)])
-    f = initial_factorization(d)
+    f = factorization_at(d, 0)
     with pytest.raises(UniformityError):
         position_system(f)
 
@@ -154,7 +153,7 @@ def test_difference_class_orbits_toy():
 
 def test_difference_class_orbits_m1():
     d = build_doubled_cycle(3)
-    f = initial_factorization(d)
+    f = factorization_at(d, 0)
     ps = position_system(f)
     assert ps.m == 1
     assert difference_class_orbits(f, ps) == ((0,),)
@@ -295,7 +294,7 @@ def test_relative_block_permutation_toy():
 
 def test_relative_block_permutation_equal_factors():
     d = build_doubled_cycle(3)
-    f = initial_factorization(d)
+    f = factorization_at(d, 0)
     ps = position_system(f)
     tau, der = relative_block_permutation(f, cycle_block_system(ps))
     assert tau.is_identity() and not der
@@ -438,7 +437,7 @@ def test_block_construction_cycle_blocks_precondition():
 
 def test_block_construction_n1():
     d = Digraph2([(0, 0)])
-    f = initial_factorization(d)
+    f = factorization_at(d, 0)
     ps = position_system(f)
     ws = block_construction(f, ps)
     assert isinstance(ws, WordSet)

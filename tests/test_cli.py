@@ -1,4 +1,3 @@
-import argparse
 import gc
 import io
 import json
@@ -11,7 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from spanfact import __version__
-from spanfact.cli import FORMATS, cmd_enumerate, emit_table, instance_from_config, main
+from spanfact.cli import FORMATS, emit_table, main
 from spanfact.digraph import build_coset_digraph, factorization_at
 from spanfact.fixtures import load_fixture
 from spanfact.groups import presentation_from_config
@@ -23,6 +22,9 @@ GOLDEN_VERIFY = json.loads(Path(__file__).with_name("golden_verify.json").read_t
 # "<instance>/<flags>" -> TSV stdout of enumerate <flags>; pins each class's
 # representative, the class order and the class sizes
 GOLDEN_CLASSIFY = json.loads(Path(__file__).with_name("golden_classify.json").read_text())
+# "<argv joined by spaces>" -> [exit code, stdout, stderr] of build, blocks,
+# spanning, tree-search and verify on five fixtures, errors included
+GOLDEN_CLI = json.loads(Path(__file__).with_name("golden_cli.json").read_text())
 
 
 def run_cli(capsys, *argv):
@@ -133,34 +135,6 @@ def test_enumerate_matches_per_mask_oracle(tmp_path, capsys, instance):
         code, out, err = run_cli(capsys, "enumerate", *source, "--format", fmt)
         assert (code, err) == (0, "")
         assert out == text
-
-
-@pytest.mark.parametrize("instance", ["a5-ex2", "a5-ex3", "morris", "toy:5", *SCALE_CONFIGS])
-def test_listing_renders_as_its_records(instance):
-    """The listing's own renderer writes what the generic one writes for the
-    same records."""
-    if instance in SCALE_CONFIGS:
-        fx = instance_from_config({"presentation": SCALE_CONFIGS[instance]})
-    else:
-        fx = load_fixture(instance)
-    rows, _ = cmd_enumerate(argparse.Namespace(classify=False, swap=False), fx, {})
-    records = list(rows)
-    for fmt in FORMATS:
-        assert emit_table(rows, fmt) == emit_table(records, fmt)
-
-
-def test_enumerate_rows_are_a_sized_sequence():
-    rows, code = cmd_enumerate(
-        argparse.Namespace(classify=False, swap=False), load_fixture("morris"), {}
-    )
-    assert code == 0
-    assert len(rows) == 8
-    listed = list(rows)
-    assert [rows[b] for b in range(8)] == listed
-    assert rows[-1] == listed[7]
-    assert rows[2:5] == listed[2:5]
-    with pytest.raises(IndexError):
-        rows[8]
 
 
 @pytest.mark.parametrize(
@@ -301,6 +275,11 @@ def test_verify_golden(capsys, key):
     name, seed = key.split("/")
     code, out, _ = run_cli(capsys, "verify", "--fixture", name, "--seed", seed, "--masks", "200")
     assert [code, out] == GOLDEN_VERIFY[key]
+
+
+@pytest.mark.parametrize("key", GOLDEN_CLI)
+def test_cli_golden(capsys, key):
+    assert list(run_cli(capsys, *key.split())) == GOLDEN_CLI[key]
 
 
 @pytest.mark.parametrize(
@@ -456,6 +435,83 @@ def test_config_unknown_field(tmp_path, capsys):
     code, _, err = run_cli(capsys, "build", "--config", str(path))
     assert code == 2
     assert "bogus_key" in err
+
+
+@pytest.mark.parametrize(
+    "toggles, flags",
+    [
+        ({"classify": True}, ["--classify"]),
+        ({"classify": True, "swap": True}, ["--classify", "--swap"]),
+        ({"classify": True, "swap": False}, ["--classify"]),
+        ({"swap": True}, ["--swap"]),
+        ({"classify": False, "swap": False}, []),
+    ],
+)
+def test_config_toggles_act_as_flags(tmp_path, capsys, toggles, flags):
+    plain = tmp_path / "plain.json"
+    plain.write_text(json.dumps({"toy": {"m": 3}}))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"toy": {"m": 3}, **toggles}))
+    expected = run_cli(capsys, "enumerate", "--config", str(plain), *flags)
+    assert expected[0] == 0
+    assert run_cli(capsys, "enumerate", "--config", str(path)) == expected
+
+
+@pytest.mark.parametrize("key", ["classify", "swap"])
+@pytest.mark.parametrize("value", ["false", "true", 0, 1, None, [], {}])
+def test_config_toggles_must_be_booleans(tmp_path, capsys, key, value):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"toy": {"m": 3}, key: value}))
+    for flags in ([], ["--classify", "--swap"]):
+        code, out, err = run_cli(capsys, "enumerate", "--config", str(path), *flags)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"config error: field {key!r}, token {value!r}")
+
+
+@pytest.mark.parametrize("m", [True, False, 3.0, "3", None])
+def test_config_toy_m_must_be_an_integer(tmp_path, capsys, m):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"toy": {"m": m}}))
+    code, out, err = run_cli(capsys, "build", "--config", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("config error: field 'toy.m'")
+
+
+def test_all_classes_excludes_bitmask(capsys):
+    code, out, err = run_cli(capsys, "tree-search", "--fixture", "toy:3", "--all-classes", "--bitmask", "1")
+    assert (code, out) == (2, "")
+    assert err == "config error: give either --bitmask or --all-classes, not both\n"
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    # short strings over a small alphabet keep every point, and so the degree, small
+    | st.text(alphabet=" ()0123,[]", max_size=5),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=4,
+)
+
+
+@given(
+    value=JSON_VALUES,
+    field=st.sampled_from(["group_generators", "H_generators", "S"]),
+    at=st.integers(0, 2),
+)
+def test_config_permutation_tokens(value, field, at):
+    """A token that is not a string is a config error naming its field and
+    itself; any other token gives a report or a clean error."""
+    presentation = dict(ODD_NAME_CONFIG)
+    tokens = list(presentation[field])
+    tokens.insert(min(at, len(tokens)), value)
+    presentation[field] = tokens
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps({"presentation": presentation}))
+        code, out, err = run_in_process(["build", "--config", str(path)])
+    assert code in (0, 2, 3), err
+    if not isinstance(value, str):
+        assert (code, out) == (2, "")
+        assert err == f"config error: field {field!r}, token {value!r}: expected a cycle-notation string\n"
 
 
 def test_output_determinism(capsys):

@@ -6,7 +6,6 @@ import pytest
 
 from spanfact.digraph import (
     Digraph2,
-    alternating_cycles,
     bitmask_of,
     build_coset_digraph,
     build_doubled_cycle,
@@ -16,7 +15,6 @@ from spanfact.digraph import (
     enumerate_factorizations,
     factor_images,
     factorization_at,
-    initial_factorization,
     is_digraph_automorphism,
     mask_action,
     mask_action_table,
@@ -78,21 +76,21 @@ def test_invalid_presentation_rejected():
 def test_initial_factorization_valid():
     for name in ("a5-ex2", "a5-ex3", "morris"):
         d = load_fixture(name).digraph
-        f = initial_factorization(d)
+        f = factorization_at(d, 0)
         assert f.is_valid()
         assert f.bitmask == 0
 
 
 def test_doubled_two_cycle_forced():
     d = build_doubled_cycle(2)
-    f = initial_factorization(d)
+    f = factorization_at(d, 0)
     assert f.f1 == Perm([1, 0])
     assert f.f2 == Perm([1, 0])
 
 
 def test_alternating_cycles_toy():
-    d, f = build_toy(3)
-    dec = alternating_cycles(d, f)
+    d, _ = build_toy(3)
+    dec = d.alt_decomposition
     assert dec.r == 3
     assert all(len(c) == 4 for c in dec.cycles)
 
@@ -110,7 +108,7 @@ def test_x_orbit_structure_of_fixtures():
     # computed structure: ex3 has six 5-cycles, ex2 ten 3-cycles
     for name, (m, r) in (("a5-ex3", (5, 6)), ("a5-ex2", (3, 10))):
         d = load_fixture(name).digraph
-        x = initial_factorization(d).x()
+        x = factorization_at(d, 0).x()
         lens = sorted(len(c) for c in x.cycles())
         assert lens == [m] * r, name
 
@@ -141,7 +139,7 @@ def test_enumeration_counts_and_complement():
         assert f.is_valid()
         g = facs[f.bitmask ^ full]
         assert (f.f1, f.f2) == (g.f2, g.f1)
-    assert facs[0].f1 == initial_factorization(d).f1
+    assert facs[0].f1 == factorization_at(d, 0).f1
 
 
 def test_enumeration_cap():

@@ -15,7 +15,7 @@ from spanfact.digraph import (
     Digraph2,
     build_doubled_cycle,
     enumerate_factorizations,
-    initial_factorization,
+    factorization_at,
 )
 from spanfact.errors import PhaseInconsistencyError, SpanfactError, UniformityError
 from spanfact.spanning import max_relocatable_tree, phase_addressing, splice_generators, verify_sharply_transitive
@@ -86,7 +86,7 @@ def test_swap_relabel_always_valid_random(seed):
     rng = random.Random(300 + seed)
     d = random_digraph(rng, rng.choice([5, 6, 7]))
     r = d.alt_decomposition.r
-    f = initial_factorization(d)
+    f = factorization_at(d, 0)
     for _ in range(20):
         mask = rng.randrange(1 << r)
         g = swap_relabel(f, mask)
@@ -97,7 +97,7 @@ def test_swap_relabel_always_valid_random(seed):
 def test_phase_addressing_doubled_cycle():
     # m = 1: singleton x-cycles, trivial phases, transitive top action
     d = build_doubled_cycle(3)
-    f = initial_factorization(d)
+    f = factorization_at(d, 0)
     ps = position_system(f)
     pp = phase_profile(f, ps)
     s0 = phase_addressing(f, ps, pp)

@@ -9,17 +9,14 @@ from spanfact.digraph import (
     build_toy,
     enumerate_factorizations,
     factorization_at,
-    initial_factorization,
 )
 from spanfact.errors import PreconditionError
 from spanfact.fixtures import load_fixture
 from spanfact.perm import word_str
 from spanfact.spanning import (
     WordSet,
-    equivalent,
     max_relocatable_tree,
     phase_addressing,
-    relocatable,
     search_sharply_transitive,
     splice_generators,
     verify_reloc_tree,
@@ -34,38 +31,9 @@ def toy3():
     return build_toy(3)[1]
 
 
-def test_equivalent_examples(toy3):
-    assert equivalent((1, 1), (1, 1), toy3)
-    assert equivalent((1, 1, 1), (), toy3)  # F1 has order 3
-    assert not equivalent((1,), (2,), toy3)
-
-
-def test_relocatable_examples(toy3):
-    assert not relocatable((1,), (1,), toy3)
-    assert relocatable((), (1,), toy3)
-    assert relocatable((1,), (2,), toy3)
-
-
-def test_relocatable_symmetric(toy3):
-    words = [(), (1,), (2,), (1, 2), (2, 1), (1, 1)]
-    for a, b in itertools.combinations(words, 2):
-        assert relocatable(a, b, toy3) == relocatable(b, a, toy3)
-
-
-def test_equivalent_is_equivalence(toy3):
-    words = [(), (1, 1, 1), (2, 2), (1,), (2,)]
-    for a in words:
-        assert equivalent(a, a, toy3)
-    for a, b in itertools.combinations(words, 2):
-        assert equivalent(a, b, toy3) == equivalent(b, a, toy3)
-    for a, b, c in itertools.permutations(words, 3):
-        if equivalent(a, b, toy3) and equivalent(b, c, toy3):
-            assert equivalent(a, c, toy3)
-
-
 def test_verify_singleton_n1():
     d = Digraph2([(0, 0)])
-    f = initial_factorization(d)
+    f = factorization_at(d, 0)
     ws = WordSet.from_words([()], f, root=0)
     assert verify_sharply_transitive(ws, f).passed
 
@@ -91,11 +59,6 @@ def test_verifier_readings_agree_on_many_sets(toy3):
         assert verify_sharply_transitive(ws, toy3).readings_agree
 
 
-def test_duplicate_pairs(toy3):
-    ws = WordSet.from_words([(), (1, 1, 1)], toy3)
-    assert ws.duplicate_pairs() == [(0, 1)]
-
-
 def test_search_sharply_transitive_toys():
     for m in (3, 4, 5):
         d, f = build_toy(m)
@@ -108,7 +71,7 @@ def test_search_sharply_transitive_toys():
 
 def test_max_tree_n1():
     d = Digraph2([(0, 0)])
-    f = initial_factorization(d)
+    f = factorization_at(d, 0)
     res = max_relocatable_tree(f)
     assert res.size == 1 and res.certificate
     assert res.words == ((),)
@@ -140,12 +103,10 @@ def test_witness_tree_reverified_independently():
 
 def test_prefix_mode_conventions():
     d, f = build_shift(5)
-    # (1, 2) = F1 after F2: last-applied prefix is (2,), first-applied is (1,)
-    last_ok = verify_reloc_tree(((), (2,), (1, 2)), f, prefix_mode="last")
-    assert last_ok.valid
-    first_ok = verify_reloc_tree(((), (1,), (1, 2)), f, prefix_mode="first")
-    assert first_ok.valid
-    assert not verify_reloc_tree(((), (1,), (1, 2)), f, prefix_mode="last").valid
+    # (1, 2) = F1 after F2: its prefix drops the last-applied symbol, so it is
+    # (2,), not the first-applied (1,)
+    assert verify_reloc_tree(((), (2,), (1, 2)), f).valid
+    assert not verify_reloc_tree(((), (1,), (1, 2)), f).valid
 
 
 def test_phase_addressing_shift():

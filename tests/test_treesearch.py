@@ -22,7 +22,7 @@ from spanfact.digraph import (
 )
 from spanfact.fixtures import load_fixture
 from spanfact.groups import presentation_from_config
-from spanfact.spanning import max_relocatable_tree
+from spanfact.spanning import CLOSURE_CAP, max_relocatable_tree
 from spanfact.treesearch import run_search
 
 from oracles import reference_run_search
@@ -37,7 +37,6 @@ S5_R12 = {
     "name": "s5-r12",
 }
 NODE_CAP = 100_000_000
-CLOSURE_CAP = 4000
 
 
 def golden_cases():
