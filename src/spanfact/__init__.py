@@ -37,7 +37,6 @@ from .blocks import (
     cycle_block_system,
     difference_class_orbits,
     invariant_refinements,
-    is_invariant,
     law_suite,
     phase_profile,
     position_block_system,

@@ -11,13 +11,15 @@ The phase law is read on image lists, by the helpers behind both
 position_system/phase_profile and law_suite: one walk over x gives every
 vertex's cycle index and position, and F1(v) lies in tied block pos_of[v].
 law_suite reads each factorization as the F1, F2 and x image lists of
-digraph.factor_images, uses positions and cycle indices directly as the
-block ids of the two swap-invariance systems, and builds Factorization,
-PositionSystem and PhaseProfile objects only where the phases are constant.
+digraph.factor_images and builds objects only where the phases are constant.
+
+A block system labels every vertex with its block id (positions, cycle
+indices), and every block action, tau = sigma(F1)^-1 sigma(F2) included, is
+one pass of _block_images over the vertices.
 """
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .digraph import (
@@ -35,7 +37,7 @@ from .errors import (
     SizeCapError,
     UniformityError,
 )
-from .perm import Perm, compose
+from .perm import Perm
 
 # orbit operator convention used throughout; its inverse yields the same
 # orbit partition, so position systems are convention-independent
@@ -209,21 +211,30 @@ def difference_class_orbits(
     return tuple(tuple(sorted(o)) for o in sorted(orbits.values(), key=min))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BlockSystem:
-    """Equal-size blocks partitioning their support (usually all of V)."""
+    """Equal-size blocks partitioning their support (usually all of V):
+    block_of[v] is v's block id in 0..k-1, or -1 outside the support.  It is
+    read by vertex only, so any mapping from the vertices 0..n-1 serves."""
 
-    blocks: tuple[frozenset[int], ...]
+    block_of: Sequence[int]
+    k: int
+
+    @property
+    def blocks(self) -> tuple[frozenset[int], ...]:
+        """The vertex set of every block, by block id."""
+        vertices = range(len(self.block_of))
+        return tuple(frozenset(v for v in vertices if self.block_of[v] == i) for i in range(self.k))
 
 
 def position_block_system(ps: PositionSystem) -> BlockSystem:
     """The m transversal-position blocks of size r."""
-    return BlockSystem(ps.blocks)
+    return BlockSystem(ps._pos_of, ps.m)
 
 
 def cycle_block_system(ps: PositionSystem) -> BlockSystem:
     """The r x-cycle blocks of size m (labeling-independent)."""
-    return BlockSystem(tuple(frozenset(c) for c in ps.cycle_list))
+    return BlockSystem(ps._cycle_of, ps.r)
 
 
 @dataclass(frozen=True)
@@ -250,67 +261,55 @@ def invariant_refinements(
     """One system per nonempty subcollection of Pi, each with its verified
     invariance flag; deterministic order by subcollection bitmask.  pp is f's
     phase profile, computed here when not given.  More than
-    REFINEMENT_ORBIT_CAP orbits raise SizeCapError before any is listed."""
+    REFINEMENT_ORBIT_CAP orbits raise SizeCapError before any is listed.
+    A system's blocks are the m positions on the chosen cycles, or none when
+    no cycle is chosen, as a cycle meets every position."""
     k = len(pi)
     if k > REFINEMENT_ORBIT_CAP:
         raise SizeCapError(f"difference-class orbit count {k} exceeds cap {REFINEMENT_ORBIT_CAP}")
     if pp is None:
         pp = phase_profile(f, ps)
-    m = ps.m
+    cycle_of, pos_of = ps._cycle_of, ps._pos_of
     out = []
-    x = f.x()
+    generators = (f.f1.images, f.x().images)
     for mask in range(1, 1 << k):
         chosen = tuple(pi[t] for t in range(k) if (mask >> t) & 1)
         classes = {d for orb in chosen for d in orb}
-        blocks = []
-        for j in range(m):
-            blk = frozenset(
-                cyc[j] for i, cyc in enumerate(ps.cycle_list) if pp.delta[i] in classes
-            )
-            if blk:
-                blocks.append(blk)
-        system = BlockSystem(tuple(blocks))
+        kept = [d in classes for d in pp.delta]
+        block_of = [pos_of[v] if kept[cycle_of[v]] else -1 for v in range(f.n)]
         size = sum(pp.phase_counts[d] for d in classes)
-        invariant = all(is_invariant(g, system) for g in (f.f1, x))
+        system = BlockSystem(block_of, ps.m if size else 0)
+        invariant = all(_block_images(g, system) is not None for g in generators)
         out.append(RefinementSystem(chosen, size, system, invariant))
     return out
-
-
-def is_invariant(g: Perm, bs: BlockSystem) -> bool:
-    """Whether g maps every block of the system onto a block of the system."""
-    return _block_images(g.images, _block_index(bs, g.n), bs.blocks) is not None
 
 
 def block_action(g: Perm, bs: BlockSystem) -> Perm:
     """The induced permutation of block ids, or NonInvarianceError if g splits
     a block or maps one outside the support."""
-    images = _block_images(g.images, _block_index(bs, g.n), bs.blocks)
+    images = _block_images(g.images, bs)
     if images is None:
         raise NonInvarianceError(f"{g} splits a block or maps one outside the support")
     return Perm(images)
 
 
-def _block_index(bs: BlockSystem, n: int) -> list[int]:
-    """Block id per vertex, -1 outside the support."""
-    block_of = [-1] * n
-    for i, blk in enumerate(bs.blocks):
-        for v in blk:
-            block_of[v] = i
-    return block_of
-
-
-def _block_images(
-    images: Sequence[int], block_of: list[int], blocks: Iterable[Iterable[int]]
-) -> list[int] | None:
+def _block_images(images: Sequence[int], bs: BlockSystem) -> list[int] | None:
     """The block id each block is carried onto by the map with these images,
-    or None when it splits a block or maps one outside the support (block id
-    -1 in block_of)."""
-    out = []
-    for blk in blocks:
-        targets = {block_of[images[v]] for v in blk}
-        if len(targets) != 1 or -1 in targets:
+    in one pass over the vertices, or None when it splits a block or maps one
+    outside the support."""
+    block_of = bs.block_of
+    out = [-1] * bs.k
+    for v, w in enumerate(images):
+        b = block_of[v]
+        if b < 0:
+            continue
+        t = block_of[w]
+        if t < 0:
             return None
-        out.append(targets.pop())
+        if out[b] != t:
+            if out[b] >= 0:
+                return None
+            out[b] = t
     return out
 
 
@@ -318,7 +317,7 @@ def relative_block_permutation(f: Factorization, bs: BlockSystem) -> tuple[Perm,
     """tau = sigma(F1)^{-1} sigma(F2) on block ids, with its derangement flag."""
     s1 = block_action(f.f1, bs)
     s2 = block_action(f.f2, bs)
-    tau = compose(s1.inverse(), s2)
+    tau = Perm(_relative(s1.images, s2.images))
     return tau, tau.is_derangement()
 
 
@@ -338,10 +337,7 @@ def swap_relabelled_taus(
     """tau on block ids for f and for swap_relabel(f, mask), per mask, without
     building the relabelled factorizations; None when f's own tau is
     undefined, and a None entry where the relabelled one is."""
-    return _swap_taus(
-        f.f1.images, f.f2.images, _block_index(bs, f.n), bs.blocks,
-        _tail_bits(f.digraph), masks,
-    )
+    return _swap_taus(f.f1.images, f.f2.images, bs, _tail_bits(f.digraph), masks)
 
 
 def _tail_bits(d: Digraph2) -> list[int]:
@@ -353,13 +349,11 @@ def _tail_bits(d: Digraph2) -> list[int]:
 def _swap_taus(
     f1: Sequence[int],
     f2: Sequence[int],
-    block_of: list[int],
-    blocks: Sequence[Iterable[int]],
+    bs: BlockSystem,
     tail_bits: list[int],
     masks: list[int],
 ) -> tuple[tuple[int, ...], list[tuple[int, ...] | None]] | None:
-    """swap_relabelled_taus on image lists and block ids (block_of, -1
-    outside the support of the vertex lists blocks).
+    """swap_relabelled_taus on image lists.
 
     Both out-edges of a vertex lie on one alternating cycle, so the relabelled
     F1 is F2 on the vertices of masked cycles and F1 elsewhere.  A block whose
@@ -367,20 +361,20 @@ def _swap_taus(
     masked cycle keeps them, and a partly masked block is split by both
     relabelled factors unless sigma(F1) and sigma(F2) agree on it.
     """
-    s1 = _block_images(f1, block_of, blocks)
-    s2 = None if s1 is None else _block_images(f2, block_of, blocks)
+    s1 = _block_images(f1, bs)
+    s2 = None if s1 is None else _block_images(f2, bs)
     if s2 is None:
         return None
     tau0 = _relative(s1, s2)
-    movers = []
-    for i, blk in enumerate(blocks):
-        if s1[i] != s2[i]:
-            bits = 0
-            for v in blk:
-                bits |= tail_bits[v]
-            movers.append((i, bits))
-    if not movers:
+    if s1 == s2:
         return tau0, [tau0] * len(masks)
+    block_of = bs.block_of
+    block_bits = [0] * bs.k
+    for v in range(len(f1)):
+        b = block_of[v]
+        if b >= 0:
+            block_bits[b] |= tail_bits[v]
+    movers = [(i, block_bits[i]) for i in range(bs.k) if s1[i] != s2[i]]
     taus: list[tuple[int, ...] | None] = []
     for mask in masks:
         t1, t2 = s1, s2
@@ -399,7 +393,7 @@ def _swap_taus(
     return tau0, taus
 
 
-def _relative(s1: list[int], s2: list[int]) -> tuple[int, ...]:
+def _relative(s1: Sequence[int], s2: Sequence[int]) -> tuple[int, ...]:
     """s1^-1 s2 on block ids."""
     inv = [0] * len(s1)
     for i, t in enumerate(s1):
@@ -450,8 +444,8 @@ def law_suite(d: Digraph2, masks: list[int]) -> dict[str, tuple[int, int]]:
             refs = invariant_refinements(f, ps, pi, pp)
             if len(refs) != (1 << len(pi)) - 1 or not all(rs.invariant for rs in refs):
                 refinement_fail += 1
-        for block_of, blocks in ((pos_of, list(zip(*cycles))), (cycle_of, cycles)):
-            taus = _swap_taus(f1, f2, block_of, blocks, tail_bits, masks)
+        for bs in (BlockSystem(pos_of, m), BlockSystem(cycle_of, len(cycles))):
+            taus = _swap_taus(f1, f2, bs, tail_bits, masks)
             if taus is None:
                 continue
             tau0, relabelled = taus
@@ -504,6 +498,7 @@ def block_construction(
     BlockConstructionFailure; raises PreconditionError when the relative
     block permutation is not a derangement.
     """
+    # imported here because spanning imports this module
     from .spanning import WordSet, search_sharply_transitive, verify_sharply_transitive
 
     if f.n == 1:

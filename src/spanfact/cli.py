@@ -27,7 +27,7 @@ from .blocks import (
     position_system,
     relative_block_permutation,
 )
-from .digraph import classify_factorizations, factorization_at
+from .digraph import build_coset_digraph, classify_factorizations, factorization_at
 from .errors import ConfigError, SpanfactError
 from .fixtures import Fixture, load_fixture
 from .groups import config_name, coset_space, presentation_from_config
@@ -44,17 +44,27 @@ EXIT_CONFIG = 2
 EXIT_PRECONDITION = 3
 EXIT_BUDGET = 4
 
-_TOGGLE_KEYS = {"classify", "swap", "max_nodes", "format", "name"}
 FORMATS = ("tsv", "json-lines")
 
 
-def load_instance(args) -> tuple[Fixture, dict]:
-    """Resolve --fixture/--config into a Fixture and the config's toggles
-    (none for a fixture); the config document is read and parsed once."""
+# the config's toggles (its "name" is read by instance_from_config): key ->
+# (whether a value is valid, what is expected)
+_TOGGLES = {
+    "classify": (lambda value: isinstance(value, bool), "true or false"),
+    "swap": (lambda value: isinstance(value, bool), "true or false"),
+    "max_nodes": (lambda value: type(value) is int and value >= 1, "an integer >= 1"),
+    "format": (lambda value: value in FORMATS, f"one of {', '.join(FORMATS)}"),
+}
+
+
+def load_instance(args) -> Fixture:
+    """Resolve --fixture/--config into a Fixture; the config document is read
+    and parsed once.  Each toggle of the config is checked here, whichever
+    subcommand runs, and set on args unless its flag was given."""
     if getattr(args, "fixture", None) and getattr(args, "config", None):
         raise ConfigError("give either --fixture or --config, not both")
     if getattr(args, "fixture", None):
-        return load_fixture(args.fixture), {}
+        return load_fixture(args.fixture)
     if not getattr(args, "config", None):
         raise ConfigError("one of --fixture or --config is required")
     try:
@@ -65,13 +75,21 @@ def load_instance(args) -> tuple[Fixture, dict]:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     fx = instance_from_config(doc)
-    return fx, {k: doc[k] for k in _TOGGLE_KEYS if k in doc}
+    for key, (valid, expected) in _TOGGLES.items():
+        if key in doc:
+            if not valid(doc[key]):
+                raise ConfigError(f"field {key!r}, token {doc[key]!r}: expected {expected}")
+            # a flag not given reads None, or False for a switch; 0 is given
+            given = getattr(args, key, None)
+            if given is None or given is False:
+                setattr(args, key, doc[key])
+    return fx
 
 
 def instance_from_config(doc) -> Fixture:
     if not isinstance(doc, dict):
         raise ConfigError("config root must be an object")
-    unknown = set(doc) - {"presentation", "toy"} - _TOGGLE_KEYS
+    unknown = set(doc) - {"presentation", "toy", "name", *_TOGGLES}
     if unknown:
         raise ConfigError(f"field {sorted(unknown)[0]!r}: unknown")
     name = config_name(doc["name"]) if "name" in doc else None
@@ -88,18 +106,8 @@ def instance_from_config(doc) -> Fixture:
         fx = load_fixture(f"toy:{toy['m']}")
         return fx if name is None else dataclasses.replace(fx, name=name)
     p = presentation_from_config(doc["presentation"])
-    from .digraph import build_coset_digraph
-
     cd = build_coset_digraph(p, coset_space(p.group, list(p.H_generators)))
     return Fixture((p.name or "config") if name is None else name, cd.digraph, cd)
-
-
-def output_format(args, toggles: dict) -> str:
-    """--format when given, else the config's format toggle, else TSV."""
-    fmt = args.format or toggles.get("format", "tsv")
-    if fmt not in FORMATS:
-        raise ConfigError(f"field 'format', token {fmt!r}: expected one of {', '.join(FORMATS)}")
-    return fmt
 
 
 # --- record emission ----------------------------------------------------------
@@ -145,7 +153,7 @@ def _base_record(schema: str, fx: Fixture) -> dict:
 # --- subcommands ---------------------------------------------------------------
 
 
-def cmd_build(args, fx: Fixture, toggles: dict) -> tuple[list[dict], int]:
+def cmd_build(args, fx: Fixture) -> tuple[list[dict], int]:
     d = fx.digraph
     rec = _base_record("digraph-report", fx)
     rec.update(
@@ -193,24 +201,14 @@ class _FactorizationRows:
         return header + "".join([f"{head}{b}{tails[c]}" for b, c in enumerate(self._class_of)])
 
 
-def _toggle(toggles: dict, key: str) -> bool:
-    """The config's boolean toggle key, false when absent."""
-    value = toggles.get(key, False)
-    if not isinstance(value, bool):
-        raise ConfigError(f"field {key!r}, token {value!r}: expected true or false")
-    return value
-
-
-def cmd_enumerate(args, fx: Fixture, toggles: dict) -> tuple[list[dict] | _FactorizationRows, int]:
+def cmd_enumerate(args, fx: Fixture) -> tuple[list[dict] | _FactorizationRows, int]:
     """Cycle types are invariant under conjugation by an automorphism, so the
     plain listing reads them per class (no swap, which exchanges F1 and F2)
     and builds one factorization per class."""
-    classify = _toggle(toggles, "classify") or args.classify
-    swap = _toggle(toggles, "swap") or args.swap
     d = fx.digraph
     records = []
-    if classify:
-        classes = classify_factorizations(d, fx.aut_generators(), allow_swap=swap)
+    if args.classify:
+        classes = classify_factorizations(d, fx.aut_generators(), allow_swap=args.swap)
         for cid, cls in enumerate(classes):
             rec = _base_record("factorization-class", fx)
             rec.update(
@@ -232,7 +230,7 @@ def cmd_enumerate(args, fx: Fixture, toggles: dict) -> tuple[list[dict] | _Facto
     return records, EXIT_OK
 
 
-def cmd_blocks(args, fx: Fixture, toggles: dict) -> tuple[list[dict], int]:
+def cmd_blocks(args, fx: Fixture) -> tuple[list[dict], int]:
     d = fx.digraph
     f = factorization_at(d, args.bitmask)
     ps = position_system(f)
@@ -273,13 +271,10 @@ def _count(value, where: str, minimum: int) -> int:
     return value
 
 
-def cmd_tree_search(args, fx: Fixture, toggles: dict) -> tuple[list[dict], int]:
+def cmd_tree_search(args, fx: Fixture) -> tuple[list[dict], int]:
+    node_cap = 100_000_000
     if args.max_nodes is not None:
         node_cap = _count(args.max_nodes, "flag '--max-nodes'", 1)
-    elif "max_nodes" in toggles:
-        node_cap = _count(toggles["max_nodes"], "field 'max_nodes'", 1)
-    else:
-        node_cap = 100_000_000
     d = fx.digraph
     targets: list[tuple[str, int]] = []
     if args.all_classes:
@@ -311,7 +306,7 @@ def cmd_tree_search(args, fx: Fixture, toggles: dict) -> tuple[list[dict], int]:
     return records, EXIT_BUDGET if exhausted else EXIT_OK
 
 
-def cmd_spanning(args, fx: Fixture, toggles: dict) -> tuple[list[dict], int]:
+def cmd_spanning(args, fx: Fixture) -> tuple[list[dict], int]:
     d = fx.digraph
     f = factorization_at(d, args.bitmask)
     ps = position_system(f)
@@ -335,7 +330,7 @@ def cmd_spanning(args, fx: Fixture, toggles: dict) -> tuple[list[dict], int]:
     return [rec], EXIT_OK if verdict.passed else EXIT_PRECONDITION
 
 
-def cmd_verify(args, fx: Fixture, toggles: dict) -> tuple[list[dict], int]:
+def cmd_verify(args, fx: Fixture) -> tuple[list[dict], int]:
     d = fx.digraph
     count = _count(args.masks, "flag '--masks'", 0)
     rng = random.Random(args.seed)
@@ -405,16 +400,15 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        fx, toggles = load_instance(args)
-        fmt = output_format(args, toggles)
-        records, code = args.func(args, fx, toggles)
+        fx = load_instance(args)
+        records, code = args.func(args, fx)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SpanfactError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    sys.stdout.write(emit_table(records, fmt))
+    sys.stdout.write(emit_table(records, args.format or "tsv"))
     return code
 
 

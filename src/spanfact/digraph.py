@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import PreconditionError, SizeCapError, StrongConnectivityError
-from .groups import CosetSpace, Presentation, left_multiplication, validate_presentation
+from .groups import CosetSpace, Presentation, coset_space, left_multiplication, validate_presentation
 from .perm import Perm, compose
 
 Edge = tuple[int, int]
@@ -276,11 +276,9 @@ def build_coset_digraph(p: Presentation, space: CosetSpace | None = None) -> Cos
         raise PreconditionError(f"invalid presentation; failing conditions: {failed}")
     if len(p.S) != 2:
         raise PreconditionError("degree-2 digraph needs |S| = 2")
-    from .groups import coset_space as build_space
-
     group = p.group
     if space is None:
-        space = build_space(group, list(p.H_generators))
+        space = coset_space(group, list(p.H_generators))
     s_el, t_el = (group.elements[i] for i in p.S)
     out = []
     for rep in space.representative:

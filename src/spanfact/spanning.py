@@ -10,10 +10,11 @@ once with one SWAR zero-lane test.
 """
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
-from .blocks import PhaseProfile, PositionSystem, _block_images
+from .blocks import PhaseProfile, PositionSystem, _block_images, cycle_block_system
 from .digraph import Factorization
 from .errors import PreconditionError
 from .perm import ImageBlob, Perm, Word, compose, evaluate, first_agreeing_pair
@@ -217,7 +218,7 @@ X_WORD: Word = (-2, 1)  # F2^{-1} after F1
 
 def _top_action(f: Factorization, ps: PositionSystem, g: Perm) -> Perm | None:
     """Induced permutation of x-cycle indices, or None when g splits a cycle."""
-    images = _block_images(g.images, ps._cycle_of, ps.cycle_list)
+    images = _block_images(g.images, cycle_block_system(ps))
     return None if images is None else Perm(images)
 
 
@@ -229,8 +230,6 @@ def phase_addressing(
     Preconditions: the top action on the x-cycles exists and is transitive,
     and the phases generate all of Z_m.
     """
-    import math
-
     m, r = ps.m, ps.r
     top1 = _top_action(f, ps, f.f1)
     top2 = _top_action(f, ps, f.f2)

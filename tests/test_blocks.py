@@ -278,9 +278,68 @@ def test_block_action_toy():
 
 def test_block_action_non_invariance():
     d, f = build_toy(3)
-    bs = BlockSystem((frozenset({0, 1}), frozenset({2, 3}), frozenset({4, 5})))
+    bs = BlockSystem([0, 0, 1, 1, 2, 2], 3)
     with pytest.raises(NonInvarianceError):
         block_action(f.f1, bs)
+
+
+def set_block_images(images, block_of, k):
+    """The block each block of the labelling is carried onto, from its vertex
+    set; None when some block's images meet two blocks or leave the support."""
+    out = []
+    for i in range(k):
+        targets = {block_of[images[v]] for v in range(len(images)) if block_of[v] == i}
+        if len(targets) != 1 or -1 in targets:
+            return None
+        out.append(targets.pop())
+    return out
+
+
+@st.composite
+def labelled_maps(draw):
+    """(images, block_of, k): a permutation with either a random labelling
+    (ids renumbered 0..k-1 by first use, -1 outside the support) or an
+    invariant system of k equal blocks, the latter perhaps perturbed by one
+    exchange of two images, which can split a block or leave the support."""
+    if draw(st.booleans()):
+        images = draw(st.permutations(range(draw(st.integers(1, 10)))))
+        ids: dict[int, int] = {}
+        raw = draw(st.lists(st.integers(-1, 3), min_size=len(images), max_size=len(images)))
+        block_of = [-1 if t < 0 else ids.setdefault(t, len(ids)) for t in raw]
+        return images, block_of, len(ids)
+    k, size, extra = draw(st.integers(0, 4)), draw(st.integers(1, 3)), draw(st.integers(0, 3))
+    n = k * size + extra
+    if n == 0:
+        return [], [], 0
+    order = draw(st.permutations(range(n)))
+    sigma = draw(st.permutations(range(k)))
+    block_of = [-1] * n
+    images = [0] * n
+    for b in range(k):
+        inner = draw(st.permutations(range(size)))
+        for j in range(size):
+            block_of[order[b * size + j]] = b
+            images[order[b * size + j]] = order[sigma[b] * size + inner[j]]
+    rest = order[k * size:]
+    for v, w in zip(rest, draw(st.permutations(rest))):
+        images[v] = w
+    if draw(st.booleans()):
+        u, w = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        images[u], images[w] = images[w], images[u]
+    return images, block_of, k
+
+
+@given(labelled_maps())
+def test_block_images_match_set_definition(case):
+    images, block_of, k = case
+    bs = BlockSystem(block_of, k)
+    expected = set_block_images(images, block_of, k)
+    assert blocks._block_images(images, bs) == expected
+    if expected is None:
+        with pytest.raises(NonInvarianceError):
+            block_action(Perm(images), bs)
+    else:
+        assert block_action(Perm(images), bs) == Perm(expected)
 
 
 def test_relative_block_permutation_toy():

@@ -468,6 +468,45 @@ def test_config_toggles_must_be_booleans(tmp_path, capsys, key, value):
         assert err.startswith(f"config error: field {key!r}, token {value!r}")
 
 
+# arguments with which each subcommand runs on a valid toy config
+SUBCOMMAND_ARGV = {
+    "build": [],
+    "enumerate": [],
+    "blocks": [],
+    "tree-search": ["--bitmask", "0"],
+    "spanning": ["--method", "addressing"],
+    "verify": ["--masks", "2"],
+}
+# per toggle: a bad value, the flag that would take its place, and the
+# subcommands that take that flag
+BAD_TOGGLES = {
+    "classify": ("no", ["--classify"], {"enumerate"}),
+    "swap": ("no", ["--swap"], {"enumerate"}),
+    "max_nodes": ("x", ["--max-nodes", "5"], {"tree-search"}),
+    "format": ("csv", ["--format", "tsv"], set(SUBCOMMAND_ARGV)),
+}
+
+
+@pytest.mark.parametrize(
+    "command, key, flags",
+    [
+        (command, key, flags)
+        for command in SUBCOMMAND_ARGV
+        for key, (_, flag, takers) in BAD_TOGGLES.items()
+        for flags in ([], flag)
+        if not flags or command in takers
+    ],
+)
+def test_bad_toggle_is_a_config_error_everywhere(tmp_path, capsys, command, key, flags):
+    """A bad toggle is rejected by every subcommand, read or not, and also
+    when the flag that would override it is given."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"toy": {"m": 3}, key: BAD_TOGGLES[key][0]}))
+    code, out, err = run_cli(capsys, command, "--config", str(path), *SUBCOMMAND_ARGV[command], *flags)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"config error: field {key!r}")
+
+
 @pytest.mark.parametrize("m", [True, False, 3.0, "3", None])
 def test_config_toy_m_must_be_an_integer(tmp_path, capsys, m):
     path = tmp_path / "cfg.json"
