@@ -10,6 +10,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import os
 import random
 import sys
 
@@ -27,7 +28,7 @@ from .blocks import (
     position_system,
     relative_block_permutation,
 )
-from .digraph import build_coset_digraph, classify_factorizations, factorization_at
+from .digraph import Classification, build_coset_digraph, classify_factorizations, factorization_at
 from .errors import ConfigError, SpanfactError
 from .fixtures import Fixture, load_fixture
 from .groups import config_name, coset_space, presentation_from_config
@@ -125,25 +126,26 @@ def _cell(value) -> str:
 _json = json.JSONEncoder(separators=(", ", ": ")).encode
 
 
-def emit_table(records: list[dict] | _FactorizationRows, fmt: str) -> str:
-    """Render records (dicts with string keys); TSV always carries a header
-    row; both forms are byte-stable for identical records, and each JSON line
-    is json.dumps of its record, byte for byte.  The plain factorization
-    listing renders itself from its shared cells."""
+def emit_table(records: list[dict] | _FactorizationRows, fmt: str, out) -> None:
+    """Write records (dicts with string keys) to the text stream out; TSV
+    always carries a header row; both forms are byte-stable for identical
+    records, and each JSON line is json.dumps of its record, byte for byte.
+    The plain factorization listing writes itself from its shared cells."""
     if fmt not in FORMATS:
         raise ConfigError(f"unknown format {fmt!r}")
     if isinstance(records, _FactorizationRows):
-        return records.render(fmt)
-    if fmt == "json-lines":
-        return "".join([_json(rec) + "\n" for rec in records])
-    if not records:
-        return "schema\n"
-    header = list(records[0].keys())
-    blanks = [""] * len(header)
-    lines = ["\t".join(header)]
-    for rec in records:
-        lines.append("\t".join(map(_cell, map(rec.get, header, blanks))))
-    return "\n".join(lines) + "\n"
+        records.write(fmt, out)
+    elif fmt == "json-lines":
+        out.write("".join([_json(rec) + "\n" for rec in records]))
+    elif not records:
+        out.write("schema\n")
+    else:
+        header = list(records[0].keys())
+        blanks = [""] * len(header)
+        lines = ["\t".join(header)]
+        for rec in records:
+            lines.append("\t".join(map(_cell, map(rec.get, header, blanks))))
+        out.write("\n".join(lines) + "\n")
 
 
 def _base_record(schema: str, fx: Fixture) -> dict:
@@ -167,44 +169,50 @@ def cmd_build(args, fx: Fixture) -> tuple[list[dict], int]:
 
 class _FactorizationRows:
     """The plain listing: per bitmask, a record of the base cells, the
-    bitmask and the cycle types its conjugation class shares.  Callers read
-    its length and its rendering."""
+    bitmask and the cycle types its conjugation class shares, read from the
+    classification's label array.  Callers read its length and have it
+    write itself."""
 
-    def __init__(self, base: dict, pairs: list[tuple[tuple, tuple]], class_of: list[int]):
+    # rows rendered per write, so the listing is never one 2^r-row string
+    CHUNK = 4096
+
+    def __init__(self, base: dict, classes: Classification):
         self._base = base
-        self._pairs = pairs
-        self._class_of = class_of
+        self._classes = classes
 
     def __len__(self) -> int:
-        return len(self._class_of)
+        return len(self._classes.label)
 
     @staticmethod
     def _class_cells(pair) -> dict:
         return {"cycle_type_f1": pair[0], "cycle_type_f2": pair[1], "class_id": ""}
 
-    def render(self, fmt: str) -> str:
+    def write(self, fmt: str, out) -> None:
         """emit_table of the records, each row written as the base cells
         (rendered once), its bitmask and the cells of its class (rendered
-        once per class)."""
+        once per class), CHUNK rows per write."""
+        pairs = [cls.cycle_type_pair for cls in self._classes]
         if fmt == "json-lines":
             # the JSON of a dict is "{", its cells joined by ", ", then "}"
-            header = ""
             head = _json(self._base)[:-1] + ', "bitmask": '
-            tails = [", " + _json(self._class_cells(pair))[1:] + "\n" for pair in self._pairs]
+            tails = [", " + _json(self._class_cells(pair))[1:] + "\n" for pair in pairs]
         else:
-            header = "\t".join([*self._base, "bitmask", *self._class_cells(self._pairs[0])]) + "\n"
+            out.write("\t".join([*self._base, "bitmask", *self._class_cells(pairs[0])]) + "\n")
             head = "".join(_cell(v) + "\t" for v in self._base.values())
             tails = [
                 "".join("\t" + _cell(v) for v in self._class_cells(pair).values()) + "\n"
-                for pair in self._pairs
+                for pair in pairs
             ]
-        return header + "".join([f"{head}{b}{tails[c]}" for b, c in enumerate(self._class_of)])
+        label = self._classes.label
+        for lo in range(0, len(label), self.CHUNK):
+            chunk = label[lo : lo + self.CHUNK]
+            out.write("".join([f"{head}{b}{tails[c]}" for b, c in enumerate(chunk, lo)]))
 
 
 def cmd_enumerate(args, fx: Fixture) -> tuple[list[dict] | _FactorizationRows, int]:
     """Cycle types are invariant under conjugation by an automorphism, so the
     plain listing reads them per class (no swap, which exchanges F1 and F2)
-    and builds one factorization per class."""
+    and each mask's class from the classification's label array."""
     d = fx.digraph
     records = []
     if args.classify:
@@ -221,12 +229,7 @@ def cmd_enumerate(args, fx: Fixture) -> tuple[list[dict] | _FactorizationRows, i
             records.append(rec)
     else:
         classes = classify_factorizations(d, fx.aut_generators(), allow_swap=False)
-        class_of = [0] * (1 << d.alt_decomposition.r)
-        for cid, cls in enumerate(classes):
-            for b in cls.members:
-                class_of[b] = cid
-        pairs = [cls.cycle_type_pair for cls in classes]
-        records = _FactorizationRows(_base_record("factorization", fx), pairs, class_of)
+        records = _FactorizationRows(_base_record("factorization", fx), classes)
     return records, EXIT_OK
 
 
@@ -408,7 +411,15 @@ def main(argv=None) -> int:
     except SpanfactError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    sys.stdout.write(emit_table(records, args.format or "tsv"))
+    try:
+        emit_table(records, args.format or "tsv", sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone: what it did not read is dropped, and stdout
+        # points at the null device so that the flush at exit fails no more
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

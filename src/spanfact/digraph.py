@@ -8,13 +8,15 @@ exactly a choice of orientation bit per alternating cycle, which gives the
 """
 from __future__ import annotations
 
+import sys
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import PreconditionError, SizeCapError, StrongConnectivityError
 from .groups import CosetSpace, Presentation, coset_space, left_multiplication, validate_presentation
-from .perm import Perm, compose
+from .perm import Perm, compose, images_cycle_type
 
 Edge = tuple[int, int]
 Row = tuple[int, int, int, int]  # (v, F1(v), F2(v), x(v))
@@ -22,6 +24,10 @@ Row = tuple[int, int, int, int]  # (v, F1(v), F2(v), x(v))
 DEFAULT_CYCLE_CAP = 24
 # blocks.invariant_refinements lists 2^k - 1 systems for k difference-class orbits
 REFINEMENT_ORBIT_CAP = 16
+# the label of a mask no class has reached yet; class ids stay below 2^24
+_UNLABELLED = 0xFFFFFFFF
+# masks XORed at once while mask_action_table doubles (256 KiB a run)
+_XOR_LANES = 1 << 16
 
 
 class Digraph2:
@@ -345,12 +351,24 @@ def is_digraph_automorphism(phi: Perm, d: Digraph2) -> bool:
 @dataclass(frozen=True)
 class FactorizationClass:
     representative: int
-    members: tuple[int, ...]
+    size: int
     cycle_type_pair: tuple[tuple[int, ...], tuple[int, ...]]
 
-    @property
-    def size(self) -> int:
-        return len(self.members)
+
+@dataclass(frozen=True)
+class Classification:
+    """The classes, in order of their representatives, and the class id of
+    every mask: label[b] indexes classes.  Reads as the sequence of its
+    classes."""
+
+    classes: tuple[FactorizationClass, ...]
+    label: array
+
+    def __len__(self) -> int:
+        return len(self.classes)
+
+    def __iter__(self):
+        return iter(self.classes)
 
 
 def mask_action(d: Digraph2, phi: Perm) -> tuple[tuple[int, ...], int]:
@@ -373,19 +391,29 @@ def mask_action(d: Digraph2, phi: Perm) -> tuple[tuple[int, ...], int]:
     return tuple(source), flip
 
 
-def mask_action_table(source: tuple[int, ...], flip: int) -> list[int]:
-    """The image of every mask in range(2^r), built from per-byte lookup tables."""
+def mask_action_table(source: tuple[int, ...], flip: int) -> array:
+    """The image of every mask in range(2^r), 4 bytes a mask.
+
+    Built by doubling: the masks in [2^s, 2^(s+1)) are those below 2^s with
+    bit s set, and bit s moves the image by targets[s], so the new half is
+    the old one XOR that constant, taken on runs of up to
+    _XOR_LANES masks, each read as one integer: the constant times the
+    integer with a 1 in every 4-byte lane holds the constant in every lane,
+    and XOR carries nothing from one lane to the next."""
     r = len(source)
     targets = [0] * r
     for j, s in enumerate(source):
         if s >= 0:
             targets[s] |= 1 << j
-    table = [flip]
-    for lo in range(0, r, 8):
-        byte = [0]
-        for s in range(lo, min(lo + 8, r)):
-            byte += [x ^ targets[s] for x in byte]
-        table = [a ^ x for x in byte for a in table]
+    table = array("I", [flip])
+    lane_one = array("I", [1]).tobytes()
+    for t in targets:
+        n = len(table)
+        step = min(n, _XOR_LANES)
+        moved = t * int.from_bytes(lane_one * step, sys.byteorder)
+        for lo in range(0, n, step):
+            run = int.from_bytes(table[lo : lo + step], sys.byteorder) ^ moved
+            table.frombytes(run.to_bytes(step * table.itemsize, sys.byteorder))
     return table
 
 
@@ -394,18 +422,21 @@ def classify_factorizations(
     aut_generators: list[Perm],
     allow_swap: bool,
     cap: int = DEFAULT_CYCLE_CAP,
-) -> list[FactorizationClass]:
+) -> Classification:
     """Orbits of all 2^r factorizations under conjugation by <aut_generators>
     (and the F1<->F2 swap when allowed); canonical representative is the
     minimal orientation bitmask in each orbit.
 
-    Works on bitmasks alone: O(2^r * generators) integer operations plus one
-    factorization build per class, for its cycle types.  One walk covers the
-    whole orbit: besides the conjugation tables, its generators XOR masks
-    with the bit of each cycle of two parallel edges (that bit does not
-    change the factorization) and, when allowed, with all bits (the swap).
-    Masks are marked seen when queued, and orbits partition the masks, so
-    the first unseen mask starts the next class and is its least member.
+    Works on bitmasks alone: one labelling pass of O(2^r * generators)
+    integer operations, 4 bytes a mask per generator table and 4 for the
+    label, plus one image-list build per class, for its cycle types.  Besides
+    the conjugation tables, the walk's generators XOR masks with the bit of
+    each cycle of two parallel edges (that bit does not change the
+    factorization).  The swap, b -> b ^ (2^r - 1), commutes with every
+    conjugation up to those bits, so an orbit with the swap is the walk
+    from both b0 and its complement.  Masks are labelled when queued, and
+    orbits partition the masks, so the first unlabelled mask starts the
+    next class and is its least member.
     """
     dec = d.alt_decomposition
     r = dec.r
@@ -418,29 +449,30 @@ def classify_factorizations(
     maps = [mask_action_table(*mask_action(d, phi)) for phi in aut_generators]
     # a cycle of two edges is a pair of parallel out-edges
     xors = [1 << j for j, cyc in enumerate(dec.cycles) if len(cyc) == 2]
-    if allow_swap:
-        xors.append(total - 1)
-    seen = bytearray(total)
+    label = array("I", [_UNLABELLED]) * total
     classes = []
-    for b0 in range(total):
-        if seen[b0]:
-            continue
-        seen[b0] = 1
-        orbit = [b0]
+    b0 = 0
+    while True:
+        cid = len(classes)
+        orbit = [b0, b0 ^ (total - 1)] if allow_swap else [b0]
+        for b in orbit:
+            label[b] = cid
         for b in orbit:
             for action in maps:
                 c = action[b]
-                if not seen[c]:
-                    seen[c] = 1
+                if label[c] == _UNLABELLED:
+                    label[c] = cid
                     orbit.append(c)
             for x in xors:
                 c = b ^ x
-                if not seen[c]:
-                    seen[c] = 1
+                if label[c] == _UNLABELLED:
+                    label[c] = cid
                     orbit.append(c)
-        orbit.sort()
-        f = factorization_at(d, b0)
+        f1, f2, _ = factor_images(d, b0)
         classes.append(
-            FactorizationClass(b0, tuple(orbit), (f.f1.cycle_type(), f.f2.cycle_type()))
+            FactorizationClass(b0, len(orbit), (images_cycle_type(f1), images_cycle_type(f2)))
         )
-    return classes
+        try:
+            b0 = label.index(_UNLABELLED, b0 + 1)
+        except ValueError:
+            return Classification(tuple(classes), label)

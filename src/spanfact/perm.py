@@ -110,20 +110,7 @@ class Perm:
 
     def cycle_type(self) -> tuple[int, ...]:
         """Multiset of cycle lengths, ascending."""
-        images = self.images
-        seen = bytearray(len(images))
-        lengths = []
-        start = seen.find(0)
-        while start >= 0:
-            length = 0
-            v = start
-            while not seen[v]:
-                seen[v] = 1
-                v = images[v]
-                length += 1
-            lengths.append(length)
-            start = seen.find(0, start)
-        return tuple(sorted(lengths))
+        return images_cycle_type(self.images)
 
     def is_derangement(self) -> bool:
         return all(img != v for v, img in enumerate(self.images))
@@ -135,6 +122,24 @@ class Perm:
             for i, v in enumerate(cyc):
                 out[v] = cyc[(i + k) % L]
         return Perm(out, check=False)
+
+
+def images_cycle_type(images: Sequence[int]) -> tuple[int, ...]:
+    """Multiset of cycle lengths, ascending, of the permutation with this
+    image list."""
+    seen = bytearray(len(images))
+    lengths = []
+    start = seen.find(0)
+    while start >= 0:
+        length = 0
+        v = start
+        while not seen[v]:
+            seen[v] = 1
+            v = images[v]
+            length += 1
+        lengths.append(length)
+        start = seen.find(0, start)
+    return tuple(sorted(lengths))
 
 
 def compose(g: Perm, f: Perm) -> Perm:

@@ -6,6 +6,8 @@ suite: the tree oracle enumerates word trees directly, the reference tree
 kernel runs every closure bound to completion, the refinement oracle
 enumerates candidate class subsets and checks invariance inline, the
 conjugation and class oracles build and conjugate every factorization, the
+Burnside count closes the affine mask maps, read off conjugated
+factorizations, into a group and counts fixed masks by linear algebra, the
 swap oracle builds every relabelled factorization and computes its block
 actions inline, the difference-class oracle traces both F1 and x over a
 vertex dict, and the reference law suite builds every factorization, its
@@ -78,6 +80,77 @@ def factorization_classes(
         seen |= orbit
         classes.add(frozenset(b for pr in orbit for b in by_pair[pr]))
     return classes
+
+
+def _affine_conjugation(d: Digraph2, phi: Perm) -> tuple[tuple[int, ...], int]:
+    """Conjugation by phi on masks as b -> c ^ (XOR of cols[s] over the bits s
+    of b), read off the conjugates of factorization 0 and of each one-bit
+    factorization."""
+    phi_inv = phi.inverse()
+
+    def image(b: int) -> int:
+        return bitmask_of(d, compose(phi, compose(factorization_at(d, b).f1, phi_inv)))
+
+    c = image(0)
+    return tuple(image(1 << s) ^ c for s in range(d.alt_decomposition.r)), c
+
+
+def _apply_linear(cols: tuple[int, ...], b: int) -> int:
+    out = 0
+    for s, col in enumerate(cols):
+        if b >> s & 1:
+            out ^= col
+    return out
+
+
+def _fixed_mask_count(cols: tuple[int, ...], c: int) -> int:
+    """The number of masks b with (L + I) b = c, by Gaussian elimination over
+    GF(2) on the rows of the augmented system."""
+    r = len(cols)
+    # row j: the coefficients of equation j (bit s is the entry of column s), then c_j
+    rows = []
+    for j in range(r):
+        coeffs = sum(((cols[s] >> j & 1) ^ (s == j)) << s for s in range(r))
+        rows.append((coeffs, c >> j & 1))
+    rank = 0
+    for s in range(r):
+        pivot = next((i for i in range(rank, r) if rows[i][0] >> s & 1), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        pc, pv = rows[rank]
+        rows = [(rc ^ pc, rv ^ pv) if i != rank and rc >> s & 1 else (rc, rv)
+                for i, (rc, rv) in enumerate(rows)]
+        rank += 1
+    if any(rc == 0 and rv for rc, rv in rows):
+        return 0
+    return 1 << (r - rank)
+
+
+def burnside_class_count(d: Digraph2, generators: list[Perm], allow_swap: bool) -> int:
+    """The number of factorization classes by Burnside's lemma: the mean,
+    over the group the affine mask maps generate, of the masks each fixes.
+    Besides the conjugations, the generators XOR the bit of each cycle of two
+    parallel edges and, when allowed, all bits (the swap)."""
+    r = d.alt_decomposition.r
+    unit = tuple(1 << s for s in range(r))
+    gens = [_affine_conjugation(d, phi) for phi in generators]
+    gens += [(unit, 1 << j) for j, cyc in enumerate(d.alt_decomposition.cycles) if len(cyc) == 2]
+    if allow_swap:
+        gens.append((unit, (1 << r) - 1))
+    group = {(unit, 0)}
+    frontier = list(group)
+    while frontier:
+        cols, c = frontier.pop()
+        for gcols, gflip in gens:
+            # g after (cols, c): b -> gflip ^ G(c ^ L b)
+            elem = (tuple(_apply_linear(gcols, col) for col in cols), gflip ^ _apply_linear(gcols, c))
+            if elem not in group:
+                group.add(elem)
+                frontier.append(elem)
+    fixed = sum(_fixed_mask_count(cols, c) for cols, c in group)
+    assert fixed % len(group) == 0
+    return fixed // len(group)
 
 
 def swap_invariance_counts(d: Digraph2, masks: list[int]) -> tuple[int, int]:

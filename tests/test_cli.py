@@ -1,8 +1,12 @@
 import gc
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 import tempfile
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -25,6 +29,13 @@ GOLDEN_CLASSIFY = json.loads(Path(__file__).with_name("golden_classify.json").re
 # "<argv joined by spaces>" -> [exit code, stdout, stderr] of build, blocks,
 # spanning, tree-search and verify on five fixtures, errors included
 GOLDEN_CLI = json.loads(Path(__file__).with_name("golden_cli.json").read_text())
+
+
+def rendered(records, fmt: str) -> str:
+    """What emit_table writes for the records."""
+    out = io.StringIO()
+    emit_table(records, fmt, out)
+    return out.getvalue()
 
 
 def run_cli(capsys, *argv):
@@ -163,11 +174,75 @@ def test_cli_call_leaves_no_reference_cycle(argv):
 
 
 def test_enumerate_over_cap_leaves_stdout_empty(capsys):
-    code, out, err = run_cli(capsys, "enumerate", "--fixture", "toy:25")
-    assert code == 3
-    assert out == ""
-    assert "Traceback" not in err
-    assert "exceeds cap 24" in err
+    """Both listings, in both formats, refuse before writing anything."""
+    for flags in ([], ["--classify"], ["--classify", "--swap"], ["--format", "json-lines"],
+                  ["--classify", "--format", "json-lines"]):
+        code, out, err = run_cli(capsys, "enumerate", "--fixture", "toy:25", *flags)
+        assert code == 3, flags
+        assert out == ""
+        assert "Traceback" not in err
+        assert "exceeds cap 24" in err
+
+
+# the benchmark's r = 16 instance: a 65,536-row, 3.3 MB plain listing
+C2WRC4_R16 = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "c2wrc4-r16.json"
+
+
+@pytest.mark.parametrize(
+    "argv, lines",
+    [
+        # the pipe closes while the listing is being written
+        (["enumerate", "--config", str(C2WRC4_R16)], 1),
+        # the pipe is closed before anything is written
+        (["build", "--fixture", "toy:3"], 0),
+    ],
+)
+def test_closed_stdout_is_a_clean_exit(argv, lines):
+    """A reader that stops early ends the output: exit 0 and nothing on
+    stderr."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "spanfact.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    read = [proc.stdout.readline() for _ in range(lines)]
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0
+    assert all(line.startswith(b"schema\t") for line in read)
+    assert err == b""
+
+
+class CountingSink:
+    """A text stream that keeps only the number of characters written."""
+
+    def __init__(self):
+        self.chars = 0
+
+    def write(self, text: str) -> int:
+        self.chars += len(text)
+        return len(text)
+
+    def flush(self) -> None:
+        pass
+
+
+def test_plain_listing_runs_in_bounded_memory():
+    """The 2^r-row listing is written in chunks from the label array: no
+    joined listing and no per-class member tuples (these held 10.7 MB)."""
+    argv = ["enumerate", "--config", str(C2WRC4_R16)]
+    sink = CountingSink()
+    tracemalloc.start()
+    try:
+        with redirect_stdout(sink):
+            code = main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, sink.chars) == (0, 3_347_759)
+    assert peak < 3 * 2**20
 
 
 def test_blocks_toy(capsys):
@@ -562,7 +637,7 @@ def test_output_determinism(capsys):
 def test_json_lines_round_trip(capsys):
     _, out, _ = run_cli(capsys, "enumerate", "--fixture", "toy:3", "--format", "json-lines")
     records = [json.loads(line) for line in out.strip().split("\n")]
-    assert emit_table(records, "json-lines") == out
+    assert rendered(records, "json-lines") == out
 
 
 CELLS = st.one_of(
@@ -588,11 +663,11 @@ def test_emit_json_lines_is_json_dumps(keys, rows, share):
     if share and records:
         records += [dict(records[0]) for _ in range(2)]
     expected = "".join(json.dumps(rec, separators=(", ", ": ")) + "\n" for rec in records)
-    assert emit_table(records, "json-lines") == expected
+    assert rendered(records, "json-lines") == expected
 
 
 def test_emit_table_zero_records():
-    assert emit_table([], "tsv") == "schema\n"
+    assert rendered([], "tsv") == "schema\n"
 
 
 def test_node_cap_counts_no_extra_node(capsys):

@@ -1,6 +1,9 @@
 import gc
+import json
+import random
 import weakref
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -21,10 +24,10 @@ from spanfact.digraph import (
 )
 from spanfact.errors import PreconditionError, SizeCapError, StrongConnectivityError
 from spanfact.fixtures import load_fixture
-from spanfact.groups import normalize_degree2
+from spanfact.groups import normalize_degree2, presentation_from_config
 from spanfact.perm import Perm
 
-from oracles import conjugation_table, factorization_classes
+from oracles import burnside_class_count, conjugation_table, factorization_classes
 
 
 def test_build_toy_values():
@@ -214,7 +217,9 @@ def test_classify_ex3():
 def test_mask_action_matches_conjugation(name):
     fx = load_fixture(name)
     for phi in fx.aut_generators():
-        assert mask_action_table(*mask_action(fx.digraph, phi)) == conjugation_table(fx.digraph, phi)
+        table = mask_action_table(*mask_action(fx.digraph, phi))
+        assert table.typecode == "I"
+        assert list(table) == conjugation_table(fx.digraph, phi)
 
 
 def test_mask_action_parallel_cycles_map_to_zero():
@@ -222,14 +227,48 @@ def test_mask_action_parallel_cycles_map_to_zero():
     rot = Perm([1, 2, 3, 0])
     assert is_digraph_automorphism(rot, d)
     assert mask_action(d, rot) == ((-1, -1, -1, -1), 0)
-    assert mask_action_table(*mask_action(d, rot)) == conjugation_table(d, rot)
+    assert list(mask_action_table(*mask_action(d, rot))) == conjugation_table(d, rot)
+
+
+def test_mask_action_table_is_the_affine_map():
+    """At r = 18 the last doublings XOR the table in several runs; every
+    mask still maps to bit source[j] of b XOR bit j of flip, for each j."""
+    rng = random.Random(18)
+    r = 18
+    source = list(range(r))
+    rng.shuffle(source)
+    source[5] = -1
+    flip = rng.getrandbits(r)
+    table = mask_action_table(tuple(source), flip)
+    assert len(table) == 1 << r
+    for b in [0, (1 << r) - 1, *rng.sample(range(1 << r), 4000)]:
+        image = flip ^ sum((b >> s & 1) << j for j, s in enumerate(source) if s >= 0)
+        assert table[b] == image, b
 
 
 def test_classify_doubled_cycle_is_one_class():
     # every mask gives the same factorization, so there is one class of all 8
     d = build_doubled_cycle(3)
     classes = classify_factorizations(d, [Perm([1, 2, 0])], allow_swap=False)
-    assert [(c.representative, c.members) for c in classes] == [(0, tuple(range(8)))]
+    assert [(c.representative, c.size) for c in classes] == [(0, 8)]
+    assert list(classes.label) == [0] * 8
+
+
+def labelled_classes(d, classes) -> set[frozenset[int]]:
+    """The masks of each class, read from the label array, after checking
+    that each class is listed at its least mask, in mask order, with its
+    size and the cycle types of its representative."""
+    label = classes.label
+    assert label.typecode == "I" and len(label) == 1 << d.alt_decomposition.r
+    members = [[] for _ in classes]
+    for b, cid in enumerate(label):
+        members[cid].append(b)
+    for cls, masks in zip(classes, members):
+        f = factorization_at(d, cls.representative)
+        assert (cls.representative, cls.size) == (masks[0], len(masks))
+        assert cls.cycle_type_pair == (f.f1.cycle_type(), f.f2.cycle_type())
+    assert [cls.representative for cls in classes] == sorted(m[0] for m in members)
+    return {frozenset(masks) for masks in members}
 
 
 @pytest.mark.parametrize(
@@ -255,7 +294,30 @@ def test_classify_with_parallel_cycles_matches_oracle(out_edges, generators, all
     d = Digraph2(out_edges)
     classes = classify_factorizations(d, generators, allow_swap)
     assert sum(c.size for c in classes) == 1 << d.alt_decomposition.r
-    assert {frozenset(c.members) for c in classes} == factorization_classes(d, generators, allow_swap)
+    assert labelled_classes(d, classes) == factorization_classes(d, generators, allow_swap)
+
+
+BENCHMARK_CONFIGS = Path(__file__).resolve().parents[1] / "perfbench" / "configs"
+
+
+def instance(name: str) -> tuple[Digraph2, list[Perm]]:
+    """A fixture, or a benchmark config by name, with its automorphisms."""
+    path = BENCHMARK_CONFIGS / f"{name}.json"
+    if path.is_file():
+        cd = build_coset_digraph(presentation_from_config(json.loads(path.read_text())["presentation"]))
+        return cd.digraph, cd.default_aut_generators()
+    fx = load_fixture(name)
+    return fx.digraph, fx.aut_generators()
+
+
+@pytest.mark.parametrize(
+    "name", ["a5-ex2", "a5-ex3", "morris", "toy:5", "shift:7", "s5-r12", "agl18-r14", "c2wrc4-r16"]
+)
+@pytest.mark.parametrize("allow_swap", [False, True])
+def test_class_count_matches_burnside(name, allow_swap):
+    d, generators = instance(name)
+    classes = classify_factorizations(d, generators, allow_swap)
+    assert len(classes) == burnside_class_count(d, generators, allow_swap)
 
 
 def test_classify_rejects_non_automorphism():
