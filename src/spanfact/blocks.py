@@ -11,7 +11,11 @@ The phase law is read on image lists, by the helpers behind both
 position_system/phase_profile and law_suite: one walk over x gives every
 vertex's cycle index and position, and F1(v) lies in tied block pos_of[v].
 law_suite reads each factorization as the F1, F2 and x image lists of
-digraph.factor_images and builds objects only where the phases are constant.
+digraph.factor_images and every law from those labellings: the atom counts
+in one pass over the vertices, and the refinements as the invariance of the
+position system, which holds exactly when every system invariant_refinements
+would list is invariant.  It builds no object per factorization and lists
+no refinement system.
 
 A block system labels every vertex with its block id (positions, cycle
 indices), and every block action, tau = sigma(F1)^-1 sigma(F2) included, is
@@ -22,14 +26,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .digraph import (
-    DEFAULT_CYCLE_CAP,
-    REFINEMENT_ORBIT_CAP,
-    Digraph2,
-    Factorization,
-    factor_images,
-    factorization_at,
-)
+from .digraph import DEFAULT_CYCLE_CAP, Digraph2, Factorization, factor_images, factorization_at
 from .errors import (
     NonInvarianceError,
     PhaseInconsistencyError,
@@ -42,6 +39,9 @@ from .perm import Perm
 # orbit operator convention used throughout; its inverse yields the same
 # orbit partition, so position systems are convention-independent
 X_CONVENTION = "F2^-1 F1"
+
+# invariant_refinements lists 2^k - 1 systems for k difference-class orbits
+REFINEMENT_ORBIT_CAP = 16
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,10 @@ def position_system(f: Factorization) -> PositionSystem:
         raise UniformityError(
             f"x-cycle lengths are not uniform: {sorted(len(c) for c in cycles)}"
         )
-    return _position_system(cycles, cycle_of, pos_of, m)
+    return PositionSystem(
+        m, len(cycles), tuple(map(tuple, cycles)), tuple(map(frozenset, zip(*cycles))),
+        cycle_of, pos_of,
+    )
 
 
 def _positions(x: Sequence[int]) -> tuple[list[list[int]], list[int], list[int], int]:
@@ -97,15 +100,6 @@ def _positions(x: Sequence[int]) -> tuple[list[list[int]], list[int], list[int],
     return cycles, cycle_of, pos_of, lengths.pop() if len(lengths) == 1 else 0
 
 
-def _position_system(
-    cycles: list[list[int]], cycle_of: list[int], pos_of: list[int], m: int
-) -> PositionSystem:
-    return PositionSystem(
-        m, len(cycles), tuple(map(tuple, cycles)), tuple(map(frozenset, zip(*cycles))),
-        cycle_of, pos_of,
-    )
-
-
 @dataclass(frozen=True)
 class PhaseProfile:
     """Per-cycle phases, their counts, and the tied refinement F1(P_j)."""
@@ -128,7 +122,8 @@ def phase_profile(f: Factorization, ps: PositionSystem) -> PhaseProfile:
             f"phase not constant on cycle {i}: offset {tied[cyc[0]] % m} at position 0 "
             f"but {(tied[cyc[j]] - j) % m} at position {j}"
         )
-    return _phase_profile(f1, ps, delta)
+    tied_blocks = tuple(frozenset(f1[v] for v in blk) for blk in ps.blocks)
+    return PhaseProfile(tuple(delta), tuple(map(delta.count, range(m))), tied_blocks)
 
 
 def _tied_positions(f1: Sequence[int], pos_of: list[int]) -> list[int]:
@@ -156,12 +151,14 @@ def _phases(
     return delta, None
 
 
-def _phase_profile(f1: Sequence[int], ps: PositionSystem, delta: list[int]) -> PhaseProfile:
-    counts = [0] * ps.m
-    for d in delta:
-        counts[d] += 1
-    tied_blocks = tuple(frozenset(f1[v] for v in blk) for blk in ps.blocks)
-    return PhaseProfile(tuple(delta), tuple(counts), tied_blocks)
+def _atom_counts_hold(pos_of: Sequence[int], tied: Sequence[int], delta: list[int], m: int) -> bool:
+    """|P_j intersect F1(P_(j+d))| = r_d for all j and d, r_d the number of
+    x-cycles of phase d, in one pass over the vertices: v lies in position
+    block pos_of[v] and in tied block tied[v]."""
+    atom = [0] * (m * m)
+    for j, k in zip(pos_of, tied):
+        atom[j * m + (k - j) % m] += 1
+    return atom == list(map(delta.count, range(m))) * m
 
 
 def atoms(
@@ -410,11 +407,11 @@ def law_suite(d: Digraph2, masks: list[int]) -> dict[str, tuple[int, int]]:
     two).  swap_invariance compares tau before and after swap_relabel by each
     of masks, on the position and the cycle block systems, counting only the
     pairs where both are defined.  The 2^r factorizations are walked once and
-    nothing is kept between them.  Each is read as image lists, with
-    positions and cycle indices as the block ids of the two systems;
-    Factorization, PositionSystem and PhaseProfile objects are built only for
-    the factorizations with constant phases, which the atom and refinement
-    laws need.
+    nothing is kept between them.  Each is read as the F1, F2 and x image
+    lists, and every law from the labellings of one walk over x: positions,
+    cycle indices, tied positions and phases.  No object is built per
+    factorization and no refinement system is listed, so the difference-class
+    orbit count is not capped.
     """
     r = d.alt_decomposition.r
     if r > DEFAULT_CYCLE_CAP:
@@ -431,20 +428,26 @@ def law_suite(d: Digraph2, masks: list[int]) -> dict[str, tuple[int, int]]:
         if not m:
             phase_fail += 1
             continue
-        delta, drift = _phases(_tied_positions(f1, pos_of), cycles, m)
+        positions = BlockSystem(pos_of, m)
+        tied = _tied_positions(f1, pos_of)
+        delta, drift = _phases(tied, cycles, m)
         if drift is not None:
             phase_fail += 1
         else:
-            f = Factorization(d, Perm(f1, check=False), Perm(f2, check=False), b)
-            ps = _position_system(cycles, cycle_of, pos_of, m)
-            pp = _phase_profile(f1, ps, delta)
-            if not _atom_laws_hold(f, ps, pp):
+            if not _atom_counts_hold(pos_of, tied, delta, m):
                 law_fail += 1
-            pi = difference_class_orbits(f, ps, pp)
-            refs = invariant_refinements(f, ps, pi, pp)
-            if len(refs) != (1 << len(pi)) - 1 or not all(rs.invariant for rs in refs):
+            # invariant_refinements lists one system per nonempty union of
+            # difference-class orbits, 2^k - 1 in all: the position system
+            # restricted to the x-cycles whose phases the union holds.  An
+            # orbit joins the phase of v's cycle with that of F1(v)'s, and x
+            # maps every cycle onto itself, so F1 and x map those cycles
+            # onto themselves, and restricting an invariant system to them
+            # keeps it invariant.  The union of all orbits is the position
+            # system itself, so every listed system is invariant exactly
+            # when the position system is.
+            if _block_images(f1, positions) is None or _block_images(x, positions) is None:
                 refinement_fail += 1
-        for bs in (BlockSystem(pos_of, m), BlockSystem(cycle_of, len(cycles))):
+        for bs in (positions, BlockSystem(cycle_of, len(cycles))):
             taus = _swap_taus(f1, f2, bs, tail_bits, masks)
             if taus is None:
                 continue
@@ -461,21 +464,6 @@ def law_suite(d: Digraph2, masks: list[int]) -> dict[str, tuple[int, int]]:
         "refinements": (total, refinement_fail),
         "swap_invariance": (swap_checked, swap_fail),
     }
-
-
-def _atom_laws_hold(f: Factorization, ps: PositionSystem, pp: PhaseProfile) -> bool:
-    """|A_{j,j+d}| = r_d for all j, d with sum r_d = r, and A_{j,k} = P_j
-    intersect F1(P_k)."""
-    m = ps.m
-    A = atoms(f, ps, pp)
-    counts_ok = sum(pp.phase_counts) == ps.r and all(
-        len(A[(j, (j + dd) % m)]) == pp.phase_counts[dd]
-        for j in range(m)
-        for dd in range(m)
-    )
-    return counts_ok and all(
-        A[(j, k)] == (ps.blocks[j] & pp.tied_blocks[k]) for j in range(m) for k in range(m)
-    )
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,6 @@ from .blocks import (
     block_construction,
     cycle_block_system,
     difference_class_orbits,
-    invariant_refinements,
     law_suite,
     phase_profile,
     position_block_system,
@@ -214,6 +213,8 @@ def cmd_enumerate(args, fx: Fixture) -> tuple[list[dict] | _FactorizationRows, i
     plain listing reads them per class (no swap, which exchanges F1 and F2)
     and each mask's class from the classification's label array."""
     d = fx.digraph
+    if args.swap and not args.classify:
+        raise ConfigError("--swap (toggle 'swap') applies only with --classify")
     records = []
     if args.classify:
         classes = classify_factorizations(d, fx.aut_generators(), allow_swap=args.swap)
@@ -239,7 +240,6 @@ def cmd_blocks(args, fx: Fixture) -> tuple[list[dict], int]:
     ps = position_system(f)
     pp = phase_profile(f, ps)
     pi = difference_class_orbits(f, ps, pp)
-    refs = invariant_refinements(f, ps, pi, pp)
     records = []
     for name, system in (
         ("position", position_block_system(ps)),
@@ -254,7 +254,9 @@ def cmd_blocks(args, fx: Fixture) -> tuple[list[dict], int]:
             delta=list(pp.delta),
             phase_counts=list(pp.phase_counts),
             class_orbits=[list(o) for o in pi],
-            refinement_count=len(refs),
+            # invariant_refinements lists one system per nonempty
+            # subcollection of the orbits
+            refinement_count=(1 << len(pi)) - 1,
             system=name,
         )
         try:

@@ -22,8 +22,6 @@ Edge = tuple[int, int]
 Row = tuple[int, int, int, int]  # (v, F1(v), F2(v), x(v))
 
 DEFAULT_CYCLE_CAP = 24
-# blocks.invariant_refinements lists 2^k - 1 systems for k difference-class orbits
-REFINEMENT_ORBIT_CAP = 16
 # the label of a mask no class has reached yet; class ids stay below 2^24
 _UNLABELLED = 0xFFFFFFFF
 # masks XORed at once while mask_action_table doubles (256 KiB a run)

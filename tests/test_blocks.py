@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from functools import lru_cache
 
@@ -41,6 +42,7 @@ from spanfact.perm import Perm
 from spanfact.spanning import WordSet, verify_sharply_transitive
 
 from oracles import (
+    _reference_atom_laws,
     brute_force_refinement_families,
     reference_difference_class_orbits,
     reference_law_suite,
@@ -447,9 +449,10 @@ def test_law_suite_swap_counts_match_oracle(name):
     assert law_suite(d, masks)["swap_invariance"] == swap_invariance_counts(d, masks)
 
 
+# shift:16 has 16 difference-class orbits, the most the listing oracle takes
 LAW_SUITE_INSTANCES = (
     "toy:3", "toy:4", "toy:5", "toy:8", "morris", "a5-ex2", "a5-ex3", "doubled:3", "doubled:4",
-    *(f"shift:{n}" for n in range(5, 12)),
+    *(f"shift:{n}" for n in range(5, 12)), "shift:16",
 )
 
 
@@ -469,6 +472,25 @@ def test_law_suite_matches_reference_on_mask_lists(name, raw_masks):
     d = _digraph(name)
     masks = [mask % (1 << d.alt_decomposition.r) for mask in raw_masks]
     assert law_suite(d, masks) == reference_law_suite(d, masks)
+
+
+@pytest.mark.parametrize("name, b", [("toy:3", 0), ("toy:5", 9), ("morris", 7), ("shift:7", 1)])
+def test_atom_counts_fail_when_two_tied_blocks_are_exchanged(name, b):
+    """Two vertices of one x-cycle lie at different positions and in
+    different tied blocks; exchanging their tied blocks breaks the atom law
+    for the law suite's count and for the reference's atom sets."""
+    f = factorization_at(_digraph(name), b)
+    ps = position_system(f)
+    pp = phase_profile(f, ps)
+    tied = blocks._tied_positions(f.f1.images, ps._pos_of)
+    delta = list(pp.delta)
+    assert blocks._atom_counts_hold(ps._pos_of, tied, delta, ps.m)
+    assert _reference_atom_laws(f, ps, pp)
+    u, v = ps.cycle_list[0][:2]
+    tied[u], tied[v] = tied[v], tied[u]
+    assert not blocks._atom_counts_hold(ps._pos_of, tied, delta, ps.m)
+    exchanged = tuple(frozenset(w for w in range(f.n) if tied[w] == k) for k in range(ps.m))
+    assert not _reference_atom_laws(f, ps, dataclasses.replace(pp, tied_blocks=exchanged))
 
 
 def test_law_suite_rejects_out_of_range_mask():

@@ -420,13 +420,23 @@ def test_verify_zero_masks_samples_none(capsys):
     assert checked["phase_constancy"] == 8
 
 
-@pytest.mark.parametrize("command", ["verify", "blocks"])
-def test_refinement_cap_exits_at_once(capsys, command):
-    code, out, err = run_cli(capsys, command, "--fixture", "shift:101")
-    assert code == 3
-    assert out == ""
-    assert "orbit count 101 exceeds cap 16" in err
-    assert "Traceback" not in err
+# shift:101 has 101 difference-class orbits, so 2^101 - 1 refinement systems,
+# far past what invariant_refinements lists
+def test_blocks_counts_refinements_past_the_listing_cap(capsys):
+    code, out, err = run_cli(capsys, "blocks", "--fixture", "shift:101", "--format", "json-lines")
+    assert (code, err) == (0, "")
+    records = [json.loads(line) for line in out.splitlines()]
+    assert [rec["system"] for rec in records] == ["position", "cycle"]
+    assert [rec["refinement_count"] for rec in records] == [2**101 - 1] * 2
+
+
+def test_verify_checks_refinements_past_the_listing_cap(capsys):
+    code, out, err = run_cli(capsys, "verify", "--fixture", "shift:101", "--format", "json-lines")
+    assert err == ""
+    records = {rec["law"]: rec for rec in map(json.loads, out.splitlines())}
+    for law in ("refinements", "atom_counts"):
+        assert (records[law]["checked"], records[law]["failures"]) == (2, 0)
+    assert code == (0 if all(rec["passed"] for rec in records.values()) else 3)
 
 
 def test_missing_instance_is_config_error(capsys):
@@ -528,7 +538,11 @@ def test_config_toggles_act_as_flags(tmp_path, capsys, toggles, flags):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"toy": {"m": 3}, **toggles}))
     expected = run_cli(capsys, "enumerate", "--config", str(plain), *flags)
-    assert expected[0] == 0
+    if "--swap" in flags and "--classify" not in flags:
+        # the swap acts only on a classification, so alone it is refused
+        assert expected == (2, "", "config error: --swap (toggle 'swap') applies only with --classify\n")
+    else:
+        assert expected[0] == 0
     assert run_cli(capsys, "enumerate", "--config", str(path)) == expected
 
 

@@ -7,6 +7,7 @@ import pytest
 from spanfact.blocks import (
     difference_class_orbits,
     invariant_refinements,
+    law_suite,
     phase_profile,
     position_system,
     swap_relabel,
@@ -20,7 +21,7 @@ from spanfact.digraph import (
 from spanfact.errors import PhaseInconsistencyError, SpanfactError, UniformityError
 from spanfact.spanning import max_relocatable_tree, phase_addressing, splice_generators, verify_sharply_transitive
 
-from oracles import brute_force_refinement_families, naive_max_tree_size
+from oracles import brute_force_refinement_families, naive_max_tree_size, reference_law_suite
 
 
 def random_digraph(rng: random.Random, n: int) -> Digraph2:
@@ -108,3 +109,17 @@ def test_phase_addressing_doubled_cycle():
 
     with pytest.raises(PreconditionError):
         splice_generators(s0, f)
+
+
+def test_law_suite_matches_reference_random():
+    """The law suite against the listing oracle on seeded random digraphs,
+    some of which fail the refinement law."""
+    refinement_failures = 0
+    for seed in range(1000):
+        rng = random.Random(seed)
+        d = random_digraph(rng, rng.randint(4, 12))
+        masks = [rng.randrange(1 << d.alt_decomposition.r) for _ in range(6)]
+        laws = law_suite(d, masks)
+        assert laws == reference_law_suite(d, masks), seed
+        refinement_failures += laws["refinements"][1]
+    assert refinement_failures
