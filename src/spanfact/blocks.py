@@ -7,15 +7,16 @@ and the index of the tied block containing it; the profile computation
 verifies that constancy along every cycle and reports the failing cycle
 when the offset drifts.
 
-The phase law is read on image lists, by the helpers behind both
-position_system/phase_profile and law_suite: one walk over x gives every
-vertex's cycle index and position, and F1(v) lies in tied block pos_of[v].
-law_suite reads each factorization as the F1, F2 and x image lists of
-digraph.factor_images and every law from those labellings: the atom counts
-in one pass over the vertices, and the refinements as the invariance of the
-position system, which holds exactly when every system invariant_refinements
-would list is invariant.  It builds no object per factorization and lists
-no refinement system.
+Positions are a property of the digraph: the x-cycles of every
+factorization are the tail sets of the alternating cycles, which
+Digraph2._cycle_rows lists in x order at bit 0, and a cycle's bit only sets
+the direction in which x walks it.  position_system and law_suite read that
+one table, and F1(v) lies in tied block pos_of[v].  law_suite reads each
+factorization as the F1 and F2 image lists of digraph.factor_images and
+decides phase constancy from those labellings.  Constant phases imply the
+atom counts, and the refinement systems are all invariant exactly when the
+phases are all equal, so neither law needs a pass of its own.  It builds no
+object per factorization and lists no refinement system.
 
 A block system labels every vertex with its block id (positions, cycle
 indices), and every block action, tau = sigma(F1)^-1 sigma(F2) included, is
@@ -65,39 +66,49 @@ class PositionSystem:
 
 
 def position_system(f: Factorization) -> PositionSystem:
-    cycles, cycle_of, pos_of, m = _positions(f.x().images)
+    orders, cycle_of, m = _position_table(f.digraph)
     if not m:
         raise UniformityError(
-            f"x-cycle lengths are not uniform: {sorted(len(c) for c in cycles)}"
+            f"x-cycle lengths are not uniform: {sorted(len(tails) for tails, _ in orders)}"
         )
+    cycles, pos_of = _positions_at(orders, f.bitmask, f.n)
     return PositionSystem(
         m, len(cycles), tuple(map(tuple, cycles)), tuple(map(frozenset, zip(*cycles))),
         cycle_of, pos_of,
     )
 
 
-def _positions(x: Sequence[int]) -> tuple[list[list[int]], list[int], list[int], int]:
-    """The cycles of x sorted by minimum, each from its minimum, the cycle
-    index and the position of every vertex, and the common cycle length m
-    (0 when the lengths are not uniform)."""
-    n = len(x)
-    cycle_of = [-1] * n
+def _position_table(d: Digraph2) -> tuple[list[tuple[list[int], list[int]]], list[int], int]:
+    """The positions on every factorization of d: per alternating cycle, its
+    tails by position at bit 0 and at bit 1; the cycle of every vertex; and
+    the common cycle length m (0 when the lengths are not uniform).
+
+    The x-cycles are the tail sets of the alternating cycles, found in order
+    of least tail, and Digraph2._cycle_rows lists each in x order at bit 0
+    from that tail.  Bit 1 inverts x on the cycle, so the row at index j has
+    position j at bit 0 and -j mod m at bit 1."""
+    orders = []
+    cycle_of = [0] * d.n
+    for ci, (rows, _) in enumerate(d._cycle_rows):
+        tails = [v for v, _, _ in rows]
+        for v in tails:
+            cycle_of[v] = ci
+        orders.append((tails, tails[:1] + tails[:0:-1]))
+    lengths = {len(tails) for tails, _ in orders}
+    return orders, cycle_of, lengths.pop() if len(lengths) == 1 else 0
+
+
+def _positions_at(
+    orders: list[tuple[list[int], list[int]]], bitmask: int, n: int
+) -> tuple[list[list[int]], list[int]]:
+    """The x-cycles of the factorization at bitmask, each by position, and
+    the position of every vertex."""
+    cycles = [pair[(bitmask >> ci) & 1] for ci, pair in enumerate(orders)]
     pos_of = [0] * n
-    cycles = []
-    for start in range(n):
-        if cycle_of[start] >= 0:
-            continue
-        i = len(cycles)
-        cyc = []
-        v = start
-        while cycle_of[v] < 0:
-            cycle_of[v] = i
-            pos_of[v] = len(cyc)
-            cyc.append(v)
-            v = x[v]
-        cycles.append(cyc)
-    lengths = set(map(len, cycles))
-    return cycles, cycle_of, pos_of, lengths.pop() if len(lengths) == 1 else 0
+    for cyc in cycles:
+        for j, v in enumerate(cyc):
+            pos_of[v] = j
+    return cycles, pos_of
 
 
 @dataclass(frozen=True)
@@ -149,16 +160,6 @@ def _phases(
                 return delta, (i, j)
         delta.append(d0)
     return delta, None
-
-
-def _atom_counts_hold(pos_of: Sequence[int], tied: Sequence[int], delta: list[int], m: int) -> bool:
-    """|P_j intersect F1(P_(j+d))| = r_d for all j and d, r_d the number of
-    x-cycles of phase d, in one pass over the vertices: v lies in position
-    block pos_of[v] and in tied block tied[v]."""
-    atom = [0] * (m * m)
-    for j, k in zip(pos_of, tied):
-        atom[j * m + (k - j) % m] += 1
-    return atom == list(map(delta.count, range(m))) * m
 
 
 def atoms(
@@ -402,16 +403,17 @@ def law_suite(d: Digraph2, masks: list[int]) -> dict[str, tuple[int, int]]:
     """(checked, failures) per law over all 2^r factorizations of d, keyed
     phase_constancy, atom_counts, refinements and swap_invariance.
 
-    phase_constancy, atom_counts and refinements are checked once per
-    factorization (a factorization without constant phases skips the other
-    two).  swap_invariance compares tau before and after swap_relabel by each
-    of masks, on the position and the cycle block systems, counting only the
-    pairs where both are defined.  The 2^r factorizations are walked once and
-    nothing is kept between them.  Each is read as the F1, F2 and x image
-    lists, and every law from the labellings of one walk over x: positions,
-    cycle indices, tied positions and phases.  No object is built per
-    factorization and no refinement system is listed, so the difference-class
-    orbit count is not capped.
+    phase_constancy and refinements are checked once per factorization (a
+    factorization without constant phases skips refinements).  atom_counts
+    is implied by constant phases: tied[v] = pos_of[v] + the phase of v's
+    cycle, so P_j meets F1(P_(j+d)) in the position-j vertex of every cycle
+    of phase d.  swap_invariance compares tau before and after swap_relabel
+    by each of masks, on the position and the cycle block systems, counting
+    only the pairs where both are defined.  The 2^r factorizations are
+    walked once and nothing is kept between them.  Each is read as the F1
+    and F2 image lists, with positions and cycle indices from d's position
+    table.  No object is built per factorization and no refinement system
+    is listed, so the difference-class orbit count is not capped.
     """
     r = d.alt_decomposition.r
     if r > DEFAULT_CYCLE_CAP:
@@ -419,35 +421,27 @@ def law_suite(d: Digraph2, masks: list[int]) -> dict[str, tuple[int, int]]:
     for mask in masks:
         if not 0 <= mask < (1 << r):
             raise PreconditionError(f"mask {mask} out of range for r={r}")
+    total = 1 << r
+    orders, cycle_of, m = _position_table(d)
+    # every factorization has the same x-cycle lengths, so when they differ
+    # none has constant phases and none is checked further
+    phase_fail = 0 if m else total
+    refinement_fail = swap_checked = swap_fail = 0
+    cycle_system = BlockSystem(cycle_of, r)
     tail_bits = _tail_bits(d)
-    phase_fail = law_fail = refinement_fail = 0
-    swap_checked = swap_fail = 0
-    for b in range(1 << r):
-        f1, f2, x = factor_images(d, b)
-        cycles, cycle_of, pos_of, m = _positions(x)
-        if not m:
-            phase_fail += 1
-            continue
-        positions = BlockSystem(pos_of, m)
-        tied = _tied_positions(f1, pos_of)
-        delta, drift = _phases(tied, cycles, m)
+    for b in range(total if m else 0):
+        f1, f2 = factor_images(d, b)
+        cycles, pos_of = _positions_at(orders, b, d.n)
+        delta, drift = _phases(_tied_positions(f1, pos_of), cycles, m)
         if drift is not None:
             phase_fail += 1
-        else:
-            if not _atom_counts_hold(pos_of, tied, delta, m):
-                law_fail += 1
-            # invariant_refinements lists one system per nonempty union of
-            # difference-class orbits, 2^k - 1 in all: the position system
-            # restricted to the x-cycles whose phases the union holds.  An
-            # orbit joins the phase of v's cycle with that of F1(v)'s, and x
-            # maps every cycle onto itself, so F1 and x map those cycles
-            # onto themselves, and restricting an invariant system to them
-            # keeps it invariant.  The union of all orbits is the position
-            # system itself, so every listed system is invariant exactly
-            # when the position system is.
-            if _block_images(f1, positions) is None or _block_images(x, positions) is None:
-                refinement_fail += 1
-        for bs in (positions, BlockSystem(cycle_of, len(cycles))):
+        elif len(set(delta)) > 1:
+            # Each listed refinement system is invariant exactly when the
+            # position system is.  x shifts every position by one, and F1
+            # carries P_j onto the position j - delta_i vertex of each
+            # cycle i: one position block exactly when the phases are equal.
+            refinement_fail += 1
+        for bs in (BlockSystem(pos_of, m), cycle_system):
             taus = _swap_taus(f1, f2, bs, tail_bits, masks)
             if taus is None:
                 continue
@@ -457,10 +451,9 @@ def law_suite(d: Digraph2, masks: list[int]) -> dict[str, tuple[int, int]]:
                     swap_checked += 1
                     if tau1 != tau0:
                         swap_fail += 1
-    total = 1 << r
     return {
         "phase_constancy": (total, phase_fail),
-        "atom_counts": (total, law_fail),
+        "atom_counts": (total, 0),
         "refinements": (total, refinement_fail),
         "swap_invariance": (swap_checked, swap_fail),
     }

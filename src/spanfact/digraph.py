@@ -19,7 +19,7 @@ from .groups import CosetSpace, Presentation, coset_space, left_multiplication, 
 from .perm import Perm, compose, images_cycle_type
 
 Edge = tuple[int, int]
-Row = tuple[int, int, int, int]  # (v, F1(v), F2(v), x(v))
+Row = tuple[int, int, int]  # (v, F1(v), F2(v))
 
 DEFAULT_CYCLE_CAP = 24
 # the label of a mask no class has reached yet; class ids stay below 2^24
@@ -117,23 +117,29 @@ class Digraph2:
     @cached_property
     def _cycle_rows(self) -> tuple[tuple[tuple[Row, ...], tuple[Row, ...]], ...]:
         """Per alternating cycle, at bit 0 and at bit 1, one row (v, F1(v),
-        F2(v), x(v)) per tail v, with x = F2^-1 F1.
+        F2(v)) per tail v, in the order of x = F2^-1 F1 at bit 0 from the
+        cycle's least tail.
 
         Both out-edges of a tail lie on its cycle, so bit 0 sends v to its
         factorization-0 head F1_0(v) and bit 1 to the other one.  Both
         in-edges of w = F1(v) lie on v's cycle too, so x(v), the tail of the
-        F2 in-edge at w, depends on that cycle's bit alone.
+        F2 in-edge at w, is the next tail along the cycle: the cycle's tails
+        are one x-cycle on every factorization, and bit 1, which swaps F1 and
+        F2 on them, walks it backwards.  Cycles are found from the least
+        vertex not yet on one, so cyc[0] starts at the least tail.
         """
         f1_0 = self._matching_f1
         f2_0 = [a + b - h for (a, b), h in zip(self.out_edges, f1_0)]
         out = []
         for cyc in self.alt_decomposition.cycles:
-            tails = [v for v, _ in cyc[::2]]
-            rows = []
-            for f1, f2 in ((f1_0, f2_0), (f2_0, f1_0)):
-                f2_tail = {f2[v]: v for v in tails}
-                rows.append(tuple((v, f1[v], f2[v], f2_tail[f1[v]]) for v in tails))
-            out.append((rows[0], rows[1]))
+            f2_tail = {f2_0[v]: v for v, _ in cyc[::2]}
+            order = [cyc[0][0]]
+            for _ in range(len(cyc) // 2 - 1):
+                order.append(f2_tail[f1_0[order[-1]]])
+            out.append((
+                tuple((v, f1_0[v], f2_0[v]) for v in order),
+                tuple((v, f2_0[v], f1_0[v]) for v in order),
+            ))
         return tuple(out)
 
     @cached_property
@@ -209,19 +215,17 @@ class Factorization:
         )
 
 
-def factor_images(d: Digraph2, bitmask: int) -> tuple[list[int], list[int], list[int]]:
-    """Image lists of F1, F2 and x = F2^-1 F1 for the factorization at
-    bitmask: one row per vertex, read from its cycle's bit; not range-checked."""
+def factor_images(d: Digraph2, bitmask: int) -> tuple[list[int], list[int]]:
+    """Image lists of F1 and F2 for the factorization at bitmask: one row per
+    vertex, read from its cycle's bit; not range-checked."""
     n = d.n
     f1 = [0] * n
     f2 = [0] * n
-    x = [0] * n
     for ci, rows in enumerate(d._cycle_rows):
-        for v, a, b, y in rows[(bitmask >> ci) & 1]:
+        for v, a, b in rows[(bitmask >> ci) & 1]:
             f1[v] = a
             f2[v] = b
-            x[v] = y
-    return f1, f2, x
+    return f1, f2
 
 
 def factorization_at(d: Digraph2, bitmask: int) -> Factorization:
@@ -229,7 +233,7 @@ def factorization_at(d: Digraph2, bitmask: int) -> Factorization:
     r = d.alt_decomposition.r
     if not 0 <= bitmask < (1 << r):
         raise PreconditionError(f"bitmask {bitmask} out of range for r={r}")
-    f1, f2, _ = factor_images(d, bitmask)
+    f1, f2 = factor_images(d, bitmask)
     return Factorization(d, Perm(f1), Perm(f2), bitmask)
 
 
@@ -466,7 +470,7 @@ def classify_factorizations(
                 if label[c] == _UNLABELLED:
                     label[c] = cid
                     orbit.append(c)
-        f1, f2, _ = factor_images(d, b0)
+        f1, f2 = factor_images(d, b0)
         classes.append(
             FactorizationClass(b0, len(orbit), (images_cycle_type(f1), images_cycle_type(f2)))
         )

@@ -364,4 +364,4 @@ def test_factor_images_match_factorization(name):
     d = load_fixture(name).digraph
     for b in range(1 << d.alt_decomposition.r):
         f = factorization_at(d, b)
-        assert factor_images(d, b) == (list(f.f1.images), list(f.f2.images), list(f.x().images))
+        assert factor_images(d, b) == (list(f.f1.images), list(f.f2.images))

@@ -19,9 +19,15 @@ from spanfact.digraph import (
     factorization_at,
 )
 from spanfact.errors import PhaseInconsistencyError, SpanfactError, UniformityError
+from spanfact.fixtures import load_fixture
 from spanfact.spanning import max_relocatable_tree, phase_addressing, splice_generators, verify_sharply_transitive
 
-from oracles import brute_force_refinement_families, naive_max_tree_size, reference_law_suite
+from oracles import (
+    brute_force_refinement_families,
+    naive_max_tree_size,
+    reference_law_suite,
+    reference_position_system,
+)
 
 
 def random_digraph(rng: random.Random, n: int) -> Digraph2:
@@ -55,6 +61,46 @@ def test_enumeration_invariants_random(seed):
         tails = {frozenset(e[0] for e in cyc) for cyc in dec.cycles}
         xc = {frozenset(c) for c in f.x().cycles()}
         assert xc == tails
+
+
+def assert_positions_match_reference(d: Digraph2) -> None:
+    """On every factorization of d, the position system read off the
+    alternating cycles equals the one from the cycles of x itself."""
+    r = d.alt_decomposition.r
+    assert r <= 10
+    for b in range(1 << r):
+        f = factorization_at(d, b)
+        ref = reference_position_system(f)
+        if ref is None:
+            with pytest.raises(UniformityError):
+                position_system(f)
+            continue
+        ps = position_system(f)
+        assert (ps.m, ps.r, ps.cycle_list, ps.blocks) == (ref.m, ref.r, ref.cycle_list, ref.blocks), b
+        for v in range(d.n):
+            assert (ps._cycle_of[v], ps.position_of(v)) == (ref._cycle_of[v], ref._pos_of[v]), (b, v)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["toy:3", "toy:4", "toy:5", "toy:8", "morris", "a5-ex2", "a5-ex3", "shift:5", "shift:8", "shift:11"],
+)
+def test_position_system_matches_reference(name):
+    assert_positions_match_reference(load_fixture(name).digraph)
+
+
+def test_position_system_matches_reference_random():
+    """Seeded random digraphs, most with x-cycles of unequal lengths, and
+    digraphs with parallel edges."""
+    uniform = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        d = random_digraph(rng, rng.randint(4, 10))
+        assert_positions_match_reference(d)
+        uniform += len({len(c) for c in d.alt_decomposition.cycles}) == 1
+    assert 0 < uniform < 300
+    for d in (build_doubled_cycle(3), build_doubled_cycle(4), Digraph2([(1, 1), (2, 0), (0, 2)])):
+        assert_positions_match_reference(d)
 
 
 @pytest.mark.parametrize("seed", range(6))
