@@ -8,15 +8,18 @@ verifies that constancy along every cycle and reports the failing cycle
 when the offset drifts.
 
 Positions are a property of the digraph: the x-cycles of every
-factorization are the tail sets of the alternating cycles, which
-Digraph2._cycle_rows lists in x order at bit 0, and a cycle's bit only sets
-the direction in which x walks it.  position_system and law_suite read that
-one table, and F1(v) lies in tied block pos_of[v].  law_suite reads each
-factorization as the F1 and F2 image lists of digraph.factor_images and
-decides phase constancy from those labellings.  Constant phases imply the
-atom counts, and the refinement systems are all invariant exactly when the
-phases are all equal, so neither law needs a pass of its own.  It builds no
-object per factorization and lists no refinement system.
+factorization are the tail sets of the alternating cycles, and a cycle's bit
+only sets the direction in which x walks it.  Digraph2._cycle_rows lists
+each cycle's rows (v, F1(v), F2(v)) at both bits by position, so a tail's
+position is its row index at either bit, and Digraph2._cycle_of gives the
+cycle of every vertex.  position_system, phase_profile and law_suite read
+that one table through _fill, one pass over a factorization's rows that
+writes F1, F2, the positions and the tied blocks (F1(v) lies in tied block
+pos_of[v]), and law_suite decides phase constancy from those labellings.
+Constant phases imply the atom counts, and the refinement systems are all
+invariant exactly when the phases are all equal, so neither law needs a
+pass of its own.  law_suite builds no object per factorization and lists
+no refinement system.
 
 A block system labels every vertex with its block id (positions, cycle
 indices), and every block action, tau = sigma(F1)^-1 sigma(F2) included, is
@@ -27,7 +30,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .digraph import DEFAULT_CYCLE_CAP, Digraph2, Factorization, factor_images, factorization_at
+from .digraph import DEFAULT_CYCLE_CAP, Digraph2, Factorization, Row, factorization_at
 from .errors import (
     NonInvarianceError,
     PhaseInconsistencyError,
@@ -58,7 +61,7 @@ class PositionSystem:
     r: int
     cycle_list: tuple[tuple[int, ...], ...]
     blocks: tuple[frozenset[int], ...]
-    _cycle_of: list[int]
+    _cycle_of: Sequence[int]
     _pos_of: list[int]
 
     def position_of(self, v: int) -> int:
@@ -66,49 +69,42 @@ class PositionSystem:
 
 
 def position_system(f: Factorization) -> PositionSystem:
-    orders, cycle_of, m = _position_table(f.digraph)
+    d = f.digraph
+    m = _cycle_length(d)
     if not m:
         raise UniformityError(
-            f"x-cycle lengths are not uniform: {sorted(len(tails) for tails, _ in orders)}"
+            f"x-cycle lengths are not uniform: {sorted(len(rows) for rows, _ in d._cycle_rows)}"
         )
-    cycles, pos_of = _positions_at(orders, f.bitmask, f.n)
+    rows_at, _, _, pos_of, _ = _fill(d, f.bitmask)
+    cycles = tuple(tuple(v for v, _, _ in rows) for rows in rows_at)
     return PositionSystem(
-        m, len(cycles), tuple(map(tuple, cycles)), tuple(map(frozenset, zip(*cycles))),
-        cycle_of, pos_of,
+        m, len(cycles), cycles, tuple(map(frozenset, zip(*cycles))), d._cycle_of, pos_of
     )
 
 
-def _position_table(d: Digraph2) -> tuple[list[tuple[list[int], list[int]]], list[int], int]:
-    """The positions on every factorization of d: per alternating cycle, its
-    tails by position at bit 0 and at bit 1; the cycle of every vertex; and
-    the common cycle length m (0 when the lengths are not uniform).
-
-    The x-cycles are the tail sets of the alternating cycles, found in order
-    of least tail, and Digraph2._cycle_rows lists each in x order at bit 0
-    from that tail.  Bit 1 inverts x on the cycle, so the row at index j has
-    position j at bit 0 and -j mod m at bit 1."""
-    orders = []
-    cycle_of = [0] * d.n
-    for ci, (rows, _) in enumerate(d._cycle_rows):
-        tails = [v for v, _, _ in rows]
-        for v in tails:
-            cycle_of[v] = ci
-        orders.append((tails, tails[:1] + tails[:0:-1]))
-    lengths = {len(tails) for tails, _ in orders}
-    return orders, cycle_of, lengths.pop() if len(lengths) == 1 else 0
+def _cycle_length(d: Digraph2) -> int:
+    """The common length m of the x-cycles, the same on every factorization
+    of d, or 0 when the lengths are not uniform."""
+    lengths = {len(rows) for rows, _ in d._cycle_rows}
+    return lengths.pop() if len(lengths) == 1 else 0
 
 
-def _positions_at(
-    orders: list[tuple[list[int], list[int]]], bitmask: int, n: int
-) -> tuple[list[list[int]], list[int]]:
-    """The x-cycles of the factorization at bitmask, each by position, and
-    the position of every vertex."""
-    cycles = [pair[(bitmask >> ci) & 1] for ci, pair in enumerate(orders)]
-    pos_of = [0] * n
-    for cyc in cycles:
-        for j, v in enumerate(cyc):
+def _fill(
+    d: Digraph2, bitmask: int
+) -> tuple[list[tuple[Row, ...]], list[int], list[int], list[int], list[int]]:
+    """The factorization at bitmask in one pass over d's cycle rows: each
+    cycle's rows by position, then per vertex its F1 and F2 image, its
+    position and its tied block.  F1 carries P_j onto tied block j, so F1(v)
+    lies in tied block pos_of[v]."""
+    cycles = [pair[(bitmask >> ci) & 1] for ci, pair in enumerate(d._cycle_rows)]
+    f1, f2, pos_of, tied = ([0] * d.n for _ in range(4))
+    for rows in cycles:
+        for j, (v, a, c) in enumerate(rows):
+            f1[v] = a
+            f2[v] = c
             pos_of[v] = j
-    return cycles, pos_of
+            tied[a] = j
+    return cycles, f1, f2, pos_of, tied
 
 
 @dataclass(frozen=True)
@@ -123,40 +119,31 @@ class PhaseProfile:
 def phase_profile(f: Factorization, ps: PositionSystem) -> PhaseProfile:
     """Phases from tied-block membership, verified constant along every cycle."""
     m = ps.m
-    f1 = f.f1.images
-    tied = _tied_positions(f1, ps._pos_of)
-    delta, drift = _phases(tied, ps.cycle_list, m)
+    cycles, f1, _, _, tied = _fill(f.digraph, f.bitmask)
+    delta, drift = _phases(tied, cycles, m)
     if drift is not None:
         i, j = drift
-        cyc = ps.cycle_list[i]
+        rows = cycles[i]
         raise PhaseInconsistencyError(
-            f"phase not constant on cycle {i}: offset {tied[cyc[0]] % m} at position 0 "
-            f"but {(tied[cyc[j]] - j) % m} at position {j}"
+            f"phase not constant on cycle {i}: offset {tied[rows[0][0]] % m} at position 0 "
+            f"but {(tied[rows[j][0]] - j) % m} at position {j}"
         )
     tied_blocks = tuple(frozenset(f1[v] for v in blk) for blk in ps.blocks)
     return PhaseProfile(tuple(delta), tuple(map(delta.count, range(m))), tied_blocks)
 
 
-def _tied_positions(f1: Sequence[int], pos_of: list[int]) -> list[int]:
-    """The tied block of every vertex: F1 carries P_j onto tied block j, so
-    F1(v) lies in tied block pos_of[v]."""
-    tied = [0] * len(f1)
-    for v, w in enumerate(f1):
-        tied[w] = pos_of[v]
-    return tied
-
-
 def _phases(
-    tied: list[int], cycles: Sequence[Sequence[int]], m: int
+    tied: list[int], cycles: list[tuple[Row, ...]], m: int
 ) -> tuple[list[int], tuple[int, int] | None]:
     """Per-cycle phases, the offset of tied block over position mod m, and
     the first (cycle, position) where a cycle's offset differs from its
-    offset at position 0; the phases are complete only when that is None."""
+    offset at position 0; the phases are complete only when that is None.
+    cycles holds each cycle's rows by position."""
     delta = []
-    for i, cyc in enumerate(cycles):
-        d0 = tied[cyc[0]] % m
+    for i, rows in enumerate(cycles):
+        d0 = tied[rows[0][0]] % m
         for j in range(1, m):
-            if (tied[cyc[j]] - j) % m != d0:
+            if (tied[rows[j][0]] - j) % m != d0:
                 return delta, (i, j)
         delta.append(d0)
     return delta, None
@@ -335,20 +322,14 @@ def swap_relabelled_taus(
     """tau on block ids for f and for swap_relabel(f, mask), per mask, without
     building the relabelled factorizations; None when f's own tau is
     undefined, and a None entry where the relabelled one is."""
-    return _swap_taus(f.f1.images, f.f2.images, bs, _tail_bits(f.digraph), masks)
-
-
-def _tail_bits(d: Digraph2) -> list[int]:
-    """1 << (the alternating cycle holding v's out-edges), per vertex v."""
-    cycle_of_edge = d.alt_decomposition.cycle_of_edge
-    return [1 << cycle_of_edge[(v, 0)] for v in range(d.n)]
+    return _swap_taus(f.f1.images, f.f2.images, bs, f.digraph._cycle_of, masks)
 
 
 def _swap_taus(
     f1: Sequence[int],
     f2: Sequence[int],
     bs: BlockSystem,
-    tail_bits: list[int],
+    cycle_of: Sequence[int],
     masks: list[int],
 ) -> tuple[tuple[int, ...], list[tuple[int, ...] | None]] | None:
     """swap_relabelled_taus on image lists.
@@ -358,6 +339,7 @@ def _swap_taus(
     cycles are all masked therefore swaps sigma(F1) and sigma(F2), one with no
     masked cycle keeps them, and a partly masked block is split by both
     relabelled factors unless sigma(F1) and sigma(F2) agree on it.
+    cycle_of gives the alternating cycle of every vertex.
     """
     s1 = _block_images(f1, bs)
     s2 = None if s1 is None else _block_images(f2, bs)
@@ -371,7 +353,7 @@ def _swap_taus(
     for v in range(len(f1)):
         b = block_of[v]
         if b >= 0:
-            block_bits[b] |= tail_bits[v]
+            block_bits[b] |= 1 << cycle_of[v]
     movers = [(i, block_bits[i]) for i in range(bs.k) if s1[i] != s2[i]]
     taus: list[tuple[int, ...] | None] = []
     for mask in masks:
@@ -410,10 +392,10 @@ def law_suite(d: Digraph2, masks: list[int]) -> dict[str, tuple[int, int]]:
     of phase d.  swap_invariance compares tau before and after swap_relabel
     by each of masks, on the position and the cycle block systems, counting
     only the pairs where both are defined.  The 2^r factorizations are
-    walked once and nothing is kept between them.  Each is read as the F1
-    and F2 image lists, with positions and cycle indices from d's position
-    table.  No object is built per factorization and no refinement system
-    is listed, so the difference-class orbit count is not capped.
+    walked once and nothing is kept between them.  Each is filled in one
+    pass over d's cycle rows (_fill): F1, F2, and the position and tied
+    block of every vertex.  No object is built per factorization and no refinement
+    system is listed, so the difference-class orbit count is not capped.
     """
     r = d.alt_decomposition.r
     if r > DEFAULT_CYCLE_CAP:
@@ -422,17 +404,16 @@ def law_suite(d: Digraph2, masks: list[int]) -> dict[str, tuple[int, int]]:
         if not 0 <= mask < (1 << r):
             raise PreconditionError(f"mask {mask} out of range for r={r}")
     total = 1 << r
-    orders, cycle_of, m = _position_table(d)
+    m = _cycle_length(d)
     # every factorization has the same x-cycle lengths, so when they differ
     # none has constant phases and none is checked further
     phase_fail = 0 if m else total
     refinement_fail = swap_checked = swap_fail = 0
+    cycle_of = d._cycle_of
     cycle_system = BlockSystem(cycle_of, r)
-    tail_bits = _tail_bits(d)
     for b in range(total if m else 0):
-        f1, f2 = factor_images(d, b)
-        cycles, pos_of = _positions_at(orders, b, d.n)
-        delta, drift = _phases(_tied_positions(f1, pos_of), cycles, m)
+        cycles, f1, f2, pos_of, tied = _fill(d, b)
+        delta, drift = _phases(tied, cycles, m)
         if drift is not None:
             phase_fail += 1
         elif len(set(delta)) > 1:
@@ -442,7 +423,7 @@ def law_suite(d: Digraph2, masks: list[int]) -> dict[str, tuple[int, int]]:
             # cycle i: one position block exactly when the phases are equal.
             refinement_fail += 1
         for bs in (BlockSystem(pos_of, m), cycle_system):
-            taus = _swap_taus(f1, f2, bs, tail_bits, masks)
+            taus = _swap_taus(f1, f2, bs, cycle_of, masks)
             if taus is None:
                 continue
             tau0, relabelled = taus

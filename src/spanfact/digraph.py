@@ -117,15 +117,17 @@ class Digraph2:
     @cached_property
     def _cycle_rows(self) -> tuple[tuple[tuple[Row, ...], tuple[Row, ...]], ...]:
         """Per alternating cycle, at bit 0 and at bit 1, one row (v, F1(v),
-        F2(v)) per tail v, in the order of x = F2^-1 F1 at bit 0 from the
-        cycle's least tail.
+        F2(v)) per tail v, listed by the position of v: row j holds x^j of
+        the cycle's least tail, x = F2^-1 F1 at that bit.  A cycle of two
+        parallel edges is the one-row cycle.
 
         Both out-edges of a tail lie on its cycle, so bit 0 sends v to its
         factorization-0 head F1_0(v) and bit 1 to the other one.  Both
         in-edges of w = F1(v) lie on v's cycle too, so x(v), the tail of the
         F2 in-edge at w, is the next tail along the cycle: the cycle's tails
         are one x-cycle on every factorization, and bit 1, which swaps F1 and
-        F2 on them, walks it backwards.  Cycles are found from the least
+        F2 on them, walks it backwards, so its rows are the bit-0 order
+        reversed after the least tail.  Cycles are found from the least
         vertex not yet on one, so cyc[0] starts at the least tail.
         """
         f1_0 = self._matching_f1
@@ -138,8 +140,17 @@ class Digraph2:
                 order.append(f2_tail[f1_0[order[-1]]])
             out.append((
                 tuple((v, f1_0[v], f2_0[v]) for v in order),
-                tuple((v, f2_0[v], f1_0[v]) for v in order),
+                tuple((v, f2_0[v], f1_0[v]) for v in order[:1] + order[:0:-1]),
             ))
+        return tuple(out)
+
+    @cached_property
+    def _cycle_of(self) -> tuple[int, ...]:
+        """The alternating cycle holding the out-edges of every vertex."""
+        out = [0] * self.n
+        for ci, (rows, _) in enumerate(self._cycle_rows):
+            for v, _, _ in rows:
+                out[v] = ci
         return tuple(out)
 
     @cached_property
@@ -165,17 +176,30 @@ def _augment(
 ) -> bool:
     """Extend the matching along an augmenting path from tail v, if one exists.
 
-    A module-level function: a recursive closure would reference itself and,
-    through its cell, keep its digraph alive until the cyclic collector runs.
+    A depth-first search that tries each tail's heads in slot order and goes
+    on from a matched head to its tail.  The path is a list of [tail, next
+    slot], so each tail's head on it is the slot before its next one, and
+    its length is not bounded by the interpreter's recursion limit.
     """
-    for u in out_edges[v]:
+    path = [[v, 0]]
+    while path:
+        step = path[-1]
+        t, s = step
+        if s == 2:
+            path.pop()
+            continue
+        step[1] = s + 1
+        u = out_edges[t][s]
         if visited[u]:
             continue
         visited[u] = True
-        if match_r[u] == -1 or _augment(out_edges, match_r[u], visited, match_l, match_r):
-            match_l[v] = u
-            match_r[u] = v
-            return True
+        if match_r[u] != -1:
+            path.append([match_r[u], 0])
+            continue
+        for t, s in path:
+            match_l[t] = out_edges[t][s - 1]
+            match_r[match_l[t]] = t
+        return True
     return False
 
 
@@ -240,12 +264,11 @@ def factorization_at(d: Digraph2, bitmask: int) -> Factorization:
 def bitmask_of(d: Digraph2, f1: Perm) -> int:
     """Recover the orientation bitmask of the factorization whose first factor
     is f1: bit j is set iff f1 and F1 of factorization 0 differ at the first
-    tail of cycle j (never, on a cycle of two parallel edges)."""
-    f1_0 = d._matching_f1
+    tail of cycle j (never, on a one-row cycle)."""
     mask = 0
-    for j, cyc in enumerate(d.alt_decomposition.cycles):
-        w = cyc[0][0]
-        if f1(w) != f1_0[w]:
+    for j, (rows, _) in enumerate(d._cycle_rows):
+        w, a, _ = rows[0]
+        if f1(w) != a:
             mask |= 1 << j
     return mask
 
@@ -379,18 +402,17 @@ def mask_action(d: Digraph2, phi: Perm) -> tuple[tuple[int, ...], int]:
     Returns (source, flip): bit j of the image of mask b is bit source[j] of b
     XOR bit j of flip.  phi carries the out-edges of u = phi^-1(w_j), w_j the
     first tail of cycle j, onto those of w_j, and both out-edges of u lie on
-    one cycle, so source[j] is that cycle (-1 for a cycle of two parallel
-    edges, whose bit is always 0, as in bitmask_of).  flip is the image of
+    one cycle, so source[j] is that cycle (-1 for a one-row cycle, whose bit
+    is always 0, as in bitmask_of).  flip is the image of
     mask 0, the bitmask of phi F1_0 phi^-1.
     """
-    dec = d.alt_decomposition
+    cycle_of = d._cycle_of
     phi_inv = phi.inverse()
-    source = []
-    for cyc in dec.cycles:
-        # a cycle of two edges is a pair of parallel out-edges
-        source.append(-1 if len(cyc) == 2 else dec.cycle_of_edge[(phi_inv(cyc[0][0]), 0)])
+    source = tuple(
+        -1 if len(rows) == 1 else cycle_of[phi_inv(rows[0][0])] for rows, _ in d._cycle_rows
+    )
     flip = bitmask_of(d, compose(phi, compose(Perm(d._matching_f1, check=False), phi_inv)))
-    return tuple(source), flip
+    return source, flip
 
 
 def mask_action_table(source: tuple[int, ...], flip: int) -> array:
@@ -440,8 +462,8 @@ def classify_factorizations(
     orbits partition the masks, so the first unlabelled mask starts the
     next class and is its least member.
     """
-    dec = d.alt_decomposition
-    r = dec.r
+    rows = d._cycle_rows
+    r = len(rows)
     if r > cap:
         raise SizeCapError(f"alternating cycle count {r} exceeds cap {cap}")
     for phi in aut_generators:
@@ -449,8 +471,7 @@ def classify_factorizations(
             raise PreconditionError(f"{phi} is not a digraph automorphism")
     total = 1 << r
     maps = [mask_action_table(*mask_action(d, phi)) for phi in aut_generators]
-    # a cycle of two edges is a pair of parallel out-edges
-    xors = [1 << j for j, cyc in enumerate(dec.cycles) if len(cyc) == 2]
+    xors = [1 << j for j, (tails, _) in enumerate(rows) if len(tails) == 1]
     label = array("I", [_UNLABELLED]) * total
     classes = []
     b0 = 0

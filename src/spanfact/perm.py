@@ -115,14 +115,6 @@ class Perm:
     def is_derangement(self) -> bool:
         return all(img != v for v, img in enumerate(self.images))
 
-    def power(self, k: int) -> "Perm":
-        out = [0] * self.n
-        for cyc in self.cycles():
-            L = len(cyc)
-            for i, v in enumerate(cyc):
-                out[v] = cyc[(i + k) % L]
-        return Perm(out, check=False)
-
 
 def images_cycle_type(images: Sequence[int]) -> tuple[int, ...]:
     """Multiset of cycle lengths, ascending, of the permutation with this

@@ -273,6 +273,9 @@ def phase_addressing(
                 )
         sigma[i] = shift
     x = f.x()
+    x_powers = [Perm.identity(f.n)]
+    for _ in range(1, m):
+        x_powers.append(compose(x, x_powers[-1]))
     root = root_cycle[0]
     words: list[Word] = []
     images: list[Perm] = []
@@ -280,7 +283,7 @@ def phase_addressing(
         for j in range(m):
             e = (j - sigma[i]) % m
             words.append(u_words[i] + X_WORD * e)
-            images.append(compose(u_elems[i], x.power(e)))
+            images.append(compose(u_elems[i], x_powers[e]))
     hits = {img(root) for img in images}
     if len(hits) != f.n:
         raise PreconditionError("addressing family is not bijective at the root")

@@ -10,8 +10,9 @@ Burnside count closes the affine mask maps, read off conjugated
 factorizations, into a group and counts fixed masks by linear algebra, the
 swap oracle builds every relabelled factorization and computes its block
 actions inline, the difference-class oracle traces both F1 and x over a
-vertex dict, and the reference law suite builds every factorization, its
-position system and its tied blocks as objects, one mask at a time.
+vertex dict, the reference law suite builds every factorization, its
+position system and its tied blocks as objects, one mask at a time, and the
+reference matching is the recursive augmenting-path search.
 """
 from __future__ import annotations
 
@@ -399,6 +400,32 @@ def reference_run_search(n, f1_images, f2_images, node_cap, closure_cap):
             frontier0.append((ne, 0, s))
     rec(frontier0)
     return best_size, best_witness[:best_size], nodes, not aborted
+
+
+def reference_matching_f1(d: Digraph2) -> tuple[int, ...]:
+    """F1 of factorization 0 by the recursive augmenting-path search: from
+    each unmatched tail in turn, try its heads in slot order and, at a
+    matched head, recurse into its tail.  The recursion is as deep as the
+    path is long, so d must be well below the recursion limit in size."""
+    n = d.n
+    match_l = [-1] * n
+    match_r = [-1] * n
+
+    def augment(v: int, visited: list[bool]) -> bool:
+        for u in d.out_edges[v]:
+            if visited[u]:
+                continue
+            visited[u] = True
+            if match_r[u] == -1 or augment(match_r[u], visited):
+                match_l[v] = u
+                match_r[u] = v
+                return True
+        return False
+
+    for v in range(n):
+        if match_l[v] == -1:
+            augment(v, [False] * n)
+    return tuple(match_l)
 
 
 def reference_position_system(f: Factorization) -> PositionSystem | None:

@@ -483,7 +483,8 @@ def test_atom_counts_fail_when_two_tied_blocks_are_exchanged(name, b):
     ps = position_system(f)
     pp = phase_profile(f, ps)
     assert _reference_atom_laws(f, ps, pp)
-    tied = blocks._tied_positions(f.f1.images, ps._pos_of)
+    tied = blocks._fill(f.digraph, f.bitmask)[4]
+    assert all(w in pp.tied_blocks[k] for w, k in enumerate(tied))
     u, v = ps.cycle_list[0][:2]
     tied[u], tied[v] = tied[v], tied[u]
     exchanged = tuple(frozenset(w for w in range(f.n) if tied[w] == k) for k in range(ps.m))

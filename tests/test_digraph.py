@@ -344,6 +344,16 @@ def test_shift_digraph():
     assert d.alt_decomposition.r == 1
 
 
+def test_matching_survives_a_path_through_every_vertex():
+    """From the last tail, the only augmenting path runs back through all
+    n - 1 earlier tails, deeper than the default recursion limit allows a
+    recursive search."""
+    n = 999
+    d = Digraph2([((v + 2) % n, (v + 1) % n) for v in range(n - 1)] + [(0, 1)])
+    assert d.alt_decomposition.r == 1
+    assert factorization_at(d, 0).is_valid()
+
+
 def test_digraph_is_freed_without_the_cyclic_collector():
     d = load_fixture("a5-ex2").digraph
     d = Digraph2(d.out_edges)

@@ -26,6 +26,7 @@ from oracles import (
     brute_force_refinement_families,
     naive_max_tree_size,
     reference_law_suite,
+    reference_matching_f1,
     reference_position_system,
 )
 
@@ -101,6 +102,73 @@ def test_position_system_matches_reference_random():
     assert 0 < uniform < 300
     for d in (build_doubled_cycle(3), build_doubled_cycle(4), Digraph2([(1, 1), (2, 0), (0, 2)])):
         assert_positions_match_reference(d)
+
+
+def random_multidigraph(rng: random.Random, n: int) -> Digraph2:
+    """A random strongly connected 2-regular digraph on n vertices, loops and
+    parallel edges allowed, each vertex's two slots in random order."""
+    while True:
+        f1 = list(range(n))
+        rng.shuffle(f1)
+        f2 = list(range(n))
+        rng.shuffle(f2)
+        try:
+            return Digraph2([(a, b) if rng.random() < 0.5 else (b, a) for a, b in zip(f1, f2)])
+        except SpanfactError:
+            continue
+
+
+def assert_cycle_table_matches_decomposition(d: Digraph2) -> None:
+    """Digraph2._cycle_rows and _cycle_of against the edge-level alternating
+    cycles: every vertex's cycle holds both its out-edges, the one-row cycles
+    are the 2-edge ones, and at both bits row j + 1 holds x of row j's tail,
+    starting from the least tail, with F1 and F2 swapped at bit 1."""
+    dec = d.alt_decomposition
+    for v in range(d.n):
+        assert d._cycle_of[v] == dec.cycle_of_edge[(v, 0)] == dec.cycle_of_edge[(v, 1)], v
+    assert [len(rows) == 1 for rows, _ in d._cycle_rows] == [len(cyc) == 2 for cyc in dec.cycles]
+    for cyc, (rows0, rows1) in zip(dec.cycles, d._cycle_rows):
+        tails = sorted(e[0] for e in cyc[::2])
+        assert sorted(row[0] for row in rows0) == sorted(row[0] for row in rows1) == tails
+        assert {(v, b, a) for v, a, b in rows0} == set(rows1)
+        for rows in (rows0, rows1):
+            f2_tail = {b: v for v, _, b in rows}
+            assert rows[0][0] == tails[0]
+            for j, (_, a, _) in enumerate(rows):
+                assert f2_tail[a] == rows[(j + 1) % len(rows)][0]
+
+
+@pytest.mark.parametrize(
+    "name", ["toy:3", "toy:8", "morris", "a5-ex2", "a5-ex3", "shift:5", "shift:11", "shift:101"]
+)
+def test_cycle_table_matches_decomposition(name):
+    assert_cycle_table_matches_decomposition(load_fixture(name).digraph)
+
+
+def test_cycle_table_matches_decomposition_random():
+    """Seeded random digraphs, simple and with loops or parallel edges, and
+    the doubled cycles, whose every cycle is a one-row cycle."""
+    one_row = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        for d in (random_digraph(rng, rng.randint(4, 12)), random_multidigraph(rng, rng.randint(1, 12))):
+            assert_cycle_table_matches_decomposition(d)
+            one_row += sum(len(rows) == 1 for rows, _ in d._cycle_rows)
+    assert one_row
+    for n in (1, 2, 3, 7):
+        assert_cycle_table_matches_decomposition(build_doubled_cycle(n))
+
+
+def test_matching_matches_recursive_reference():
+    """The iterative augmenting-path search takes the same path, so it
+    returns the same matching as the recursive form."""
+    for name in ("toy:3", "toy:8", "morris", "a5-ex2", "a5-ex3", "shift:11"):
+        d = load_fixture(name).digraph
+        assert d._matching_f1 == reference_matching_f1(d), name
+    for seed in range(1000):
+        rng = random.Random(seed)
+        d = random_multidigraph(rng, rng.randint(1, 60))
+        assert d._matching_f1 == reference_matching_f1(d), seed
 
 
 @pytest.mark.parametrize("seed", range(6))
