@@ -2,9 +2,12 @@
 
 Edges are addressed as (tail, slot) with slot in {0, 1} indexing the out-edge
 pair, so parallel edges stay distinguishable.  The alternating-cycle
-decomposition is computed from the digraph alone; a 1-factorization is then
-exactly a choice of orientation bit per alternating cycle, which gives the
-2^r enumeration, the complement pairing, and mask-based relabeling for free.
+decomposition is computed from the digraph alone.  Each cycle's edges
+alternate between two perfect matchings of its tails onto its heads, so a
+1-factorization is exactly a choice of orientation bit per alternating cycle:
+one walk round each cycle gives both of its matchings and the x order of its
+tails, with no matching search.  That gives the 2^r enumeration, the
+complement pairing, and mask-based relabeling for free.
 """
 from __future__ import annotations
 
@@ -121,27 +124,26 @@ class Digraph2:
         the cycle's least tail, x = F2^-1 F1 at that bit.  A cycle of two
         parallel edges is the one-row cycle.
 
-        Both out-edges of a tail lie on its cycle, so bit 0 sends v to its
-        factorization-0 head F1_0(v) and bit 1 to the other one.  Both
-        in-edges of w = F1(v) lie on v's cycle too, so x(v), the tail of the
-        F2 in-edge at w, is the next tail along the cycle: the cycle's tails
-        are one x-cycle on every factorization, and bit 1, which swaps F1 and
-        F2 on them, walks it backwards, so its rows are the bit-0 order
-        reversed after the least tail.  Cycles are found from the least
-        vertex not yet on one, so cyc[0] starts at the least tail.
+        Both out-edges of a tail, and both in-edges of a head, lie on one
+        cycle, so a cycle's two orientations are its two perfect matchings:
+        its even edges cyc[::2] and its odd edges cyc[1::2].  The walk
+        starts at (least tail, 0), and the odd edge after an even one leaves
+        the next tail for the same head, so with F1 on the even edges x of a
+        tail is the next tail of the walk: the even rows are the walk order.
+        The odd rows swap F1 and F2 and walk it backwards from the least
+        tail.  Bit 0 is the matching that holds the slot-0 edge of the
+        cycle's largest tail, the one an augmenting-path search over the
+        tails in order, slot 0 first, finds (tests/oracles.py keeps that
+        search as the reference).
         """
-        f1_0 = self._matching_f1
-        f2_0 = [a + b - h for (a, b), h in zip(self.out_edges, f1_0)]
         out = []
         for cyc in self.alt_decomposition.cycles:
-            f2_tail = {f2_0[v]: v for v, _ in cyc[::2]}
-            order = [cyc[0][0]]
-            for _ in range(len(cyc) // 2 - 1):
-                order.append(f2_tail[f1_0[order[-1]]])
-            out.append((
-                tuple((v, f1_0[v], f2_0[v]) for v in order),
-                tuple((v, f2_0[v], f1_0[v]) for v in order[:1] + order[:0:-1]),
-            ))
+            even = tuple(
+                (v, self.out_edges[v][s], self.out_edges[v][1 - s]) for v, s in cyc[::2]
+            )
+            odd = tuple((v, b, a) for v, a, b in even[:1] + even[:0:-1])
+            _, s = max(cyc[::2])
+            out.append((even, odd) if s == 0 else (odd, even))
         return tuple(out)
 
     @cached_property
@@ -152,55 +154,6 @@ class Digraph2:
             for v, _, _ in rows:
                 out[v] = ci
         return tuple(out)
-
-    @cached_property
-    def _matching_f1(self) -> tuple[int, ...]:
-        """A perfect matching tail -> head via augmenting paths; deterministic."""
-        n = self.n
-        match_l = [-1] * n
-        match_r = [-1] * n
-        for v in range(n):
-            if match_l[v] == -1:
-                _augment(self.out_edges, v, [False] * n, match_l, match_r)
-        if any(m == -1 for m in match_l):
-            raise PreconditionError("no perfect matching; digraph is not 2-regular")
-        return tuple(match_l)
-
-
-def _augment(
-    out_edges: tuple[tuple[int, int], ...],
-    v: int,
-    visited: list[bool],
-    match_l: list[int],
-    match_r: list[int],
-) -> bool:
-    """Extend the matching along an augmenting path from tail v, if one exists.
-
-    A depth-first search that tries each tail's heads in slot order and goes
-    on from a matched head to its tail.  The path is a list of [tail, next
-    slot], so each tail's head on it is the slot before its next one, and
-    its length is not bounded by the interpreter's recursion limit.
-    """
-    path = [[v, 0]]
-    while path:
-        step = path[-1]
-        t, s = step
-        if s == 2:
-            path.pop()
-            continue
-        step[1] = s + 1
-        u = out_edges[t][s]
-        if visited[u]:
-            continue
-        visited[u] = True
-        if match_r[u] != -1:
-            path.append([match_r[u], 0])
-            continue
-        for t, s in path:
-            match_l[t] = out_edges[t][s - 1]
-            match_r[match_l[t]] = t
-        return True
-    return False
 
 
 @dataclass(frozen=True)
@@ -411,7 +364,8 @@ def mask_action(d: Digraph2, phi: Perm) -> tuple[tuple[int, ...], int]:
     source = tuple(
         -1 if len(rows) == 1 else cycle_of[phi_inv(rows[0][0])] for rows, _ in d._cycle_rows
     )
-    flip = bitmask_of(d, compose(phi, compose(Perm(d._matching_f1, check=False), phi_inv)))
+    f1_0 = Perm(factor_images(d, 0)[0], check=False)
+    flip = bitmask_of(d, compose(phi, compose(f1_0, phi_inv)))
     return source, flip
 
 

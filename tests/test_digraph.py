@@ -345,9 +345,8 @@ def test_shift_digraph():
 
 
 def test_matching_survives_a_path_through_every_vertex():
-    """From the last tail, the only augmenting path runs back through all
-    n - 1 earlier tails, deeper than the default recursion limit allows a
-    recursive search."""
+    """One alternating cycle through all n tails: factorization 0 is built
+    without recursion, however long the cycle."""
     n = 999
     d = Digraph2([((v + 2) % n, (v + 1) % n) for v in range(n - 1)] + [(0, 1)])
     assert d.alt_decomposition.r == 1
@@ -357,7 +356,7 @@ def test_matching_survives_a_path_through_every_vertex():
 def test_digraph_is_freed_without_the_cyclic_collector():
     d = load_fixture("a5-ex2").digraph
     d = Digraph2(d.out_edges)
-    assert len(d._matching_f1) == d.n
+    assert len(d._cycle_rows) == d.alt_decomposition.r
     ref = weakref.ref(d)
     enabled = gc.isenabled()
     gc.disable()

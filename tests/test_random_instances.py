@@ -1,6 +1,8 @@
 """Seeded random small digraphs: cross-validate enumeration invariants and
 the tree-search kernel against the naive oracle."""
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -12,10 +14,12 @@ from spanfact.blocks import (
     position_system,
     swap_relabel,
 )
+from spanfact.cli import instance_from_config
 from spanfact.digraph import (
     Digraph2,
     build_doubled_cycle,
     enumerate_factorizations,
+    factor_images,
     factorization_at,
 )
 from spanfact.errors import PhaseInconsistencyError, SpanfactError, UniformityError
@@ -160,15 +164,19 @@ def test_cycle_table_matches_decomposition_random():
 
 
 def test_matching_matches_recursive_reference():
-    """The iterative augmenting-path search takes the same path, so it
-    returns the same matching as the recursive form."""
-    for name in ("toy:3", "toy:8", "morris", "a5-ex2", "a5-ex3", "shift:11"):
-        d = load_fixture(name).digraph
-        assert d._matching_f1 == reference_matching_f1(d), name
+    """F1 of mask 0, read off the alternating-cycle walk, is the matching the
+    recursive augmenting-path search finds."""
+    configs = sorted((Path(__file__).resolve().parents[1] / "perfbench" / "configs").glob("*.json"))
+    fixtures = ("toy:3", "toy:8", "morris", "a5-ex2", "a5-ex3", "shift:11")
+    named = [(name, load_fixture(name).digraph) for name in fixtures]
+    named += [(p.stem, instance_from_config(json.loads(p.read_text())).digraph) for p in configs]
+    assert len(named) == 9
+    for name, d in named:
+        assert factor_images(d, 0)[0] == list(reference_matching_f1(d)), name
     for seed in range(1000):
         rng = random.Random(seed)
         d = random_multidigraph(rng, rng.randint(1, 60))
-        assert d._matching_f1 == reference_matching_f1(d), seed
+        assert factor_images(d, 0)[0] == list(reference_matching_f1(d)), seed
 
 
 @pytest.mark.parametrize("seed", range(6))
