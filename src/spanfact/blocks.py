@@ -30,7 +30,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .digraph import DEFAULT_CYCLE_CAP, Digraph2, Factorization, Row, factorization_at
+from .digraph import Digraph2, Factorization, Row, check_cycle_cap, factorization_at
 from .errors import (
     NonInvarianceError,
     PhaseInconsistencyError,
@@ -398,8 +398,7 @@ def law_suite(d: Digraph2, masks: list[int]) -> dict[str, tuple[int, int]]:
     system is listed, so the difference-class orbit count is not capped.
     """
     r = d.alt_decomposition.r
-    if r > DEFAULT_CYCLE_CAP:
-        raise SizeCapError(f"alternating cycle count {r} exceeds cap {DEFAULT_CYCLE_CAP}")
+    check_cycle_cap(r)
     for mask in masks:
         if not 0 <= mask < (1 << r):
             raise PreconditionError(f"mask {mask} out of range for r={r}")
@@ -442,7 +441,7 @@ def law_suite(d: Digraph2, masks: list[int]) -> dict[str, tuple[int, int]]:
 
 @dataclass(frozen=True)
 class BlockConstructionFailure:
-    """Bounded search ended without a verified set; not a precondition failure."""
+    """No set: G passed the element cap or has none; not a precondition failure."""
 
     reason: str
 
@@ -456,12 +455,14 @@ def block_construction(
     single-factor words, gated by the block-derangement criterion.
 
     blocks defaults to the transversal position system; pass the x-cycle
-    system to test the criterion it induces instead.  Returns a WordSet or a
-    BlockConstructionFailure; raises PreconditionError when the relative
-    block permutation is not a derangement.
+    system to test the criterion it induces instead.  Returns the unverified
+    set that search_sharply_transitive finds in G = <F1, F2>, or a
+    BlockConstructionFailure naming the element cap or saying G has no set;
+    raises PreconditionError when the relative block permutation is not a
+    derangement.
     """
     # imported here because spanning imports this module
-    from .spanning import WordSet, search_sharply_transitive, verify_sharply_transitive
+    from .spanning import WordSet, search_sharply_transitive
 
     if f.n == 1:
         return WordSet.from_words([()], f, root=0)
@@ -472,13 +473,12 @@ def block_construction(
             f"relative block permutation {tau} has a fixed block; criterion fails"
         )
     root = ps.cycle_list[0][0]
-    result = search_sharply_transitive(f, root=root, required=((), (1,), (2,)))
+    try:
+        result = search_sharply_transitive(f, root=root, required=((), (1,), (2,)))
+    except SizeCapError as exc:
+        return BlockConstructionFailure(f"G = <F1, F2> not searched: {exc}")
     if result is None:
-        # search_sharply_transitive cuts its universe at words of length 4n
         return BlockConstructionFailure(
-            f"no sharply transitive completion within word length {4 * f.n}"
+            "no sharply transitive set in G = <F1, F2> contains (), (1) and (2)"
         )
-    verdict = verify_sharply_transitive(result, f)
-    if not verdict.passed:
-        return BlockConstructionFailure(f"candidate set failed verification: {verdict.reason}")
     return result

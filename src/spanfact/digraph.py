@@ -226,13 +226,18 @@ def bitmask_of(d: Digraph2, f1: Perm) -> int:
     return mask
 
 
-def enumerate_factorizations(d: Digraph2, cap: int = DEFAULT_CYCLE_CAP) -> list[Factorization]:
+def check_cycle_cap(r: int) -> None:
+    """Refuse a 2^r walk past DEFAULT_CYCLE_CAP, read at call time."""
+    if r > DEFAULT_CYCLE_CAP:
+        raise SizeCapError(f"alternating cycle count {r} exceeds cap {DEFAULT_CYCLE_CAP}")
+
+
+def enumerate_factorizations(d: Digraph2) -> list[Factorization]:
     """All 2^r factorizations, bitmask ascending.  No CLI path reads this
     list (the listing and classification walk bitmasks); the acceptance suite
     and the tests do."""
     r = d.alt_decomposition.r
-    if r > cap:
-        raise SizeCapError(f"alternating cycle count {r} exceeds cap {cap}")
+    check_cycle_cap(r)
     return [factorization_at(d, b) for b in range(1 << r)]
 
 
@@ -399,7 +404,6 @@ def classify_factorizations(
     d: Digraph2,
     aut_generators: list[Perm],
     allow_swap: bool,
-    cap: int = DEFAULT_CYCLE_CAP,
 ) -> Classification:
     """Orbits of all 2^r factorizations under conjugation by <aut_generators>
     (and the F1<->F2 swap when allowed); canonical representative is the
@@ -418,8 +422,7 @@ def classify_factorizations(
     """
     rows = d._cycle_rows
     r = len(rows)
-    if r > cap:
-        raise SizeCapError(f"alternating cycle count {r} exceeds cap {cap}")
+    check_cycle_cap(r)
     for phi in aut_generators:
         if not is_digraph_automorphism(phi, d):
             raise PreconditionError(f"{phi} is not a digraph automorphism")

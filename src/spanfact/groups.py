@@ -1,27 +1,30 @@
 """Finite permutation groups, right cosets, and Cayley-coset presentations.
 
-Groups are explicit element lists (orders here are at most a few hundred);
-element order is the breadth-first closure order from the identity with
-generators applied in their given order, which makes every downstream
-choice of representatives deterministic.
+Groups are explicit element lists from enumerate_group, the one closure:
+breadth-first from the identity with generators applied in their given
+order, which makes every downstream choice of representatives
+deterministic.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, NotASubgroupError, PreconditionError, SizeCapError
-from .perm import Perm, compose, parse_perm
+from .perm import Perm, Word, compose, parse_perm
 
 DEFAULT_GROUP_CAP = 10_000
 
 
 @dataclass(frozen=True)
 class FiniteGroup:
+    """words[i] is the first breadth-first word of elements[i], in perm.Word
+    form with symbol k + 1 for generators[k] (a Schreier tree's words)."""
+
     degree: int
     generators: tuple[Perm, ...]
     elements: tuple[Perm, ...]
     index: dict[Perm, int] = field(compare=False, repr=False)
+    words: tuple[Word, ...] = field(compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -35,7 +38,9 @@ class FiniteGroup:
 
 
 def enumerate_group(generators: list[Perm], cap: int = DEFAULT_GROUP_CAP) -> FiniteGroup:
-    """Closure of the generators under composition, breadth-first from the identity."""
+    """Closure of the generators under composition, breadth-first from the
+    identity: the growing element list is the queue, so a word's length is
+    its element's distance from the identity.  Raises SizeCapError past cap."""
     if generators:
         degree = generators[0].n
         for g in generators:
@@ -45,19 +50,18 @@ def enumerate_group(generators: list[Perm], cap: int = DEFAULT_GROUP_CAP) -> Fin
         degree = 0
     e = Perm.identity(degree)
     elements = [e]
+    words: list[Word] = [()]
     index = {e: 0}
-    queue = deque([e])
-    while queue:
-        g = queue.popleft()
-        for s in generators:
+    for g, w in zip(elements, words):
+        for k, s in enumerate(generators):
             h = compose(s, g)
             if h not in index:
                 if len(elements) >= cap:
                     raise SizeCapError(f"group closure exceeded cap {cap}")
                 index[h] = len(elements)
                 elements.append(h)
-                queue.append(h)
-    return FiniteGroup(degree, tuple(generators), tuple(elements), index)
+                words.append((k + 1,) + w)
+    return FiniteGroup(degree, tuple(generators), tuple(elements), index, tuple(words))
 
 
 @dataclass(frozen=True)

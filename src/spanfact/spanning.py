@@ -17,13 +17,14 @@ from dataclasses import dataclass
 from .blocks import PhaseProfile, PositionSystem, _block_images, cycle_block_system
 from .digraph import Factorization
 from .errors import PreconditionError
+from .groups import enumerate_group
 from .perm import ImageBlob, Perm, Word, compose, evaluate, first_agreeing_pair
 from . import treesearch
 
 
 # closure elements the tree search's bound reads before it counts as n
 CLOSURE_CAP = 4000
-# distinct elements the sharply transitive search lists at most
+# elements of <F1, F2> the sharply transitive search lists before SizeCapError
 ELEMENT_CAP = 200_000
 
 
@@ -129,39 +130,17 @@ def max_relocatable_tree(f: Factorization, node_cap: int = 100_000_000) -> TreeS
 # --- exact sharply transitive search -----------------------------------------
 
 
-def _bfs_elements(f: Factorization):
-    """Distinct evaluation images by word length, of words of at most 4n
-    letters and at most ELEMENT_CAP elements; first word per element."""
-    n = f.n
-    ident = Perm.identity(n)
-    f1, f2 = f.f1, f.f2
-    found: dict[Perm, Word] = {ident: ()}
-    frontier: list[tuple[Perm, Word]] = [(ident, ())]
-    for _ in range(4 * n):
-        nxt = []
-        for elem, w in frontier:
-            for sym, g in ((1, f1), (2, f2)):
-                ne = compose(g, elem)
-                if ne not in found:
-                    found[ne] = (sym,) + w
-                    nxt.append((ne, (sym,) + w))
-                    if len(found) >= ELEMENT_CAP:
-                        return found
-        frontier = nxt
-        if not frontier:
-            break
-    return found
-
-
 def search_sharply_transitive(
     f: Factorization,
     root: int,
     required: tuple[Word, ...] = ((),),
 ) -> WordSet | None:
-    """Exact backtracking search for a sharply transitive word set containing
-    the required words; None when the bounded word universe admits none."""
+    """Exact backtracking search over G = <F1, F2> for a sharply transitive
+    word set containing the required words.  Words with one image agree
+    everywhere, so one word per element of G loses nothing and None is a
+    proof; more than ELEMENT_CAP elements raise SizeCapError."""
     n = f.n
-    universe = _bfs_elements(f)
+    group = enumerate_group([f.f1, f.f2], cap=ELEMENT_CAP)
     req_imgs = [evaluate(w, f.f1, f.f2) for w in required]
     if len({img(root) for img in req_imgs}) != len(required):
         raise PreconditionError("required words collide at the root")
@@ -174,7 +153,7 @@ def search_sharply_transitive(
     members: list[tuple[Word, Perm]] = list(zip(required, req_imgs))
 
     by_root_image: dict[int, list[tuple[Perm, Word]]] = {v: [] for v in range(n)}
-    for elem, w in universe.items():
+    for elem, w in zip(group.elements, group.words):
         by_root_image[elem(root)].append((elem, w))
     for v in by_root_image:
         by_root_image[v].sort(key=lambda ew: (len(ew[1]), ew[1]))

@@ -11,8 +11,10 @@ factorizations, into a group and counts fixed masks by linear algebra, the
 swap oracle builds every relabelled factorization and computes its block
 actions inline, the difference-class oracle traces both F1 and x over a
 vertex dict, the reference law suite builds every factorization, its
-position system and its tied blocks as objects, one mask at a time, and the
-reference matching is the recursive augmenting-path search.
+position system and its tied blocks as objects, one mask at a time, the
+reference matching is the recursive augmenting-path search, and the
+sharply transitive oracle lists <F1, F2> as image tuples by a plain BFS and
+backtracks over all of it.
 """
 from __future__ import annotations
 
@@ -582,3 +584,46 @@ def _reference_swap_taus(f: Factorization, system: BlockSystem, masks: list[int]
         else:
             taus.append(relative(t1, t2))
     return tau0, taus
+
+
+def reference_sharply_transitive(f: Factorization) -> bool:
+    """Whether some n elements of G = <F1, F2>, the identity, F1 and F2 among
+    them, agree pairwise at no vertex.  G is listed by a plain BFS over image
+    tuples; the backtracking picks, vertex by vertex in ascending order, an
+    element sending vertex 0 there, and tries every one."""
+    n = f.n
+    gens = (f.f1.images, f.f2.images)
+    ident = tuple(range(n))
+    seen = {ident}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for g in frontier:
+            for s in gens:
+                h = tuple(s[x] for x in g)
+                if h not in seen:
+                    seen.add(h)
+                    nxt.append(h)
+        frontier = nxt
+    by_image: dict[int, list[tuple[int, ...]]] = {v: [] for v in range(n)}
+    for g in seen:
+        by_image[g[0]].append(g)
+    chosen = [ident, gens[0], gens[1]]
+    if len({g[0] for g in chosen}) != 3:
+        raise PreconditionError("vertex 0, F1(0) and F2(0) are not distinct")
+    if any(a[v] == b[v] for a in chosen for b in chosen if a is not b for v in range(n)):
+        return False
+    todo = [v for v in range(n) if v not in {g[0] for g in chosen}]
+
+    def extend(k: int) -> bool:
+        if k == len(todo):
+            return True
+        for g in by_image[todo[k]]:
+            if all(g[v] != c[v] for c in chosen for v in range(n)):
+                chosen.append(g)
+                if extend(k + 1):
+                    return True
+                chosen.pop()
+        return False
+
+    return extend(0)

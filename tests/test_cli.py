@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from spanfact import __version__
+from spanfact import __version__, spanning
 from spanfact.cli import FORMATS, emit_table, main
 from spanfact.digraph import build_coset_digraph, factorization_at
 from spanfact.fixtures import load_fixture
@@ -313,6 +313,18 @@ def test_spanning_blocks_toy(capsys):
     assert code == 0
     rec = json.loads(out.strip())
     assert rec["size"] == 6 and rec["verified"] is True
+
+
+def test_spanning_blocks_past_the_element_cap_exits_4(monkeypatch, capsys):
+    monkeypatch.setattr(spanning, "ELEMENT_CAP", 5)
+    code, out, _ = run_cli(
+        capsys, "spanning", "--fixture", "toy:3", "--method", "blocks",
+        "--format", "json-lines",
+    )
+    assert code == 4
+    rec = json.loads(out.strip())
+    assert rec["size"] == 0 and rec["verified"] is False
+    assert "cap 5" in rec["failure"]
 
 
 def test_spanning_addressing_shift(capsys):

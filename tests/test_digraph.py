@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from spanfact import digraph
+from spanfact.blocks import law_suite
 from spanfact.digraph import (
     Digraph2,
     bitmask_of,
@@ -145,13 +147,16 @@ def test_enumeration_counts_and_complement():
     assert facs[0].f1 == factorization_at(d, 0).f1
 
 
-def test_enumeration_cap():
+def test_enumeration_cap(monkeypatch):
     fx = load_fixture("a5-ex2")
     d = fx.digraph
+    monkeypatch.setattr(digraph, "DEFAULT_CYCLE_CAP", 9)
     with pytest.raises(SizeCapError):
-        enumerate_factorizations(d, cap=9)
+        enumerate_factorizations(d)
     with pytest.raises(SizeCapError):
-        classify_factorizations(d, fx.aut_generators(), allow_swap=True, cap=9)
+        classify_factorizations(d, fx.aut_generators(), allow_swap=True)
+    with pytest.raises(SizeCapError):
+        law_suite(d, [])
 
 
 # even vertices have parallel edges (3 parallel cycles and one 6-cycle)

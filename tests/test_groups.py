@@ -1,5 +1,11 @@
+import json
+import random
+from pathlib import Path
+
 import pytest
 
+from spanfact.cli import instance_from_config
+from spanfact.digraph import factorization_at
 from spanfact.errors import ConfigError, NotASubgroupError, SizeCapError
 from spanfact.fixtures import load_fixture, morris_presentation
 from spanfact.groups import (
@@ -12,7 +18,9 @@ from spanfact.groups import (
     presentation_from_config,
     validate_presentation,
 )
-from spanfact.perm import Perm, compose, parse_perm
+from spanfact.perm import Perm, compose, evaluate, parse_perm
+
+from test_random_instances import random_digraph
 
 S5CYCLE = Perm([1, 2, 3, 4, 0])
 H_EX2 = Perm([2, 3, 0, 1, 4])
@@ -40,6 +48,60 @@ def test_morris_group_order():
 def test_closure_cap():
     with pytest.raises(SizeCapError):
         enumerate_group([S5CYCLE, H_EX2], cap=10)
+
+
+def assert_words_are_first_bfs_words(group):
+    """Each element is the product of the generators along its word (symbol
+    k + 1 is generators[k], rightmost first), and the word is as long as the
+    element's distance from the identity in a separate BFS."""
+    gens = [g.images for g in group.generators]
+    ident = tuple(range(group.degree))
+    depth = {ident: 0}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for g in frontier:
+            for s in gens:
+                h = tuple(s[x] for x in g)
+                if h not in depth:
+                    depth[h] = depth[g] + 1
+                    nxt.append(h)
+        frontier = nxt
+    assert len(depth) == len(group) == len(group.words)
+    for elem, word in zip(group.elements, group.words):
+        acc = ident
+        for sym in reversed(word):
+            acc = tuple(gens[sym - 1][x] for x in acc)
+        assert acc == elem.images
+        assert len(word) == depth[acc]
+
+
+def _fixture_and_config_groups():
+    configs = sorted((Path(__file__).resolve().parents[1] / "perfbench" / "configs").glob("*.json"))
+    fxs = [load_fixture(name) for name in ("a5-ex2", "a5-ex3", "morris")]
+    fxs += [instance_from_config(json.loads(p.read_text())) for p in configs]
+    return [fx.coset.presentation.group for fx in fxs]
+
+
+def test_group_words_multiply_to_their_elements():
+    groups = _fixture_and_config_groups()
+    assert len(groups) == 6
+    for group in groups:
+        assert_words_are_first_bfs_words(group)
+
+
+def test_factor_group_words_evaluate_to_their_elements():
+    """On G = <F1, F2>, perm.evaluate reads each word back to its element."""
+    digraphs = [load_fixture(name).digraph for name in ("toy:3", "toy:4", "toy:6", "shift:5", "shift:9", "morris")]
+    for seed in range(10):
+        rng = random.Random(seed)
+        digraphs.append(random_digraph(rng, rng.randint(4, 6)))
+    for d in digraphs:
+        for mask in range(min(4, 1 << d.alt_decomposition.r)):
+            f = factorization_at(d, mask)
+            group = enumerate_group([f.f1, f.f2])
+            assert_words_are_first_bfs_words(group)
+            assert all(evaluate(w, f.f1, f.f2) == e for e, w in zip(group.elements, group.words))
 
 
 def test_coset_space_a5():

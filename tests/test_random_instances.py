@@ -1,5 +1,5 @@
-"""Seeded random small digraphs: cross-validate enumeration invariants and
-the tree-search kernel against the naive oracle."""
+"""Seeded random small digraphs: cross-validate enumeration invariants, the
+tree-search kernel and the sharply transitive search against the oracles."""
 import json
 import random
 from pathlib import Path
@@ -24,7 +24,14 @@ from spanfact.digraph import (
 )
 from spanfact.errors import PhaseInconsistencyError, SpanfactError, UniformityError
 from spanfact.fixtures import load_fixture
-from spanfact.spanning import max_relocatable_tree, phase_addressing, splice_generators, verify_sharply_transitive
+from spanfact.groups import enumerate_group
+from spanfact.spanning import (
+    max_relocatable_tree,
+    phase_addressing,
+    search_sharply_transitive,
+    splice_generators,
+    verify_sharply_transitive,
+)
 
 from oracles import (
     brute_force_refinement_families,
@@ -32,6 +39,7 @@ from oracles import (
     reference_law_suite,
     reference_matching_f1,
     reference_position_system,
+    reference_sharply_transitive,
 )
 
 
@@ -187,6 +195,26 @@ def test_tree_search_matches_oracle_random(seed):
         res = max_relocatable_tree(f)
         assert res.certificate
         assert res.size == naive_max_tree_size(f)
+
+
+def test_sharply_transitive_search_matches_reference_random():
+    """The search's yes or no against the plain-BFS backtracking oracle, on
+    groups <F1, F2> that are mostly larger than n, some with no set."""
+    non_regular = no_set = 0
+    for seed in range(30):
+        rng = random.Random(seed)
+        d = random_digraph(rng, rng.randint(4, 7))
+        for mask in range(min(4, 1 << d.alt_decomposition.r)):
+            f = factorization_at(d, mask)
+            ws = search_sharply_transitive(f, root=rng.randrange(d.n), required=((), (1,), (2,)))
+            assert (ws is not None) == reference_sharply_transitive(f), (seed, mask)
+            if ws is None:
+                no_set += 1
+            else:
+                assert {(), (1,), (2,)} <= set(ws.words)
+                assert verify_sharply_transitive(ws, f).passed, (seed, mask)
+            non_regular += len(enumerate_group([f.f1, f.f2])) > d.n
+    assert non_regular and no_set
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -10,7 +10,8 @@ from spanfact.digraph import (
     enumerate_factorizations,
     factorization_at,
 )
-from spanfact.errors import PreconditionError
+from spanfact import spanning
+from spanfact.errors import PreconditionError, SizeCapError
 from spanfact.fixtures import load_fixture
 from spanfact.perm import word_str
 from spanfact.spanning import (
@@ -67,6 +68,13 @@ def test_search_sharply_transitive_toys():
         assert len(ws) == d.n
         assert {(), (1,), (2,)} <= set(ws.words)
         assert verify_sharply_transitive(ws, f).passed
+
+
+def test_search_past_the_element_cap_raises(monkeypatch):
+    d, f = build_toy(3)
+    monkeypatch.setattr(spanning, "ELEMENT_CAP", d.n - 1)
+    with pytest.raises(SizeCapError, match=f"cap {d.n - 1}"):
+        search_sharply_transitive(f, root=0, required=((), (1,), (2,)))
 
 
 def test_max_tree_n1():
