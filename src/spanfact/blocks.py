@@ -24,13 +24,21 @@ no refinement system.
 A block system labels every vertex with its block id (positions, cycle
 indices), and every block action, tau = sigma(F1)^-1 sigma(F2) included, is
 one pass of _block_images over the vertices.
+
+Both out-edges of a tail lie on its alternating cycle, so at either bit F1
+and F2 carry a cycle's tails onto that cycle's heads.  On the x-cycle
+system, then, F1 and F2 of every factorization have one block action, and
+tau is the identity wherever it is defined.  Each position block holds one
+tail of every cycle, so a swap mask other than 0 and the full mask masks
+part of every position block.  law_suite counts swap invariance from these
+two facts, without relabelling.
 """
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .digraph import Digraph2, Factorization, Row, check_cycle_cap, factorization_at
+from .digraph import Digraph2, Factorization, Row, check_cycle_cap, factor_images, factorization_at
 from .errors import (
     NonInvarianceError,
     PhaseInconsistencyError,
@@ -308,69 +316,12 @@ def relative_block_permutation(f: Factorization, bs: BlockSystem) -> tuple[Perm,
 
 def swap_relabel(f: Factorization, swap_mask: int) -> Factorization:
     """Swap the F1/F2 labels on exactly the masked alternating cycles.  The
-    law suite reads swap_relabelled_taus instead; the acceptance suite reads
-    this."""
+    acceptance suite reads this; law_suite counts the taus it would give
+    without building it."""
     r = f.digraph.alt_decomposition.r
     if not 0 <= swap_mask < (1 << r):
         raise PreconditionError(f"mask {swap_mask} out of range for r={r}")
     return factorization_at(f.digraph, f.bitmask ^ swap_mask)
-
-
-def swap_relabelled_taus(
-    f: Factorization, bs: BlockSystem, masks: list[int]
-) -> tuple[tuple[int, ...], list[tuple[int, ...] | None]] | None:
-    """tau on block ids for f and for swap_relabel(f, mask), per mask, without
-    building the relabelled factorizations; None when f's own tau is
-    undefined, and a None entry where the relabelled one is."""
-    return _swap_taus(f.f1.images, f.f2.images, bs, f.digraph._cycle_of, masks)
-
-
-def _swap_taus(
-    f1: Sequence[int],
-    f2: Sequence[int],
-    bs: BlockSystem,
-    cycle_of: Sequence[int],
-    masks: list[int],
-) -> tuple[tuple[int, ...], list[tuple[int, ...] | None]] | None:
-    """swap_relabelled_taus on image lists.
-
-    Both out-edges of a vertex lie on one alternating cycle, so the relabelled
-    F1 is F2 on the vertices of masked cycles and F1 elsewhere.  A block whose
-    cycles are all masked therefore swaps sigma(F1) and sigma(F2), one with no
-    masked cycle keeps them, and a partly masked block is split by both
-    relabelled factors unless sigma(F1) and sigma(F2) agree on it.
-    cycle_of gives the alternating cycle of every vertex.
-    """
-    s1 = _block_images(f1, bs)
-    s2 = None if s1 is None else _block_images(f2, bs)
-    if s2 is None:
-        return None
-    tau0 = _relative(s1, s2)
-    if s1 == s2:
-        return tau0, [tau0] * len(masks)
-    block_of = bs.block_of
-    block_bits = [0] * bs.k
-    for v in range(len(f1)):
-        b = block_of[v]
-        if b >= 0:
-            block_bits[b] |= 1 << cycle_of[v]
-    movers = [(i, block_bits[i]) for i in range(bs.k) if s1[i] != s2[i]]
-    taus: list[tuple[int, ...] | None] = []
-    for mask in masks:
-        t1, t2 = s1, s2
-        for i, bits in movers:
-            hit = mask & bits
-            if hit == 0:
-                continue
-            if hit != bits:
-                taus.append(None)
-                break
-            if t1 is s1:
-                t1, t2 = s1.copy(), s2.copy()
-            t1[i], t2[i] = s2[i], s1[i]
-        else:
-            taus.append(tau0 if t1 is s1 else _relative(t1, t2))
-    return tau0, taus
 
 
 def _relative(s1: Sequence[int], s2: Sequence[int]) -> tuple[int, ...]:
@@ -389,13 +340,23 @@ def law_suite(d: Digraph2, masks: list[int]) -> dict[str, tuple[int, int]]:
     factorization without constant phases skips refinements).  atom_counts
     is implied by constant phases: tied[v] = pos_of[v] + the phase of v's
     cycle, so P_j meets F1(P_(j+d)) in the position-j vertex of every cycle
-    of phase d.  swap_invariance compares tau before and after swap_relabel
-    by each of masks, on the position and the cycle block systems, counting
-    only the pairs where both are defined.  The 2^r factorizations are
-    walked once and nothing is kept between them.  Each is filled in one
-    pass over d's cycle rows (_fill): F1, F2, and the position and tied
-    block of every vertex.  No object is built per factorization and no refinement
-    system is listed, so the difference-class orbit count is not capped.
+    of phase d.  The 2^r factorizations are walked once and nothing is kept
+    between them.  Each is filled in one pass over d's cycle rows (_fill):
+    F1, F2, and the position and tied block of every vertex.  No object is
+    built per factorization and no refinement system is listed, so the
+    difference-class orbit count is not capped.
+
+    swap_invariance compares tau before and after swap_relabel by each of
+    masks, on the position and the cycle block systems, counting only the
+    pairs where both are defined.  It is counted without relabelling.  The
+    relabelled F1 is F2 on the tails of the masked cycles and F1 elsewhere,
+    and at either bit F1 and F2 both carry a cycle's tails onto its heads.
+    On the cycle system, then, F1 and F2 of every factorization have one
+    block action, defined on all factorizations or on none, and tau is the
+    identity: every pair is checked and holds.  Every position block holds
+    one tail of each cycle, so a block that sigma(F1) and sigma(F2) send
+    apart is split by the relabelled factors under every mask but two: 0
+    keeps tau, and the full mask swaps the factors, which inverts tau.
     """
     r = d.alt_decomposition.r
     check_cycle_cap(r)
@@ -408,8 +369,9 @@ def law_suite(d: Digraph2, masks: list[int]) -> dict[str, tuple[int, int]]:
     # none has constant phases and none is checked further
     phase_fail = 0 if m else total
     refinement_fail = swap_checked = swap_fail = 0
-    cycle_of = d._cycle_of
-    cycle_system = BlockSystem(cycle_of, r)
+    if m and _block_images(factor_images(d, 0)[0], BlockSystem(d._cycle_of, r)) is not None:
+        swap_checked = total * len(masks)
+    kept, inverted = masks.count(0), masks.count(total - 1)
     for b in range(total if m else 0):
         cycles, f1, f2, pos_of, tied = _fill(d, b)
         delta, drift = _phases(tied, cycles, m)
@@ -421,16 +383,17 @@ def law_suite(d: Digraph2, masks: list[int]) -> dict[str, tuple[int, int]]:
             # carries P_j onto the position j - delta_i vertex of each
             # cycle i: one position block exactly when the phases are equal.
             refinement_fail += 1
-        for bs in (BlockSystem(pos_of, m), cycle_system):
-            taus = _swap_taus(f1, f2, bs, cycle_of, masks)
-            if taus is None:
-                continue
-            tau0, relabelled = taus
-            for tau1 in relabelled:
-                if tau1 is not None:
-                    swap_checked += 1
-                    if tau1 != tau0:
-                        swap_fail += 1
+        positions = BlockSystem(pos_of, m)
+        s1 = _block_images(f1, positions)
+        s2 = None if s1 is None else _block_images(f2, positions)
+        if s2 is None:
+            continue
+        if s1 == s2:
+            swap_checked += len(masks)
+            continue
+        swap_checked += kept + inverted
+        if _relative(s2, s1) != _relative(s1, s2):
+            swap_fail += inverted
     return {
         "phase_constancy": (total, phase_fail),
         "atom_counts": (total, 0),
@@ -454,12 +417,14 @@ def block_construction(
     """Build a sharply transitive word set containing the empty word and both
     single-factor words, gated by the block-derangement criterion.
 
-    blocks defaults to the transversal position system; pass the x-cycle
-    system to test the criterion it induces instead.  Returns the unverified
-    set that search_sharply_transitive finds in G = <F1, F2>, or a
+    blocks defaults to the transversal position system; another system,
+    such as one of G's own, tests the criterion it induces instead.  On the
+    x-cycle system tau is the identity wherever it is defined, so the gate
+    never passes there when n > 1.  Returns the unverified set that
+    search_sharply_transitive finds in G = <F1, F2>, or a
     BlockConstructionFailure naming the element cap or saying G has no set;
-    raises PreconditionError when the relative block permutation is not a
-    derangement.
+    raises PreconditionError when the relative block permutation is
+    undefined or not a derangement.
     """
     # imported here because spanning imports this module
     from .spanning import WordSet, search_sharply_transitive

@@ -11,7 +11,6 @@ once with one SWAR zero-lane test.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 from .blocks import PhaseProfile, PositionSystem, _block_images, cycle_block_system
@@ -207,32 +206,26 @@ def phase_addressing(
     """Addressing words u_i x^(j - sigma(i)) evaluating bijectively at the root.
 
     Preconditions: the top action on the x-cycles exists and is transitive,
-    and the phases generate all of Z_m.
+    and the phases generate all of Z_m.  F1 and F2 both carry an alternating
+    cycle's tails onto its heads, so they have one top action, and the
+    transversal word u_i is F1^k for the k steps from x-cycle 0 to x-cycle i
+    along it.
     """
     m, r = ps.m, ps.r
-    top1 = _top_action(f, ps, f.f1)
-    top2 = _top_action(f, ps, f.f2)
-    if top1 is None or top2 is None:
-        which = "F1" if top1 is None else "F2"
-        raise PreconditionError(
-            f"top action undefined: {which} does not permute the x-cycles"
-        )
+    top = _top_action(f, ps, f.f1)
+    if top is None:
+        raise PreconditionError("top action undefined: F1 does not permute the x-cycles")
     if m > 1 and math.gcd(m, *pp.delta) != 1:
         raise PreconditionError(
             f"phases {pp.delta} generate a proper subgroup of Z_{m}"
         )
-    # transversal words over the top action, breadth-first from cycle 0
     u_words: dict[int, Word] = {0: ()}
     u_elems: dict[int, Perm] = {0: Perm.identity(f.n)}
-    queue = deque([0])
-    while queue:
-        i = queue.popleft()
-        for sym, g, tg in ((1, f.f1, top1), (2, f.f2, top2)):
-            j = tg(i)
-            if j not in u_words:
-                u_words[j] = (sym,) + u_words[i]
-                u_elems[j] = compose(g, u_elems[i])
-                queue.append(j)
+    i = 0
+    while (j := top(i)) not in u_words:
+        u_words[j] = (1,) + u_words[i]
+        u_elems[j] = compose(f.f1, u_elems[i])
+        i = j
     if len(u_words) != r:
         raise PreconditionError(
             f"top action is not transitive: reached {len(u_words)} of {r} cycles"

@@ -20,7 +20,6 @@ from spanfact.blocks import (
     position_system,
     relative_block_permutation,
     swap_relabel,
-    swap_relabelled_taus,
 )
 from spanfact.digraph import (
     Digraph2,
@@ -46,7 +45,7 @@ from oracles import (
     brute_force_refinement_families,
     reference_difference_class_orbits,
     reference_law_suite,
-    relabelled_tau,
+    reference_position_system,
     swap_invariance_counts,
 )
 
@@ -415,37 +414,12 @@ def test_out_edges_share_an_alternating_cycle(name):
     assert all(cycle_of_edge[(v, 0)] == cycle_of_edge[(v, 1)] for v in range(d.n))
 
 
-@given(
-    st.sampled_from(SWAP_INSTANCES),
-    st.integers(min_value=0),
-    st.booleans(),
-    st.lists(st.integers(min_value=0), min_size=1, max_size=8),
-)
-def test_swap_relabelled_taus_match_oracle(name, b, cycles, raw_masks):
-    d = _digraph(name)
-    r = d.alt_decomposition.r
-    f = factorization_at(d, b % (1 << r))
-    try:
-        ps = position_system(f)
-    except UniformityError:
-        return
-    system = cycle_block_system(ps) if cycles else position_block_system(ps)
-    masks = [mask % (1 << r) for mask in raw_masks]
-    got = swap_relabelled_taus(f, system, masks)
-    tau0 = relabelled_tau(f, system, 0)
-    if tau0 is None:
-        assert got is None
-        return
-    assert got[0] == tau0.images
-    expected = [relabelled_tau(f, system, mask) for mask in masks]
-    assert got[1] == [None if tau is None else tau.images for tau in expected]
-
-
 @pytest.mark.parametrize("name", ["toy:3", "toy:5", "shift:7", "morris", "a5-ex3", "doubled:4"])
 def test_law_suite_swap_counts_match_oracle(name):
     d = _digraph(name)
     rng = random.Random(7)
-    masks = [rng.randrange(1 << d.alt_decomposition.r) for _ in range(40)]
+    r = d.alt_decomposition.r
+    masks = [rng.randrange(1 << r) for _ in range(40)] + [0, (1 << r) - 1, (1 << r) - 1]
     assert law_suite(d, masks)["swap_invariance"] == swap_invariance_counts(d, masks)
 
 
@@ -454,6 +428,19 @@ LAW_SUITE_INSTANCES = (
     "toy:3", "toy:4", "toy:5", "toy:8", "morris", "a5-ex2", "a5-ex3", "doubled:3", "doubled:4",
     *(f"shift:{n}" for n in range(5, 12)), "shift:16",
 )
+
+
+@pytest.mark.parametrize("name", LAW_SUITE_INSTANCES)
+def test_position_blocks_hold_one_tail_of_every_cycle(name):
+    """Each block of the position system read off the cycles of x meets
+    every alternating cycle in one tail, so a swap mask other than 0 and the
+    full mask masks part of every block: law_suite counts on this."""
+    d = _digraph(name)
+    dec = d.alt_decomposition
+    for b in range(1 << dec.r):
+        ps = reference_position_system(factorization_at(d, b))
+        for blk in ps.blocks:
+            assert sorted(dec.cycle_of_edge[(v, 0)] for v in blk) == list(range(dec.r)), b
 
 
 @pytest.mark.parametrize("name", LAW_SUITE_INSTANCES)
@@ -508,10 +495,25 @@ def test_block_construction_toy_success():
 
 
 def test_block_construction_cycle_blocks_precondition():
-    d, f = build_toy(3)
-    ps = position_system(f)
-    with pytest.raises(PreconditionError):
-        block_construction(f, ps, blocks=cycle_block_system(ps))
+    """F1 and F2 carry every x-cycle alike, so on the x-cycle system tau is
+    the identity wherever it is defined and the derangement gate never
+    passes."""
+    defined = 0
+    for name in SWAP_INSTANCES:
+        d = _digraph(name)
+        for b in range(1 << d.alt_decomposition.r):
+            f = factorization_at(d, b)
+            ps = position_system(f)
+            bs = cycle_block_system(ps)
+            with pytest.raises(PreconditionError):
+                block_construction(f, ps, blocks=bs)
+            try:
+                tau, _ = relative_block_permutation(f, bs)
+            except NonInvarianceError:
+                continue
+            assert tau == Perm.identity(ps.r), (name, b)
+            defined += 1
+    assert defined
 
 
 def test_block_construction_n1():

@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 
 from spanfact.blocks import (
+    BlockSystem,
+    _block_images,
     difference_class_orbits,
     invariant_refinements,
     law_suite,
@@ -169,6 +171,39 @@ def test_cycle_table_matches_decomposition_random():
     assert one_row
     for n in (1, 2, 3, 7):
         assert_cycle_table_matches_decomposition(build_doubled_cycle(n))
+
+
+def assert_factors_share_cycle_action(d: Digraph2) -> bool:
+    """At every mask, F1 and F2 have one block action on the x-cycles (the
+    tail sets of the alternating cycles), defined exactly when it is at mask
+    0, which is returned."""
+    r = d.alt_decomposition.r
+    cycles = BlockSystem(d._cycle_of, r)
+    defined = _block_images(factor_images(d, 0)[0], cycles) is not None
+    for b in range(1 << r):
+        f1, f2 = factor_images(d, b)
+        images = _block_images(f1, cycles)
+        assert images == _block_images(f2, cycles), b
+        assert (images is not None) == defined, b
+    return defined
+
+
+@pytest.mark.parametrize(
+    "name", ["toy:3", "toy:8", "morris", "a5-ex2", "a5-ex3", "shift:5", "shift:11", "shift:101"]
+)
+def test_factors_share_cycle_action(name):
+    """Defined on the toys, morris and the shifts; undefined on the a5 fixtures."""
+    assert assert_factors_share_cycle_action(load_fixture(name).digraph) == (name[:3] != "a5-")
+
+
+def test_factors_share_cycle_action_random():
+    """Seeded random digraphs, simple and with loops or parallel edges."""
+    defined = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        for d in (random_digraph(rng, rng.randint(4, 10)), random_multidigraph(rng, rng.randint(1, 10))):
+            defined += assert_factors_share_cycle_action(d)
+    assert 0 < defined < 600
 
 
 def test_matching_matches_recursive_reference():
