@@ -22,16 +22,20 @@ pass of its own.  law_suite builds no object per factorization and lists
 no refinement system.
 
 A block system labels every vertex with its block id (positions, cycle
-indices), and every block action, tau = sigma(F1)^-1 sigma(F2) included, is
-one pass of _block_images over the vertices.
+indices), and every block action is one pass of _block_images over the
+vertices; tau = sigma(F1)^-1 sigma(F2) is composed from two of them.
 
 Both out-edges of a tail lie on its alternating cycle, so at either bit F1
 and F2 carry a cycle's tails onto that cycle's heads.  On the x-cycle
 system, then, F1 and F2 of every factorization have one block action, and
-tau is the identity wherever it is defined.  Each position block holds one
-tail of every cycle, so a swap mask other than 0 and the full mask masks
-part of every position block.  law_suite counts swap invariance from these
-two facts, without relabelling.
+tau is the identity wherever it is defined.  On the position system, F2 =
+F1 x^-1 and x carries P_j onto P_(j+1), so F2 permutes the position blocks
+exactly when F1 does, with sigma(F2)(j) = sigma(F1)(j - 1): tau is the
+shift j -> j - 1 mod m wherever it is defined.  Each position block holds
+one tail of every cycle, so a swap mask other than 0 and the full mask
+masks part of every position block.  law_suite counts swap invariance from
+these facts and one block action of F1 per factorization, without
+relabelling.
 """
 from __future__ import annotations
 
@@ -46,7 +50,7 @@ from .errors import (
     SizeCapError,
     UniformityError,
 )
-from .perm import Perm
+from .perm import Perm, compose
 
 # orbit operator convention used throughout; its inverse yields the same
 # orbit partition, so position systems are convention-independent
@@ -307,10 +311,11 @@ def _block_images(images: Sequence[int], bs: BlockSystem) -> list[int] | None:
 
 
 def relative_block_permutation(f: Factorization, bs: BlockSystem) -> tuple[Perm, bool]:
-    """tau = sigma(F1)^{-1} sigma(F2) on block ids, with its derangement flag."""
-    s1 = block_action(f.f1, bs)
-    s2 = block_action(f.f2, bs)
-    tau = Perm(_relative(s1.images, s2.images))
+    """tau = sigma(F1)^{-1} sigma(F2) on block ids, with its derangement flag;
+    NonInvarianceError when F1 or F2 does not permute the blocks.  On the
+    position system tau is the shift j -> j - 1 mod m wherever it is
+    defined, and on the x-cycle system the identity."""
+    tau = compose(block_action(f.f1, bs).inverse(), block_action(f.f2, bs))
     return tau, tau.is_derangement()
 
 
@@ -322,14 +327,6 @@ def swap_relabel(f: Factorization, swap_mask: int) -> Factorization:
     if not 0 <= swap_mask < (1 << r):
         raise PreconditionError(f"mask {swap_mask} out of range for r={r}")
     return factorization_at(f.digraph, f.bitmask ^ swap_mask)
-
-
-def _relative(s1: Sequence[int], s2: Sequence[int]) -> tuple[int, ...]:
-    """s1^-1 s2 on block ids."""
-    inv = [0] * len(s1)
-    for i, t in enumerate(s1):
-        inv[t] = i
-    return tuple(inv[t] for t in s2)
 
 
 def law_suite(d: Digraph2, masks: list[int]) -> dict[str, tuple[int, int]]:
@@ -353,10 +350,14 @@ def law_suite(d: Digraph2, masks: list[int]) -> dict[str, tuple[int, int]]:
     and at either bit F1 and F2 both carry a cycle's tails onto its heads.
     On the cycle system, then, F1 and F2 of every factorization have one
     block action, defined on all factorizations or on none, and tau is the
-    identity: every pair is checked and holds.  Every position block holds
-    one tail of each cycle, so a block that sigma(F1) and sigma(F2) send
-    apart is split by the relabelled factors under every mask but two: 0
-    keeps tau, and the full mask swaps the factors, which inverts tau.
+    identity: every pair is checked and holds.  On the position system, F2
+    permutes the blocks exactly when F1 does, and tau is then the shift
+    j -> j - 1 mod m, so one block action of F1 per factorization decides
+    it.  When m = 1 the shift is the identity and every mask keeps it.
+    Otherwise sigma(F1) and sigma(F2) send every block apart, and each
+    position block holds one tail of each cycle, so every mask but two
+    splits a block: 0 keeps tau, and the full mask swaps the factors, which
+    inverts tau.  The inverse differs from the shift exactly when m > 2.
     """
     r = d.alt_decomposition.r
     check_cycle_cap(r)
@@ -371,9 +372,9 @@ def law_suite(d: Digraph2, masks: list[int]) -> dict[str, tuple[int, int]]:
     refinement_fail = swap_checked = swap_fail = 0
     if m and _block_images(factor_images(d, 0)[0], BlockSystem(d._cycle_of, r)) is not None:
         swap_checked = total * len(masks)
-    kept, inverted = masks.count(0), masks.count(total - 1)
+    permuted = 0
     for b in range(total if m else 0):
-        cycles, f1, f2, pos_of, tied = _fill(d, b)
+        cycles, f1, _, pos_of, tied = _fill(d, b)
         delta, drift = _phases(tied, cycles, m)
         if drift is not None:
             phase_fail += 1
@@ -383,17 +384,14 @@ def law_suite(d: Digraph2, masks: list[int]) -> dict[str, tuple[int, int]]:
             # carries P_j onto the position j - delta_i vertex of each
             # cycle i: one position block exactly when the phases are equal.
             refinement_fail += 1
-        positions = BlockSystem(pos_of, m)
-        s1 = _block_images(f1, positions)
-        s2 = None if s1 is None else _block_images(f2, positions)
-        if s2 is None:
-            continue
-        if s1 == s2:
-            swap_checked += len(masks)
-            continue
-        swap_checked += kept + inverted
-        if _relative(s2, s1) != _relative(s1, s2):
-            swap_fail += inverted
+        permuted += _block_images(f1, BlockSystem(pos_of, m)) is not None
+    # tau is the shift j -> j - 1 on every factorization counted in permuted:
+    # the identity when m = 1, so every mask keeps it; otherwise only masks 0
+    # (tau) and the full mask (tau^-1) are defined, and tau^-1 != tau for m > 2
+    inverted = masks.count(total - 1)
+    swap_checked += permuted * (len(masks) if m == 1 else masks.count(0) + inverted)
+    if m > 2:
+        swap_fail = permuted * inverted
     return {
         "phase_constancy": (total, phase_fail),
         "atom_counts": (total, 0),
@@ -417,10 +415,12 @@ def block_construction(
     """Build a sharply transitive word set containing the empty word and both
     single-factor words, gated by the block-derangement criterion.
 
-    blocks defaults to the transversal position system; another system,
-    such as one of G's own, tests the criterion it induces instead.  On the
-    x-cycle system tau is the identity wherever it is defined, so the gate
-    never passes there when n > 1.  Returns the unverified set that
+    blocks defaults to the transversal position system, on which tau is the
+    shift j -> j - 1 mod m wherever it is defined, so the gate passes
+    exactly when F1 permutes the position blocks and m > 1.  Another
+    system, such as one of G's own, tests the criterion it induces instead.
+    On the x-cycle system tau is the identity wherever it is defined, so
+    the gate never passes there when n > 1.  Returns the unverified set that
     search_sharply_transitive finds in G = <F1, F2>, or a
     BlockConstructionFailure naming the element cap or saying G has no set;
     raises PreconditionError when the relative block permutation is

@@ -205,11 +205,14 @@ def phase_addressing(
 ) -> WordSet:
     """Addressing words u_i x^(j - sigma(i)) evaluating bijectively at the root.
 
-    Preconditions: the top action on the x-cycles exists and is transitive,
-    and the phases generate all of Z_m.  F1 and F2 both carry an alternating
-    cycle's tails onto its heads, so they have one top action, and the
-    transversal word u_i is F1^k for the k steps from x-cycle 0 to x-cycle i
-    along it.
+    Preconditions: the top action on the x-cycles exists, and the phases
+    generate all of Z_m.  F1 and F2 both carry an alternating cycle's tails
+    onto its heads, so they have one top action, and as G = <F1, F2> is
+    transitive it is a single r-cycle.  The transversal word u_i is F1^k for
+    the k steps from x-cycle 0 to x-cycle i along it.  The words u_i x^e
+    over e in Z_m hit every vertex of cycle i whatever sigma(i), the
+    position of u_i(root), is: sigma only orders cycle i's words, so that
+    the word at index j hits the position-j vertex.
     """
     m, r = ps.m, ps.r
     top = _top_action(f, ps, f.f1)
@@ -219,47 +222,22 @@ def phase_addressing(
         raise PreconditionError(
             f"phases {pp.delta} generate a proper subgroup of Z_{m}"
         )
-    u_words: dict[int, Word] = {0: ()}
-    u_elems: dict[int, Perm] = {0: Perm.identity(f.n)}
-    i = 0
-    while (j := top(i)) not in u_words:
-        u_words[j] = (1,) + u_words[i]
-        u_elems[j] = compose(f.f1, u_elems[i])
-        i = j
-    if len(u_words) != r:
-        raise PreconditionError(
-            f"top action is not transitive: reached {len(u_words)} of {r} cycles"
-        )
-    # net phase shifts, verified uniform along cycle 0
-    root_cycle = ps.cycle_list[0]
-    sigma = {}
-    for i in range(r):
-        e = u_elems[i]
-        shift = (ps.position_of(e(root_cycle[0])) - 0) % m
-        for j in range(1, m):
-            sj = (ps.position_of(e(root_cycle[j])) - j) % m
-            if sj != shift:
-                raise PreconditionError(
-                    f"transversal word for cycle {i} has non-uniform shift "
-                    f"({shift} at position 0, {sj} at position {j})"
-                )
-        sigma[i] = shift
     x = f.x()
     x_powers = [Perm.identity(f.n)]
     for _ in range(1, m):
         x_powers.append(compose(x, x_powers[-1]))
-    root = root_cycle[0]
-    words: list[Word] = []
-    images: list[Perm] = []
-    for i in range(r):
-        for j in range(m):
-            e = (j - sigma[i]) % m
-            words.append(u_words[i] + X_WORD * e)
-            images.append(compose(u_elems[i], x_powers[e]))
-    hits = {img(root) for img in images}
-    if len(hits) != f.n:
-        raise PreconditionError("addressing family is not bijective at the root")
-    return WordSet(tuple(words), tuple(images), root)
+    root = ps.cycle_list[0][0]
+    family: list[list[tuple[Word, Perm]]] = [[] for _ in range(r)]
+    i, u_word, u_elem = 0, (), x_powers[0]
+    for _ in range(r):
+        sigma = ps.position_of(u_elem(root))
+        family[i] = [
+            (u_word + X_WORD * e, compose(u_elem, x_powers[e]))
+            for e in ((j - sigma) % m for j in range(m))
+        ]
+        i, u_word, u_elem = top(i), (1,) + u_word, compose(f.f1, u_elem)
+    words, images = zip(*(pair for cycle in family for pair in cycle))
+    return WordSet(words, images, root)
 
 
 def splice_generators(s0: WordSet, f: Factorization) -> WordSet:

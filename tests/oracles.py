@@ -12,11 +12,15 @@ swap oracle builds every relabelled factorization and computes its block
 actions inline, the difference-class oracle traces both F1 and x over a
 vertex dict, the reference law suite builds every factorization, its
 position system and its tied blocks as objects, one mask at a time, the
-reference matching is the recursive augmenting-path search, and the
+reference matching is the recursive augmenting-path search, the
 sharply transitive oracle lists <F1, F2> as image tuples by a plain BFS and
-backtracks over all of it.
+backtracks over all of it, and the reference addressing walks the top
+action until it returns and checks transitivity, shift uniformity and
+bijectivity at the root.
 """
 from __future__ import annotations
+
+import math
 
 from spanfact.blocks import (
     BlockSystem,
@@ -37,6 +41,7 @@ from spanfact.digraph import (
 )
 from spanfact.errors import PreconditionError, SizeCapError
 from spanfact.perm import Perm, compose
+from spanfact.spanning import X_WORD, WordSet, _top_action
 
 
 def conjugation_table(d: Digraph2, phi: Perm) -> list[int]:
@@ -627,3 +632,55 @@ def reference_sharply_transitive(f: Factorization) -> bool:
         return False
 
     return extend(0)
+
+
+def reference_phase_addressing(f: Factorization, ps: PositionSystem, pp: PhaseProfile) -> WordSet:
+    """The addressing words u_i x^(j - sigma(i)) with every check run: the
+    top action must be transitive, each u_i must shift every position of
+    cycle 0 by one amount, and the family must hit every vertex from the
+    root.  spanfact.spanning.phase_addressing must match its words, images,
+    root and errors."""
+    m, r = ps.m, ps.r
+    top = _top_action(f, ps, f.f1)
+    if top is None:
+        raise PreconditionError("top action undefined: F1 does not permute the x-cycles")
+    if m > 1 and math.gcd(m, *pp.delta) != 1:
+        raise PreconditionError(f"phases {pp.delta} generate a proper subgroup of Z_{m}")
+    u_words = {0: ()}
+    u_elems = {0: Perm.identity(f.n)}
+    i = 0
+    while (j := top(i)) not in u_words:
+        u_words[j] = (1,) + u_words[i]
+        u_elems[j] = compose(f.f1, u_elems[i])
+        i = j
+    if len(u_words) != r:
+        raise PreconditionError(
+            f"top action is not transitive: reached {len(u_words)} of {r} cycles"
+        )
+    root_cycle = ps.cycle_list[0]
+    sigma = {}
+    for i in range(r):
+        e = u_elems[i]
+        shift = ps.position_of(e(root_cycle[0])) % m
+        for j in range(1, m):
+            sj = (ps.position_of(e(root_cycle[j])) - j) % m
+            if sj != shift:
+                raise PreconditionError(
+                    f"transversal word for cycle {i} has non-uniform shift "
+                    f"({shift} at position 0, {sj} at position {j})"
+                )
+        sigma[i] = shift
+    x = f.x()
+    x_powers = [Perm.identity(f.n)]
+    for _ in range(1, m):
+        x_powers.append(compose(x, x_powers[-1]))
+    root = root_cycle[0]
+    words, images = [], []
+    for i in range(r):
+        for j in range(m):
+            e = (j - sigma[i]) % m
+            words.append(u_words[i] + X_WORD * e)
+            images.append(compose(u_elems[i], x_powers[e]))
+    if len({img(root) for img in images}) != f.n:
+        raise PreconditionError("addressing family is not bijective at the root")
+    return WordSet(tuple(words), tuple(images), root)

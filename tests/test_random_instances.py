@@ -13,7 +13,9 @@ from spanfact.blocks import (
     invariant_refinements,
     law_suite,
     phase_profile,
+    position_block_system,
     position_system,
+    relative_block_permutation,
     swap_relabel,
 )
 from spanfact.cli import instance_from_config
@@ -27,7 +29,9 @@ from spanfact.digraph import (
 from spanfact.errors import PhaseInconsistencyError, SpanfactError, UniformityError
 from spanfact.fixtures import load_fixture
 from spanfact.groups import enumerate_group
+from spanfact.perm import Perm
 from spanfact.spanning import (
+    _top_action,
     max_relocatable_tree,
     phase_addressing,
     search_sharply_transitive,
@@ -40,6 +44,7 @@ from oracles import (
     naive_max_tree_size,
     reference_law_suite,
     reference_matching_f1,
+    reference_phase_addressing,
     reference_position_system,
     reference_sharply_transitive,
 )
@@ -206,13 +211,152 @@ def test_factors_share_cycle_action_random():
     assert 0 < defined < 600
 
 
+FIXTURES = (
+    *(f"toy:{k}" for k in range(3, 10)), "morris", "a5-ex2", "a5-ex3",
+    *(f"shift:{k}" for k in range(3, 17)), "shift:101",
+)
+CONFIGS = sorted((Path(__file__).resolve().parents[1] / "perfbench" / "configs").glob("*.json"))
+
+
+def config_digraph(path: Path) -> Digraph2:
+    return instance_from_config(json.loads(path.read_text())).digraph
+
+
+def product_digraph(k: int, q: int) -> Digraph2:
+    """The Cayley digraph of Z_k x Z_q on (1, 0) and (1, 1), vertex (a, b)
+    numbered q*a + b.  Its x-cycles have length q, and there are k of them."""
+
+    def step(v: int, db: int) -> int:
+        return q * ((v // q + 1) % k) + (v % q + db) % q
+
+    return Digraph2([(step(v, 0), step(v, 1)) for v in range(k * q)])
+
+
+def sampled_masks(d: Digraph2, rng: random.Random, count: int) -> list[int]:
+    """Every mask when there are at most count of them, else count at random."""
+    total = 1 << d.alt_decomposition.r
+    return list(range(total)) if total <= count else [rng.randrange(total) for _ in range(count)]
+
+
+def assert_position_tau_is_shift(d: Digraph2, masks: list[int]) -> tuple[int, int]:
+    """At every mask with uniform x-cycle lengths, F2 permutes the position
+    blocks exactly when F1 does, and then tau is the shift j -> j - 1 mod m,
+    a derangement exactly when m > 1.  Wherever the top action of F1 on the
+    x-cycles is defined, it is one r-cycle.  Returns the number of masks
+    where tau and where the top action are defined."""
+    tau_defined = top_defined = 0
+    for b in masks:
+        f = factorization_at(d, b)
+        try:
+            ps = position_system(f)
+        except UniformityError:
+            continue
+        bs = position_block_system(ps)
+        permuted = _block_images(f.f1.images, bs) is not None
+        assert permuted == (_block_images(f.f2.images, bs) is not None), b
+        if permuted:
+            tau, is_der = relative_block_permutation(f, bs)
+            assert tau == Perm([(j - 1) % ps.m for j in range(ps.m)]), b
+            assert is_der == (ps.m > 1), b
+            tau_defined += 1
+        top = _top_action(f, ps, f.f1)
+        if top is not None:
+            assert top.cycle_type() == (ps.r,), b
+            top_defined += 1
+    return tau_defined, top_defined
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_position_tau_is_shift(name):
+    d = load_fixture(name).digraph
+    assert_position_tau_is_shift(d, list(range(1 << d.alt_decomposition.r)))
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
+def test_position_tau_is_shift_configs(path):
+    d = config_digraph(path)
+    assert_position_tau_is_shift(d, sampled_masks(d, random.Random(path.stem), 200))
+
+
+def test_position_tau_is_shift_random():
+    """300 seeded random digraphs, simple and with loops or parallel edges."""
+    tau_defined = top_defined = 0
+    for seed in range(150):
+        rng = random.Random(seed)
+        for d in (random_digraph(rng, rng.randint(4, 12)), random_multidigraph(rng, rng.randint(1, 12))):
+            counts = assert_position_tau_is_shift(d, sampled_masks(d, rng, 64))
+            tau_defined += counts[0]
+            top_defined += counts[1]
+    assert tau_defined and top_defined
+
+
+def addressing_outcome(build, f, ps, pp):
+    """The words, images and root build gives, or its error type and message."""
+    try:
+        ws = build(f, ps, pp)
+    except SpanfactError as exc:
+        return type(exc), str(exc)
+    return ws.words, ws.images, ws.root
+
+
+def assert_addressing_matches_reference(d: Digraph2, masks: list[int]) -> int:
+    """phase_addressing against the reference that runs every check, at each
+    mask with constant phases.  Returns the number of sets built with
+    m >= 3 and r >= 2, where the sign of each sigma sets the word order."""
+    wide = 0
+    for b in masks:
+        f = factorization_at(d, b)
+        try:
+            ps = position_system(f)
+            pp = phase_profile(f, ps)
+        except (UniformityError, PhaseInconsistencyError):
+            continue
+        got = addressing_outcome(phase_addressing, f, ps, pp)
+        assert got == addressing_outcome(reference_phase_addressing, f, ps, pp), b
+        wide += len(got) == 3 and ps.m >= 3 and ps.r >= 2
+    return wide
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_phase_addressing_matches_reference(name):
+    d = load_fixture(name).digraph
+    assert_addressing_matches_reference(d, list(range(1 << d.alt_decomposition.r)))
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
+def test_phase_addressing_matches_reference_configs(path):
+    d = config_digraph(path)
+    assert_addressing_matches_reference(d, sampled_masks(d, random.Random(path.stem), 200))
+
+
+def test_phase_addressing_matches_reference_products():
+    """Each Z_k x Z_q with k >= 2 and q >= 3 builds one set with m = q and
+    r = k."""
+    wide = 0
+    for k in range(2, 5):
+        for q in range(2, 7):
+            d = product_digraph(k, q)
+            wide += assert_addressing_matches_reference(d, list(range(1 << d.alt_decomposition.r)))
+    assert wide == 3 * 4
+
+
+def test_phase_addressing_matches_reference_random():
+    """Seeded random digraphs with up to 24 vertices, simple and with loops
+    or parallel edges; a few build sets with m >= 3 and r >= 2."""
+    wide = 0
+    for seed in range(2000):
+        rng = random.Random(seed)
+        for d in (random_digraph(rng, rng.randint(4, 24)), random_multidigraph(rng, rng.randint(1, 24))):
+            wide += assert_addressing_matches_reference(d, sampled_masks(d, rng, 64))
+    assert wide
+
+
 def test_matching_matches_recursive_reference():
     """F1 of mask 0, read off the alternating-cycle walk, is the matching the
     recursive augmenting-path search finds."""
-    configs = sorted((Path(__file__).resolve().parents[1] / "perfbench" / "configs").glob("*.json"))
     fixtures = ("toy:3", "toy:8", "morris", "a5-ex2", "a5-ex3", "shift:11")
     named = [(name, load_fixture(name).digraph) for name in fixtures]
-    named += [(p.stem, instance_from_config(json.loads(p.read_text())).digraph) for p in configs]
+    named += [(p.stem, config_digraph(p)) for p in CONFIGS]
     assert len(named) == 9
     for name, d in named:
         assert factor_images(d, 0)[0] == list(reference_matching_f1(d)), name

@@ -25,6 +25,7 @@ from spanfact.spanning import (
 )
 
 from oracles import naive_max_tree_size
+from test_random_instances import product_digraph
 
 
 @pytest.fixture()
@@ -157,6 +158,20 @@ def test_phase_addressing_toy_precondition():
     pp = phase_profile(f, ps)
     with pytest.raises(PreconditionError):
         phase_addressing(f, ps, pp)
+
+
+def test_phase_addressing_orders_words_by_sigma():
+    """Z_2 x Z_3 at mask 3 has m = 3, r = 2 and phases (2, 2), so sigma is
+    nonzero on a cycle and its sign sets the word order; listing cycle i's
+    words by x^(j + sigma) would give "- 12' 12'12' 12'1 2 1", which also
+    verifies."""
+    f = factorization_at(product_digraph(2, 3), 3)
+    ps = position_system(f)
+    pp = phase_profile(f, ps)
+    assert (ps.m, ps.r, pp.delta) == (3, 2, (2, 2))
+    s = splice_generators(phase_addressing(f, ps, pp), f)
+    assert " ".join(map(word_str, s.words)) == "- 12' 12'12' 2 1 12'1"
+    assert verify_sharply_transitive(s, f).passed
 
 
 def test_splice_preserves_root_images():
