@@ -12,14 +12,19 @@ factorization are the tail sets of the alternating cycles, and a cycle's bit
 only sets the direction in which x walks it.  Digraph2._cycle_rows lists
 each cycle's rows (v, F1(v), F2(v)) at both bits by position, so a tail's
 position is its row index at either bit, and Digraph2._cycle_of gives the
-cycle of every vertex.  position_system, phase_profile and law_suite read
-that one table through _fill, one pass over a factorization's rows that
-writes F1, F2, the positions and the tied blocks (F1(v) lies in tied block
-pos_of[v]), and law_suite decides phase constancy from those labellings.
-Constant phases imply the atom counts, and the refinement systems are all
-invariant exactly when the phases are all equal, so neither law needs a
-pass of its own.  law_suite builds no object per factorization and lists
-no refinement system.
+cycle of every vertex.  position_system and phase_profile read that one
+table through _fill, one pass over a factorization's rows that writes F1,
+the positions and the tied blocks (F1(v) lies in tied block pos_of[v]).
+
+law_suite visits no factorization.  The tied blocks of a cycle's tails
+depend only on its own bit and the bits of the cycles that hold its tails'
+in-edges, its scope, so _local_maps tabulates them per cycle at every
+setting of its scope, and _phase_counts counts from those tables, in one
+frontier pass over the bits, the factorizations with constant phases, with
+all phases equal, and on which F1 permutes the position blocks.  Constant
+phases imply the atom counts, and the refinement systems are all invariant
+exactly when the phases are all equal, so neither law needs a count of its
+own.  No refinement system is listed.
 
 A block system labels every vertex with its block id (positions, cycle
 indices), and every block action is one pass of _block_images over the
@@ -34,8 +39,8 @@ exactly when F1 does, with sigma(F2)(j) = sigma(F1)(j - 1): tau is the
 shift j -> j - 1 mod m wherever it is defined.  Each position block holds
 one tail of every cycle, so a swap mask other than 0 and the full mask
 masks part of every position block.  law_suite counts swap invariance from
-these facts and one block action of F1 per factorization, without
-relabelling.
+these facts and the number of factorizations on which F1 permutes the
+position blocks, without relabelling.
 """
 from __future__ import annotations
 
@@ -58,6 +63,11 @@ X_CONVENTION = "F2^-1 F1"
 
 # invariant_refinements lists 2^k - 1 systems for k difference-class orbits
 REFINEMENT_ORBIT_CAP = 16
+
+# the common map of _phase_counts' frontier states before any cycle is read,
+# and once two cycles' maps differ
+_START = -2
+_MIXED = -1
 
 
 @dataclass(frozen=True)
@@ -87,7 +97,7 @@ def position_system(f: Factorization) -> PositionSystem:
         raise UniformityError(
             f"x-cycle lengths are not uniform: {sorted(len(rows) for rows, _ in d._cycle_rows)}"
         )
-    rows_at, _, _, pos_of, _ = _fill(d, f.bitmask)
+    rows_at, _, pos_of, _ = _fill(d, f.bitmask)
     cycles = tuple(tuple(v for v, _, _ in rows) for rows in rows_at)
     return PositionSystem(
         m, len(cycles), cycles, tuple(map(frozenset, zip(*cycles))), d._cycle_of, pos_of
@@ -103,20 +113,19 @@ def _cycle_length(d: Digraph2) -> int:
 
 def _fill(
     d: Digraph2, bitmask: int
-) -> tuple[list[tuple[Row, ...]], list[int], list[int], list[int], list[int]]:
+) -> tuple[list[tuple[Row, ...]], list[int], list[int], list[int]]:
     """The factorization at bitmask in one pass over d's cycle rows: each
-    cycle's rows by position, then per vertex its F1 and F2 image, its
-    position and its tied block.  F1 carries P_j onto tied block j, so F1(v)
-    lies in tied block pos_of[v]."""
+    cycle's rows by position, then per vertex its F1 image, its position
+    and its tied block.  F1 carries P_j onto tied block j, so F1(v) lies in
+    tied block pos_of[v]."""
     cycles = [pair[(bitmask >> ci) & 1] for ci, pair in enumerate(d._cycle_rows)]
-    f1, f2, pos_of, tied = ([0] * d.n for _ in range(4))
+    f1, pos_of, tied = ([0] * d.n for _ in range(3))
     for rows in cycles:
-        for j, (v, a, c) in enumerate(rows):
+        for j, (v, a, _) in enumerate(rows):
             f1[v] = a
-            f2[v] = c
             pos_of[v] = j
             tied[a] = j
-    return cycles, f1, f2, pos_of, tied
+    return cycles, f1, pos_of, tied
 
 
 @dataclass(frozen=True)
@@ -131,7 +140,7 @@ class PhaseProfile:
 def phase_profile(f: Factorization, ps: PositionSystem) -> PhaseProfile:
     """Phases from tied-block membership, verified constant along every cycle."""
     m = ps.m
-    cycles, f1, _, _, tied = _fill(f.digraph, f.bitmask)
+    cycles, f1, _, tied = _fill(f.digraph, f.bitmask)
     delta, drift = _phases(tied, cycles, m)
     if drift is not None:
         i, j = drift
@@ -337,11 +346,12 @@ def law_suite(d: Digraph2, masks: list[int]) -> dict[str, tuple[int, int]]:
     factorization without constant phases skips refinements).  atom_counts
     is implied by constant phases: tied[v] = pos_of[v] + the phase of v's
     cycle, so P_j meets F1(P_(j+d)) in the position-j vertex of every cycle
-    of phase d.  The 2^r factorizations are walked once and nothing is kept
-    between them.  Each is filled in one pass over d's cycle rows (_fill):
-    F1, F2, and the position and tied block of every vertex.  No object is
-    built per factorization and no refinement system is listed, so the
-    difference-class orbit count is not capped.
+    of phase d.  No factorization is visited: _phase_counts counts, from
+    per-cycle tables, the factorizations with constant phases, those whose
+    phases are moreover all equal, and those on which F1 permutes the
+    position blocks.  A constant-phase factorization fails the refinement
+    law exactly when its phases are not all equal.  No refinement system is
+    listed, so the difference-class orbit count is not capped.
 
     swap_invariance compares tau before and after swap_relabel by each of
     masks, on the position and the cycle block systems, counting only the
@@ -352,9 +362,9 @@ def law_suite(d: Digraph2, masks: list[int]) -> dict[str, tuple[int, int]]:
     block action, defined on all factorizations or on none, and tau is the
     identity: every pair is checked and holds.  On the position system, F2
     permutes the blocks exactly when F1 does, and tau is then the shift
-    j -> j - 1 mod m, so one block action of F1 per factorization decides
-    it.  When m = 1 the shift is the identity and every mask keeps it.
-    Otherwise sigma(F1) and sigma(F2) send every block apart, and each
+    j -> j - 1 mod m, so the count of factorizations where F1 permutes them
+    decides it.  When m = 1 the shift is the identity and every mask keeps
+    it.  Otherwise sigma(F1) and sigma(F2) send every block apart, and each
     position block holds one tail of each cycle, so every mask but two
     splits a block: 0 keeps tau, and the full mask swaps the factors, which
     inverts tau.  The inverse differs from the shift exactly when m > 2.
@@ -368,23 +378,10 @@ def law_suite(d: Digraph2, masks: list[int]) -> dict[str, tuple[int, int]]:
     m = _cycle_length(d)
     # every factorization has the same x-cycle lengths, so when they differ
     # none has constant phases and none is checked further
-    phase_fail = 0 if m else total
-    refinement_fail = swap_checked = swap_fail = 0
+    const, uniform, permuted = _phase_counts(d, m) if m else (0, 0, 0)
+    swap_checked = swap_fail = 0
     if m and _block_images(factor_images(d, 0)[0], BlockSystem(d._cycle_of, r)) is not None:
         swap_checked = total * len(masks)
-    permuted = 0
-    for b in range(total if m else 0):
-        cycles, f1, _, pos_of, tied = _fill(d, b)
-        delta, drift = _phases(tied, cycles, m)
-        if drift is not None:
-            phase_fail += 1
-        elif len(set(delta)) > 1:
-            # Each listed refinement system is invariant exactly when the
-            # position system is.  x shifts every position by one, and F1
-            # carries P_j onto the position j - delta_i vertex of each
-            # cycle i: one position block exactly when the phases are equal.
-            refinement_fail += 1
-        permuted += _block_images(f1, BlockSystem(pos_of, m)) is not None
     # tau is the shift j -> j - 1 on every factorization counted in permuted:
     # the identity when m = 1, so every mask keeps it; otherwise only masks 0
     # (tau) and the full mask (tau^-1) are defined, and tau^-1 != tau for m > 2
@@ -393,11 +390,105 @@ def law_suite(d: Digraph2, masks: list[int]) -> dict[str, tuple[int, int]]:
     if m > 2:
         swap_fail = permuted * inverted
     return {
-        "phase_constancy": (total, phase_fail),
+        "phase_constancy": (total, total - const),
         "atom_counts": (total, 0),
-        "refinements": (total, refinement_fail),
+        "refinements": (total, const - uniform),
         "swap_invariance": (swap_checked, swap_fail),
     }
+
+
+def _local_maps(d: Digraph2) -> list[tuple[list[int], list[tuple[int, ...]]]]:
+    """Per cycle i, its scope and its map g_i at every setting of the scope.
+
+    The scope is i and the cycles that hold the in-edges of i's tails,
+    ascending; bit p of a setting is the bit of the scope's p-th cycle.  g_i
+    lists, by position at i's bit, the tied block of each tail t of i: the
+    row index of t as an F1 head in the rows of t's in-edge cycle at that
+    cycle's bit.  Nothing else of the mask moves g_i."""
+    n = d.n
+    in_cycle = [0] * n
+    tied = ([0] * n, [0] * n)
+    for ci, pair in enumerate(d._cycle_rows):
+        for bit, rows in enumerate(pair):
+            for j, (_, a, _) in enumerate(rows):
+                tied[bit][a] = j
+                in_cycle[a] = ci
+    out = []
+    for i, pair in enumerate(d._cycle_rows):
+        scope = sorted({i, *(in_cycle[v] for v, _, _ in pair[0])})
+        slot = {c: p for p, c in enumerate(scope)}
+        own = slot[i]
+        reads = {v: slot[in_cycle[v]] for v, _, _ in pair[0]}
+        table = [
+            tuple(tied[(local >> reads[v]) & 1][v] for v, _, _ in pair[(local >> own) & 1])
+            for local in range(1 << len(scope))
+        ]
+        out.append((scope, table))
+    return out
+
+
+def _phase_counts(d: Digraph2, m: int) -> tuple[int, int, int]:
+    """(const, uniform, permuted) over the 2^r factorizations of d, whose
+    x-cycles all have length m: the number with constant phases, with all
+    phases moreover equal, and on which F1 permutes the position blocks.
+
+    Three facts about the maps g_i of _local_maps decide each count.  Cycle
+    i has a constant phase delta_i iff g_i is the shift j -> j + delta_i mod
+    m.  So the phases are constant and all equal iff every g_i is the same
+    shift.  F1 carries P_j onto tied block j, so it permutes the position
+    blocks iff every g_i is the same map: each position block holds one tail
+    of every cycle, and the block sizes force that map to be a bijection.
+
+    One frontier pass over the bits in ascending order counts all three.  A
+    state is the setting of the bits that a cycle not yet read still needs,
+    the common g_i so far (or MIXED), and whether every g_i so far is a
+    shift; cycle i is read once the largest bit of its scope is set.  A
+    state that is MIXED and not all-shift counts towards nothing and is
+    dropped.  When the cycles share no map and some cycle has no shift at
+    any setting, all three counts are 0 without a pass.
+    """
+    maps = _local_maps(d)
+    labels: dict[tuple[int, ...], int] = {}
+    tables = [[labels.setdefault(g, len(labels)) for g in table] for _, table in maps]
+    is_shift = [all(g[j] == (g[0] + j) % m for j in range(m)) for g in labels]
+    shared = set.intersection(*map(set, tables))
+    all_shift = all(any(is_shift[g] for g in table) for table in tables)
+    if not shared and not all_shift:
+        return 0, 0, 0
+    r = len(maps)
+    # the cycles read once bit k is set, and the bits still needed after it
+    read_at: list[list[tuple[list[int], list[int]]]] = [[] for _ in range(r)]
+    for (scope, _), table in zip(maps, tables):
+        read_at[scope[-1]].append((scope, table))
+    live = [0] * r
+    for scope, _ in maps:
+        for c in scope[:-1]:
+            for k in range(c, scope[-1]):
+                live[k] |= 1 << c
+    states: dict[tuple[int, int, bool], int] = {(0, _START, all_shift): 1}
+    for k in range(r):
+        nxt: dict[tuple[int, int, bool], int] = {}
+        for (bits, g, shift), count in states.items():
+            for b in (bits, bits | 1 << k):
+                h, s = g, shift
+                for scope, table in read_at[k]:
+                    label = table[sum(((b >> c) & 1) << p for p, c in enumerate(scope))]
+                    s = s and is_shift[label]
+                    if label not in shared or h not in (_START, label):
+                        h = _MIXED
+                    else:
+                        h = label
+                if h == _MIXED and not s:
+                    continue
+                key = (b & live[k], h, s)
+                nxt[key] = nxt.get(key, 0) + count
+        states = nxt
+    const = uniform = permuted = 0
+    for (_, g, shift), count in states.items():
+        const += count if shift else 0
+        permuted += count if g != _MIXED else 0
+        uniform += count if shift and g != _MIXED else 0
+    return const, uniform, permuted
 
 
 @dataclass(frozen=True)

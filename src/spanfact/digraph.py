@@ -227,7 +227,9 @@ def bitmask_of(d: Digraph2, f1: Perm) -> int:
 
 
 def check_cycle_cap(r: int) -> None:
-    """Refuse a 2^r walk past DEFAULT_CYCLE_CAP, read at call time."""
+    """Refuse r past DEFAULT_CYCLE_CAP, read at call time.  It guards the
+    2^r walks of the listing and the classification, and bounds the law
+    suite's counts, which walk no mask, to the same instances."""
     if r > DEFAULT_CYCLE_CAP:
         raise SizeCapError(f"alternating cycle count {r} exceeds cap {DEFAULT_CYCLE_CAP}")
 

@@ -461,6 +461,20 @@ def test_law_suite_matches_reference_on_mask_lists(name, raw_masks):
     assert law_suite(d, masks) == reference_law_suite(d, masks)
 
 
+def test_law_suite_toy_20():
+    """Every one of the 2^20 factorizations of toy:20 has constant phases,
+    and all but two have unequal ones.  The counts were checked once against
+    the walk over every factorization (about 19 s)."""
+    d, _ = build_toy(20)
+    full = (1 << 20) - 1
+    assert law_suite(d, [0, full, 0, 5]) == {
+        "phase_constancy": (1 << 20, 0),
+        "atom_counts": (1 << 20, 0),
+        "refinements": (1 << 20, (1 << 20) - 2),
+        "swap_invariance": (4 * (1 << 20) + 6, 0),
+    }
+
+
 @pytest.mark.parametrize("name, b", [("toy:3", 0), ("toy:5", 9), ("morris", 7), ("shift:7", 1)])
 def test_atom_counts_fail_when_two_tied_blocks_are_exchanged(name, b):
     """Two vertices of one x-cycle lie at different positions and in
@@ -470,7 +484,7 @@ def test_atom_counts_fail_when_two_tied_blocks_are_exchanged(name, b):
     ps = position_system(f)
     pp = phase_profile(f, ps)
     assert _reference_atom_laws(f, ps, pp)
-    tied = blocks._fill(f.digraph, f.bitmask)[4]
+    tied = blocks._fill(f.digraph, f.bitmask)[3]
     assert all(w in pp.tied_blocks[k] for w, k in enumerate(tied))
     u, v = ps.cycle_list[0][:2]
     tied[u], tied[v] = tied[v], tied[u]

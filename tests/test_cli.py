@@ -29,6 +29,10 @@ GOLDEN_CLASSIFY = json.loads(Path(__file__).with_name("golden_classify.json").re
 # "<argv joined by spaces>" -> [exit code, stdout, stderr] of build, blocks,
 # spanning, tree-search and verify on five fixtures, errors included
 GOLDEN_CLI = json.loads(Path(__file__).with_name("golden_cli.json").read_text())
+# config name under configs/ -> [exit code, stdout] of the default verify, as
+# the 2^r walk of every factorization gave it (about 15 s on s5-r20 and 28 s
+# on psl27-r21)
+GOLDEN_VERIFY_SCALE = json.loads(Path(__file__).with_name("golden_verify_scale.json").read_text())
 
 
 def rendered(records, fmt: str) -> str:
@@ -362,6 +366,15 @@ def test_verify_golden(capsys, key):
     name, seed = key.split("/")
     code, out, _ = run_cli(capsys, "verify", "--fixture", name, "--seed", seed, "--masks", "200")
     assert [code, out] == GOLDEN_VERIFY[key]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_VERIFY_SCALE))
+def test_verify_golden_scale(capsys, name):
+    """s5-r20 (r = 20) and psl27-r21 (r = 21): no factorization has
+    constant phases, and verify answers from the per-cycle tables."""
+    path = Path(__file__).with_name("configs") / f"{name}.json"
+    code, out, err = run_cli(capsys, "verify", "--config", str(path))
+    assert ([code, out], err) == (GOLDEN_VERIFY_SCALE[name], "")
 
 
 @pytest.mark.parametrize("key", GOLDEN_CLI)

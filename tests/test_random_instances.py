@@ -9,6 +9,7 @@ import pytest
 from spanfact.blocks import (
     BlockSystem,
     _block_images,
+    _phase_counts,
     difference_class_orbits,
     invariant_refinements,
     law_suite,
@@ -438,6 +439,69 @@ def test_phase_addressing_doubled_cycle():
 
     with pytest.raises(PreconditionError):
         splice_generators(s0, f)
+
+
+def random_uniform_digraph(rng: random.Random, r: int, m: int) -> Digraph2:
+    """A random strongly connected 2-regular digraph whose r alternating
+    cycles all have m tails, loops and parallel edges allowed: F1 is a
+    random permutation and x one with r cycles of length m, F2 = F1 x^-1,
+    and each vertex's two slots are in random order."""
+    n = r * m
+    while True:
+        order = list(range(n))
+        rng.shuffle(order)
+        x = [0] * n
+        for i in range(0, n, m):
+            cyc = order[i:i + m]
+            for j, v in enumerate(cyc):
+                x[v] = cyc[(j + 1) % m]
+        f1 = list(range(n))
+        rng.shuffle(f1)
+        f2 = [0] * n
+        for v in range(n):
+            f2[x[v]] = f1[v]
+        try:
+            return Digraph2([(a, b) if rng.random() < 0.5 else (b, a) for a, b in zip(f1, f2)])
+        except SpanfactError:
+            continue
+
+
+def test_law_suite_matches_reference_uniform_random():
+    """The law suite against the listing oracle on seeded random digraphs
+    whose x-cycles all have one length, with mask lists that hold 0 and the
+    full mask, so that the count of factorizations on which F1 permutes the
+    position blocks reaches the swap law.  The digraphs cover factorizations
+    with and without constant phases, and F1 permuting the blocks on
+    factorizations whose phases are not constant, with one cycle and with
+    several."""
+    seen = {"some_const": 0, "unequal": 0, "permuted_not_uniform": 0, "wide": 0, "swap_fail": 0}
+    for seed in range(600):
+        rng = random.Random(seed)
+        r, m = rng.randint(1, 6), rng.randint(1, 5)
+        d = random_uniform_digraph(rng, r, m)
+        assert d.alt_decomposition.r == r
+        full = (1 << r) - 1
+        masks = [0, full] + [rng.randrange(full + 1) for _ in range(rng.randint(0, 4))]
+        laws = law_suite(d, masks)
+        assert laws == reference_law_suite(d, masks), seed
+        const, uniform, permuted = _phase_counts(d, m)
+        seen["some_const"] += 0 < const < 1 << r
+        seen["unequal"] += const > uniform
+        seen["permuted_not_uniform"] += permuted > uniform
+        seen["wide"] += permuted > uniform and r > 1
+        seen["swap_fail"] += laws["swap_invariance"][1] > 0
+    assert all(seen.values()), seen
+
+
+def test_law_suite_matches_reference_products():
+    """The Cayley digraphs of Z_k x Z_q with q >= 3, whose x-cycles have
+    length q, with 0 and the full mask among the masks."""
+    for k in range(1, 6):
+        for q in range(3, 7):
+            d = product_digraph(k, q)
+            full = (1 << d.alt_decomposition.r) - 1
+            for masks in ([0, full], [full, 0, full, full // 2]):
+                assert law_suite(d, masks) == reference_law_suite(d, masks), (k, q, masks)
 
 
 def test_law_suite_matches_reference_random():
