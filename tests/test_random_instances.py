@@ -32,6 +32,7 @@ from spanfact.fixtures import load_fixture
 from spanfact.groups import enumerate_group
 from spanfact.perm import Perm
 from spanfact.spanning import (
+    CLOSURE_CAP,
     _top_action,
     max_relocatable_tree,
     phase_addressing,
@@ -39,6 +40,7 @@ from spanfact.spanning import (
     splice_generators,
     verify_sharply_transitive,
 )
+from spanfact.treesearch import run_search
 
 from oracles import (
     brute_force_refinement_families,
@@ -47,6 +49,7 @@ from oracles import (
     reference_matching_f1,
     reference_phase_addressing,
     reference_position_system,
+    reference_run_search,
     reference_sharply_transitive,
 )
 
@@ -375,6 +378,38 @@ def test_tree_search_matches_oracle_random(seed):
         res = max_relocatable_tree(f)
         assert res.certificate
         assert res.size == naive_max_tree_size(f)
+
+
+def test_tree_kernel_matches_reference_random():
+    """The tree kernel against the reference, which runs every closure BFS
+    to the end, on seeded random digraphs with n <= 10, four masks each.
+    Under each closure cap some BFS runs end, so that their children search
+    inside the closure, and some stop early at a check; a cap of 8 makes
+    some pass the cap, which shows as more nodes where a prune is lost.  A
+    node cap of 12 cuts some searches short; one of 40 rarely binds at this
+    size."""
+    cut = capped = 0
+    for seed in range(90):
+        rng = random.Random(2300 + seed)
+        if seed % 3 == 0:
+            d = random_digraph(rng, rng.randint(3, 10))
+        elif seed % 3 == 1:
+            d = random_multidigraph(rng, rng.randint(1, 10))
+        else:
+            r = rng.randint(1, 5)
+            d = random_uniform_digraph(rng, r, rng.randint(1, 10 // r))
+        for mask in sampled_masks(d, rng, 4):
+            f = factorization_at(d, mask)
+            for node_cap in (10**8, 40, 12):
+                results = []
+                for closure_cap in (CLOSURE_CAP, 50, 8):
+                    args = (f.n, f.f1.images, f.f2.images, node_cap, closure_cap)
+                    got = run_search(*args)
+                    assert got == reference_run_search(*args), (seed, mask, node_cap, closure_cap)
+                    results.append(got)
+                cut += not results[0][3]
+                capped += results[2][2] > results[0][2]
+    assert cut and capped, (cut, capped)
 
 
 def test_sharply_transitive_search_matches_reference_random():

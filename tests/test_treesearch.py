@@ -88,13 +88,18 @@ def test_kernel_matches_reference_under_caps(node_cap, closure_cap):
 
 
 def test_search_leaves_no_reference_cycle():
-    f = factorization_at(load_fixture("a5-ex2").digraph, 6)
+    """The search, whose stack holds closure sets and bound methods of image
+    blobs, leaves nothing for the cyclic collector: on the Hamiltonian class
+    of a5-ex2, on its node-heavy mask 13 and on the closure-heavy class of
+    a5-ex3."""
     enabled = gc.isenabled()
     gc.disable()
     try:
-        gc.collect()
-        assert run_search(f.n, f.f1.images, f.f2.images, NODE_CAP, CLOSURE_CAP)[0] == 30
-        assert gc.collect() == 0
+        for name, mask, size in (("a5-ex2", 6, 30), ("a5-ex2", 13, 19), ("a5-ex3", 1, 9)):
+            f = factorization_at(load_fixture(name).digraph, mask)
+            gc.collect()
+            assert run_search(f.n, f.f1.images, f.f2.images, NODE_CAP, CLOSURE_CAP)[0] == size
+            assert gc.collect() == 0, (name, mask)
     finally:
         if enabled:
             gc.enable()
