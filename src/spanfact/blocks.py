@@ -19,9 +19,9 @@ the positions and the tied blocks (F1(v) lies in tied block pos_of[v]).
 law_suite visits no factorization.  The tied blocks of a cycle's tails
 depend only on its own bit and the bits of the cycles that hold its tails'
 in-edges, its scope, so _local_maps tabulates them per cycle at every
-setting of its scope, and _phase_counts counts from those tables, in one
-frontier pass over the bits, the factorizations with constant phases, with
-all phases equal, and on which F1 permutes the position blocks.  Constant
+setting of its scope.  _phase_counts reads each law as one predicate per
+cycle on those tables, and _count_masks counts the masks on which every
+cycle's predicate holds, in one frontier pass over the bits.  Constant
 phases imply the atom counts, and the refinement systems are all invariant
 exactly when the phases are all equal, so neither law needs a count of its
 own.  No refinement system is listed.
@@ -63,11 +63,6 @@ X_CONVENTION = "F2^-1 F1"
 
 # invariant_refinements lists 2^k - 1 systems for k difference-class orbits
 REFINEMENT_ORBIT_CAP = 16
-
-# the common map of _phase_counts' frontier states before any cycle is read,
-# and once two cycles' maps differ
-_START = -2
-_MIXED = -1
 
 
 @dataclass(frozen=True)
@@ -141,33 +136,28 @@ def phase_profile(f: Factorization, ps: PositionSystem) -> PhaseProfile:
     """Phases from tied-block membership, verified constant along every cycle."""
     m = ps.m
     cycles, f1, _, tied = _fill(f.digraph, f.bitmask)
-    delta, drift = _phases(tied, cycles, m)
-    if drift is not None:
-        i, j = drift
-        rows = cycles[i]
-        raise PhaseInconsistencyError(
-            f"phase not constant on cycle {i}: offset {tied[rows[0][0]] % m} at position 0 "
-            f"but {(tied[rows[j][0]] - j) % m} at position {j}"
-        )
+    delta = []
+    for i, rows in enumerate(cycles):
+        g = [tied[v] for v, _, _ in rows]
+        j = _drift(g, m)
+        if j:
+            raise PhaseInconsistencyError(
+                f"phase not constant on cycle {i}: offset {g[0]} at position 0 "
+                f"but {(g[j] - j) % m} at position {j}"
+            )
+        delta.append(g[0])
     tied_blocks = tuple(frozenset(f1[v] for v in blk) for blk in ps.blocks)
     return PhaseProfile(tuple(delta), tuple(map(delta.count, range(m))), tied_blocks)
 
 
-def _phases(
-    tied: list[int], cycles: list[tuple[Row, ...]], m: int
-) -> tuple[list[int], tuple[int, int] | None]:
-    """Per-cycle phases, the offset of tied block over position mod m, and
-    the first (cycle, position) where a cycle's offset differs from its
-    offset at position 0; the phases are complete only when that is None.
-    cycles holds each cycle's rows by position."""
-    delta = []
-    for i, rows in enumerate(cycles):
-        d0 = tied[rows[0][0]] % m
-        for j in range(1, m):
-            if (tied[rows[j][0]] - j) % m != d0:
-                return delta, (i, j)
-        delta.append(d0)
-    return delta, None
+def _drift(g: Sequence[int], m: int) -> int:
+    """The first position j where g, a cycle's map from positions to tied
+    blocks, leaves the shift j -> g[0] + j mod m, or 0 when g is that shift:
+    then the cycle's phase is constant, g[0]."""
+    for j in range(1, m):
+        if g[j] != (g[0] + j) % m:
+            return j
+    return 0
 
 
 def atoms(
@@ -349,9 +339,10 @@ def law_suite(d: Digraph2, masks: list[int]) -> dict[str, tuple[int, int]]:
     of phase d.  No factorization is visited: _phase_counts counts, from
     per-cycle tables, the factorizations with constant phases, those whose
     phases are moreover all equal, and those on which F1 permutes the
-    position blocks.  A constant-phase factorization fails the refinement
-    law exactly when its phases are not all equal.  No refinement system is
-    listed, so the difference-class orbit count is not capped.
+    position blocks, with one _count_masks pass per predicate.  A
+    constant-phase factorization fails the refinement law exactly when its
+    phases are not all equal.  No refinement system is listed, so the
+    difference-class orbit count is not capped.
 
     swap_invariance compares tau before and after swap_relabel by each of
     masks, on the position and the cycle block systems, counting only the
@@ -439,56 +430,55 @@ def _phase_counts(d: Digraph2, m: int) -> tuple[int, int, int]:
     blocks iff every g_i is the same map: each position block holds one tail
     of every cycle, and the block sizes force that map to be a bijection.
 
-    One frontier pass over the bits in ascending order counts all three.  A
-    state is the setting of the bits that a cycle not yet read still needs,
-    the common g_i so far (or MIXED), and whether every g_i so far is a
-    shift; cycle i is read once the largest bit of its scope is set.  A
-    state that is MIXED and not all-shift counts towards nothing and is
-    dropped.  When the cycles share no map and some cycle has no shift at
-    any setting, all three counts are 0 without a pass.
+    _count_masks counts each law from one predicate per cycle: const with
+    "g_i is a shift", and, for every map g that each cycle takes at some
+    setting, the masks on which every g_i is g.  Those counts sum to
+    permuted, and the ones where g is a shift to uniform.
     """
     maps = _local_maps(d)
-    labels: dict[tuple[int, ...], int] = {}
-    tables = [[labels.setdefault(g, len(labels)) for g in table] for _, table in maps]
-    is_shift = [all(g[j] == (g[0] + j) % m for j in range(m)) for g in labels]
-    shared = set.intersection(*map(set, tables))
-    all_shift = all(any(is_shift[g] for g in table) for table in tables)
-    if not shared and not all_shift:
-        return 0, 0, 0
-    r = len(maps)
+    scopes = [scope for scope, _ in maps]
+    const = _count_masks(scopes, [[not _drift(g, m) for g in table] for _, table in maps])
+    uniform = permuted = 0
+    for g in set.intersection(*(set(table) for _, table in maps)):
+        count = _count_masks(scopes, [[h == g for h in table] for _, table in maps])
+        permuted += count
+        if not _drift(g, m):
+            uniform += count
+    return const, uniform, permuted
+
+
+def _count_masks(scopes: list[list[int]], holds: list[list[bool]]) -> int:
+    """The number of masks of len(scopes) bits on which holds[i] is true at
+    the setting of scopes[i] for every cycle i; bit p of a setting is the
+    mask's bit scopes[i][p], and each scope ascends.  One frontier pass over
+    the bits in ascending order: a state is the setting of the bits that a
+    cycle not yet read still needs, and a cycle is read, and the states it
+    fails dropped, once the last bit of its scope is set."""
+    # a cycle that holds nowhere empties the states only at its last bit,
+    # after the pass has carried every frontier setting up to it
+    if not all(any(table) for table in holds):
+        return 0
+    r = len(scopes)
     # the cycles read once bit k is set, and the bits still needed after it
-    read_at: list[list[tuple[list[int], list[int]]]] = [[] for _ in range(r)]
-    for (scope, _), table in zip(maps, tables):
-        read_at[scope[-1]].append((scope, table))
+    read_at: list[list[tuple[list[int], list[bool]]]] = [[] for _ in range(r)]
     live = [0] * r
-    for scope, _ in maps:
+    for scope, table in zip(scopes, holds):
+        read_at[scope[-1]].append((scope, table))
         for c in scope[:-1]:
             for k in range(c, scope[-1]):
                 live[k] |= 1 << c
-    states: dict[tuple[int, int, bool], int] = {(0, _START, all_shift): 1}
+    states = {0: 1}
     for k in range(r):
-        nxt: dict[tuple[int, int, bool], int] = {}
-        for (bits, g, shift), count in states.items():
+        nxt: dict[int, int] = {}
+        for bits, count in states.items():
             for b in (bits, bits | 1 << k):
-                h, s = g, shift
-                for scope, table in read_at[k]:
-                    label = table[sum(((b >> c) & 1) << p for p, c in enumerate(scope))]
-                    s = s and is_shift[label]
-                    if label not in shared or h not in (_START, label):
-                        h = _MIXED
-                    else:
-                        h = label
-                if h == _MIXED and not s:
-                    continue
-                key = (b & live[k], h, s)
-                nxt[key] = nxt.get(key, 0) + count
+                if all(
+                    table[sum(((b >> c) & 1) << p for p, c in enumerate(scope))]
+                    for scope, table in read_at[k]
+                ):
+                    nxt[b & live[k]] = nxt.get(b & live[k], 0) + count
         states = nxt
-    const = uniform = permuted = 0
-    for (_, g, shift), count in states.items():
-        const += count if shift else 0
-        permuted += count if g != _MIXED else 0
-        uniform += count if shift and g != _MIXED else 0
-    return const, uniform, permuted
+    return sum(states.values())
 
 
 @dataclass(frozen=True)

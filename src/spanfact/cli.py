@@ -30,7 +30,7 @@ from .blocks import (
 from .digraph import Classification, build_coset_digraph, classify_factorizations, factorization_at
 from .errors import ConfigError, SpanfactError
 from .fixtures import Fixture, load_fixture
-from .groups import config_name, coset_space, presentation_from_config
+from .groups import config_name, presentation_from_config
 from .perm import cycle_string, word_str
 from .spanning import (
     max_relocatable_tree,
@@ -106,7 +106,7 @@ def instance_from_config(doc) -> Fixture:
         fx = load_fixture(f"toy:{toy['m']}")
         return fx if name is None else dataclasses.replace(fx, name=name)
     p = presentation_from_config(doc["presentation"])
-    cd = build_coset_digraph(p, coset_space(p.group, list(p.H_generators)))
+    cd = build_coset_digraph(p)
     return Fixture((p.name or "config") if name is None else name, cd.digraph, cd)
 
 

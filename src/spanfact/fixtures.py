@@ -17,7 +17,7 @@ from .digraph import (
     build_toy,
 )
 from .errors import ConfigError
-from .groups import Presentation, coset_space, enumerate_group
+from .groups import Presentation, enumerate_group
 from .perm import Perm, compose
 
 
@@ -71,5 +71,5 @@ def load_fixture(name: str) -> Fixture:
         return Fixture(name, build_shift(n)[0], None)
     else:
         raise ConfigError(f"unknown fixture {name!r}")
-    cd = build_coset_digraph(p, coset_space(p.group, list(p.H_generators)))
+    cd = build_coset_digraph(p)
     return Fixture(name, cd.digraph, cd)

@@ -9,6 +9,7 @@ import pytest
 from spanfact.blocks import (
     BlockSystem,
     _block_images,
+    _count_masks,
     _phase_counts,
     difference_class_orbits,
     invariant_refinements,
@@ -508,8 +509,17 @@ def test_law_suite_matches_reference_uniform_random():
     position blocks reaches the swap law.  The digraphs cover factorizations
     with and without constant phases, and F1 permuting the blocks on
     factorizations whose phases are not constant, with one cycle and with
-    several."""
-    seen = {"some_const": 0, "unequal": 0, "permuted_not_uniform": 0, "wide": 0, "swap_fail": 0}
+    several.  two_maps counts the digraphs with r > 1 on which F1 permutes
+    the position blocks by at least two actions, so that permuted sums more
+    than one common map."""
+    seen = {
+        "some_const": 0,
+        "unequal": 0,
+        "permuted_not_uniform": 0,
+        "wide": 0,
+        "swap_fail": 0,
+        "two_maps": 0,
+    }
     for seed in range(600):
         rng = random.Random(seed)
         r, m = rng.randint(1, 6), rng.randint(1, 5)
@@ -525,7 +535,40 @@ def test_law_suite_matches_reference_uniform_random():
         seen["permuted_not_uniform"] += permuted > uniform
         seen["wide"] += permuted > uniform and r > 1
         seen["swap_fail"] += laws["swap_invariance"][1] > 0
+        bs = position_block_system(position_system(factorization_at(d, 0)))
+        images = (_block_images(factor_images(d, b)[0], bs) for b in range(full + 1))
+        seen["two_maps"] += r > 1 and len({tuple(a) for a in images if a is not None}) > 1
     assert all(seen.values()), seen
+
+
+def test_count_masks_matches_walk_random():
+    """_count_masks against a walk over all 2^r masks on seeded random scope
+    systems, r <= 10: each scope holds its own cycle and 0-5 others, and the
+    truth tables are random, some all false and some all true."""
+    outcomes = set()
+    for seed in range(200):
+        rng = random.Random(seed)
+        r = rng.randint(1, 10)
+        scopes = [
+            sorted({i, *rng.sample([c for c in range(r) if c != i], rng.randint(0, min(5, r - 1)))})
+            for i in range(r)
+        ]
+        holds = []
+        for scope in scopes:
+            kind, p = rng.random(), rng.random()
+            holds.append(
+                [kind >= 0.05 and (kind < 0.3 or rng.random() < p) for _ in range(1 << len(scope))]
+            )
+        walked = sum(
+            all(
+                table[sum(((mask >> c) & 1) << p for p, c in enumerate(scope))]
+                for scope, table in zip(scopes, holds)
+            )
+            for mask in range(1 << r)
+        )
+        assert _count_masks(scopes, holds) == walked, seed
+        outcomes.add((walked == 0, not all(map(any, holds))))
+    assert outcomes == {(True, True), (True, False), (False, False)}, outcomes
 
 
 def test_law_suite_matches_reference_products():
