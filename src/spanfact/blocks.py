@@ -431,15 +431,17 @@ def _phase_counts(d: Digraph2, m: int) -> tuple[int, int, int]:
     of every cycle, and the block sizes force that map to be a bijection.
 
     _count_masks counts each law from one predicate per cycle: const with
-    "g_i is a shift", and, for every map g that each cycle takes at some
-    setting, the masks on which every g_i is g.  Those counts sum to
-    permuted, and the ones where g is a shift to uniform.
+    "g_i is a shift", and, for every bijection g that each cycle takes at
+    some setting, the masks on which every g_i is g.  Those counts sum to
+    permuted, and the ones where g is a shift to uniform; a shared map that
+    is not a bijection counts 0 by the block sizes, and is skipped.
     """
     maps = _local_maps(d)
     scopes = [scope for scope, _ in maps]
     const = _count_masks(scopes, [[not _drift(g, m) for g in table] for _, table in maps])
     uniform = permuted = 0
-    for g in set.intersection(*(set(table) for _, table in maps)):
+    shared = set.intersection(*(set(table) for _, table in maps))
+    for g in (g for g in shared if len(set(g)) == m):
         count = _count_masks(scopes, [[h == g for h in table] for _, table in maps])
         permuted += count
         if not _drift(g, m):

@@ -260,16 +260,18 @@ class CosetDigraph:
 
 
 def build_coset_digraph(p: Presentation, space: CosetSpace | None = None) -> CosetDigraph:
-    """Vertices are right cosets gH; out-edges of gH are gsH for s in S."""
-    report = validate_presentation(p)
+    """Vertices are right cosets gH; out-edges of gH are gsH for s in S.  The
+    one coset space, given or built here, also decides the presentation's
+    conditions."""
+    if space is None:
+        space = coset_space(p.group, list(p.H_generators))
+    report = validate_presentation(p, space)
     if not report.valid:
         failed = [c.label for c in report.checks if not c.passed]
         raise PreconditionError(f"invalid presentation; failing conditions: {failed}")
     if len(p.S) != 2:
         raise PreconditionError("degree-2 digraph needs |S| = 2")
     group = p.group
-    if space is None:
-        space = coset_space(group, list(p.H_generators))
     s_el, t_el = (group.elements[i] for i in p.S)
     out = []
     for rep in space.representative:

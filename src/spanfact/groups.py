@@ -78,24 +78,16 @@ class CosetSpace:
         return len(self.cosets)
 
 
-def subgroup_closure(group: FiniteGroup, H_generators: list[Perm]) -> tuple[int, ...]:
-    """Element indices of <H_generators> inside group, ascending."""
+def coset_space(group: FiniteGroup, H_generators: list[Perm]) -> CosetSpace:
+    """Right cosets gH; representatives are minimal element indices; coset 0
+    is H.  This is the one closure of H; products of elements of G stay in
+    G, so only the generators are checked."""
     idx = group.index
     for h in H_generators:
         if h not in idx:
             raise NotASubgroupError(f"generator {h} lies outside the group")
     sub = enumerate_group(list(H_generators) or [Perm.identity(group.degree)])
-    out = []
-    for h in sub.elements:
-        if h not in idx:
-            raise NotASubgroupError(f"element {h} of the closure lies outside the group")
-        out.append(idx[h])
-    return tuple(sorted(out))
-
-
-def coset_space(group: FiniteGroup, H_generators: list[Perm]) -> CosetSpace:
-    """Right cosets gH; representatives are minimal element indices; coset 0 is H."""
-    H = subgroup_closure(group, H_generators)
+    H = tuple(sorted(idx[h] for h in sub.elements))
     n_el = len(group)
     coset_of = [-1] * n_el
     cosets: list[tuple[int, ...]] = []
@@ -138,37 +130,36 @@ class ValidationReport:
         return all(c.passed for c in self.checks)
 
 
-def validate_presentation(p: Presentation) -> ValidationReport:
-    """Check the four coset-presentation conditions; failures are report entries."""
-    group = p.group
-    idx = group.index
-    H = subgroup_closure(group, list(p.H_generators))
-    H_set = set(H)
-    S = list(p.S)
+def validate_presentation(p: Presentation, space: CosetSpace | None = None) -> ValidationReport:
+    """Check the four coset-presentation conditions; failures are report entries.
 
-    c1 = all(i not in H_set for i in S)
-
-    SH = {group.mul(s, h) for s in S for h in H}
-    HSH = {group.mul(h1, group.mul(s, h2)) for s in S for h1 in H for h2 in H}
-    c2 = HSH == SH
-
-    coset_of_el = {}
-    for s in SH:
-        members = frozenset(group.mul(s, h) for h in H)
-        coset_of_el[s] = members
-    s_cosets = [coset_of_el[s] for s in S]
-    c3 = len(set(s_cosets)) == len(S) and len(SH) == len(S) * len(H)
-
-    gen_sub = enumerate_group([group.elements[i] for i in S] or [Perm.identity(group.degree)])
-    span = {idx[compose(a, group.elements[h])] for a in gen_sub.elements for h in H}
-    c4 = len(span) == len(group)
-
+    Each is read off the coset ids of space (built here when not given;
+    coset 0 is H), not compared as sets of group elements.  1: no s has
+    coset 0.  2: HSH = SH; HSH is the union of the cosets hsH, so every hs
+    has the coset of some s.  3: the s lie in distinct cosets, which makes
+    |SH| = |S||H|.  4: <S>H = G; <S>H is the union of the cosets wH over the
+    positive words w in S, so left multiplication by S carries coset 0
+    onto every coset.
+    """
+    if space is None:
+        space = coset_space(p.group, list(p.H_generators))
+    group, coset_of = p.group, space.coset_of
+    heads = {coset_of[s] for s in p.S}
+    c2 = all(coset_of[group.mul(h, s)] in heads for h in space.subgroup_elements for s in p.S)
+    moves = [left_multiplication(space, group.elements[s]).images for s in p.S]
+    orbit = [0]
+    reached = {0}
+    for c in orbit:
+        for images in moves:
+            if images[c] not in reached:
+                reached.add(images[c])
+                orbit.append(images[c])
     return ValidationReport(
         (
-            ConditionCheck("S_disjoint_from_H", c1),
+            ConditionCheck("S_disjoint_from_H", 0 not in heads),
             ConditionCheck("HSH_equals_SH", c2),
-            ConditionCheck("S_one_rep_per_coset", c3),
-            ConditionCheck("S_and_H_generate_G", c4),
+            ConditionCheck("S_one_rep_per_coset", len(heads) == len(p.S)),
+            ConditionCheck("S_and_H_generate_G", len(orbit) == len(space)),
         )
     )
 
@@ -191,19 +182,16 @@ def normalize_degree2(p: Presentation) -> NormalizationResult:
     """
     if len(p.S) != 2:
         raise PreconditionError("normalization applies to |S| = 2 only")
-    if not validate_presentation(p).valid:
+    space = coset_space(p.group, list(p.H_generators))
+    if not validate_presentation(p, space).valid:
         raise PreconditionError("presentation is not valid")
-    group = p.group
-    H = subgroup_closure(group, list(p.H_generators))
+    group, coset_of = p.group, space.coset_of
     s_i, t_i = p.S
-    sH = frozenset(group.mul(s_i, h) for h in H)
-    tH = frozenset(group.mul(t_i, h) for h in H)
-    for h in H:
+    for h in space.subgroup_elements:
         hs = group.mul(h, s_i)
-        if hs not in sH:
+        if coset_of[hs] != coset_of[s_i]:
             # hs lies in tH, so hs = t*k for a unique k in H
-            t_inv = group.inv(t_i)
-            k = group.mul(t_inv, hs)
+            k = group.mul(group.inv(t_i), hs)
             new_p = Presentation(group, p.H_generators, (s_i, hs), p.name)
             return NormalizationResult(new_p, True, h_index=h, k_index=k)
     return NormalizationResult(p, False)
@@ -219,17 +207,15 @@ def local_action_kernel(p: Presentation) -> LocalActionKernel:
     """Kernel of H acting by left multiplication on the two cosets {sH, tH}."""
     if len(p.S) != 2:
         raise PreconditionError("local action defined for |S| = 2 only")
-    group = p.group
-    H = subgroup_closure(group, list(p.H_generators))
+    space = coset_space(p.group, list(p.H_generators))
+    group, coset_of = p.group, space.coset_of
     s_i, t_i = p.S
-    sH = frozenset(group.mul(s_i, h) for h in H)
-    tH = frozenset(group.mul(t_i, h) for h in H)
-    kernel = []
-    for h in H:
-        h_sH = frozenset(group.mul(h, x) for x in sH)
-        h_tH = frozenset(group.mul(h, x) for x in tH)
-        if h_sH == sH and h_tH == tH:
-            kernel.append(h)
+    # h sH = sH iff hs lies in sH
+    kernel = [
+        h
+        for h in space.subgroup_elements
+        if coset_of[group.mul(h, s_i)] == coset_of[s_i] and coset_of[group.mul(h, t_i)] == coset_of[t_i]
+    ]
     kernel_set = set(kernel)
     normal = all(
         group.mul(g, group.mul(k, group.inv(g))) in kernel_set

@@ -14,9 +14,11 @@ vertex dict, the reference law suite builds every factorization, its
 position system and its tied blocks as objects, one mask at a time, the
 reference matching is the recursive augmenting-path search, the
 sharply transitive oracle lists <F1, F2> as image tuples by a plain BFS and
-backtracks over all of it, and the reference addressing walks the top
+backtracks over all of it, the reference addressing walks the top
 action until it returns and checks transitivity, shift uniformity and
-bijectivity at the root.
+bijectivity at the root, and the reference presentation checks compare
+sets of group elements (SH against HSH, <S>H against G, the cosets sH
+as frozensets) where spanfact.groups reads coset ids.
 """
 from __future__ import annotations
 
@@ -39,7 +41,16 @@ from spanfact.digraph import (
     bitmask_of,
     factorization_at,
 )
-from spanfact.errors import PreconditionError, SizeCapError
+from spanfact.errors import NotASubgroupError, PreconditionError, SizeCapError
+from spanfact.groups import (
+    ConditionCheck,
+    FiniteGroup,
+    LocalActionKernel,
+    NormalizationResult,
+    Presentation,
+    ValidationReport,
+    enumerate_group,
+)
 from spanfact.perm import Perm, compose
 from spanfact.spanning import X_WORD, WordSet, _top_action
 
@@ -684,3 +695,103 @@ def reference_phase_addressing(f: Factorization, ps: PositionSystem, pp: PhasePr
     if len({img(root) for img in images}) != f.n:
         raise PreconditionError("addressing family is not bijective at the root")
     return WordSet(tuple(words), tuple(images), root)
+
+
+def reference_subgroup_closure(group: FiniteGroup, H_generators: list[Perm]) -> tuple[int, ...]:
+    """Element indices of <H_generators> inside group, ascending."""
+    idx = group.index
+    for h in H_generators:
+        if h not in idx:
+            raise NotASubgroupError(f"generator {h} lies outside the group")
+    sub = enumerate_group(list(H_generators) or [Perm.identity(group.degree)])
+    out = []
+    for h in sub.elements:
+        if h not in idx:
+            raise NotASubgroupError(f"element {h} of the closure lies outside the group")
+        out.append(idx[h])
+    return tuple(sorted(out))
+
+
+def reference_validate_presentation(p: Presentation) -> ValidationReport:
+    """Check the four coset-presentation conditions; failures are report entries."""
+    group = p.group
+    idx = group.index
+    H = reference_subgroup_closure(group, list(p.H_generators))
+    H_set = set(H)
+    S = list(p.S)
+
+    c1 = all(i not in H_set for i in S)
+
+    SH = {group.mul(s, h) for s in S for h in H}
+    HSH = {group.mul(h1, group.mul(s, h2)) for s in S for h1 in H for h2 in H}
+    c2 = HSH == SH
+
+    coset_of_el = {}
+    for s in SH:
+        members = frozenset(group.mul(s, h) for h in H)
+        coset_of_el[s] = members
+    s_cosets = [coset_of_el[s] for s in S]
+    c3 = len(set(s_cosets)) == len(S) and len(SH) == len(S) * len(H)
+
+    gen_sub = enumerate_group([group.elements[i] for i in S] or [Perm.identity(group.degree)])
+    span = {idx[compose(a, group.elements[h])] for a in gen_sub.elements for h in H}
+    c4 = len(span) == len(group)
+
+    return ValidationReport(
+        (
+            ConditionCheck("S_disjoint_from_H", c1),
+            ConditionCheck("HSH_equals_SH", c2),
+            ConditionCheck("S_one_rep_per_coset", c3),
+            ConditionCheck("S_and_H_generate_G", c4),
+        )
+    )
+
+
+def reference_normalize_degree2(p: Presentation) -> NormalizationResult:
+    """Rewrite S = {s, t} as {s, hs} when some h in H moves the coset sH.
+
+    Such a rewrite never changes the digraph; when no h in H works the
+    presentation is returned unchanged with swapped=False.
+    """
+    if len(p.S) != 2:
+        raise PreconditionError("normalization applies to |S| = 2 only")
+    if not reference_validate_presentation(p).valid:
+        raise PreconditionError("presentation is not valid")
+    group = p.group
+    H = reference_subgroup_closure(group, list(p.H_generators))
+    s_i, t_i = p.S
+    sH = frozenset(group.mul(s_i, h) for h in H)
+    tH = frozenset(group.mul(t_i, h) for h in H)
+    for h in H:
+        hs = group.mul(h, s_i)
+        if hs not in sH:
+            # hs lies in tH, so hs = t*k for a unique k in H
+            t_inv = group.inv(t_i)
+            k = group.mul(t_inv, hs)
+            new_p = Presentation(group, p.H_generators, (s_i, hs), p.name)
+            return NormalizationResult(new_p, True, h_index=h, k_index=k)
+    return NormalizationResult(p, False)
+
+
+def reference_local_action_kernel(p: Presentation) -> LocalActionKernel:
+    """Kernel of H acting by left multiplication on the two cosets {sH, tH}."""
+    if len(p.S) != 2:
+        raise PreconditionError("local action defined for |S| = 2 only")
+    group = p.group
+    H = reference_subgroup_closure(group, list(p.H_generators))
+    s_i, t_i = p.S
+    sH = frozenset(group.mul(s_i, h) for h in H)
+    tH = frozenset(group.mul(t_i, h) for h in H)
+    kernel = []
+    for h in H:
+        h_sH = frozenset(group.mul(h, x) for x in sH)
+        h_tH = frozenset(group.mul(h, x) for x in tH)
+        if h_sH == sH and h_tH == tH:
+            kernel.append(h)
+    kernel_set = set(kernel)
+    normal = all(
+        group.mul(g, group.mul(k, group.inv(g))) in kernel_set
+        for g in range(len(group))
+        for k in kernel
+    )
+    return LocalActionKernel(tuple(kernel), normal)

@@ -20,6 +20,7 @@ from spanfact.fixtures import load_fixture
 from spanfact.groups import presentation_from_config
 
 from oracles import reference_law_suite
+from test_groups import FAILING_ALONE
 
 # "<fixture>/<seed>" -> [exit code, stdout] of verify --seed <seed> --masks 200
 GOLDEN_VERIFY = json.loads(Path(__file__).with_name("golden_verify.json").read_text())
@@ -490,6 +491,30 @@ def test_config_file_presentation(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "build", "--config", str(path))
     assert code == 0
     assert "\t30\t" in out.strip().split("\n")[1]
+
+
+@pytest.mark.parametrize(
+    "presentation, stderr",
+    [
+        *(
+            (doc, f"error: invalid presentation; failing conditions: [{label!r}]\n")
+            for label, doc in sorted(FAILING_ALONE.items())
+        ),
+        (
+            {"group_generators": ["(0 1 2)"], "H_generators": [], "S": ["(0 1 2)"]},
+            "error: degree-2 digraph needs |S| = 2\n",
+        ),
+        (
+            {"group_generators": ["(0 1 2)"], "H_generators": ["(0 1)"], "S": ["(0 1 2)", "(0 2 1)"]},
+            "error: generator (0 1) lies outside the group\n",
+        ),
+    ],
+    ids=[*sorted(FAILING_ALONE), "one_S_entry", "H_generator_outside_G"],
+)
+def test_config_presentation_errors(tmp_path, capsys, presentation, stderr):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"presentation": presentation}))
+    assert run_cli(capsys, "build", "--config", str(path)) == (3, "", stderr)
 
 
 def test_config_file_toy(tmp_path, capsys):

@@ -4,12 +4,15 @@ from pathlib import Path
 
 import pytest
 
+from spanfact import groups
 from spanfact.cli import instance_from_config
-from spanfact.digraph import factorization_at
-from spanfact.errors import ConfigError, NotASubgroupError, SizeCapError
+from spanfact.digraph import build_coset_digraph, factorization_at
+from spanfact.errors import ConfigError, NotASubgroupError, SizeCapError, SpanfactError
 from spanfact.fixtures import load_fixture, morris_presentation
 from spanfact.groups import (
+    ConditionCheck,
     Presentation,
+    ValidationReport,
     coset_space,
     enumerate_group,
     local_action_kernel,
@@ -20,6 +23,7 @@ from spanfact.groups import (
 )
 from spanfact.perm import Perm, compose, evaluate, parse_perm
 
+from oracles import reference_local_action_kernel, reference_normalize_degree2, reference_validate_presentation
 from test_random_instances import random_digraph
 
 S5CYCLE = Perm([1, 2, 3, 4, 0])
@@ -76,16 +80,20 @@ def assert_words_are_first_bfs_words(group):
         assert len(word) == depth[acc]
 
 
-def _fixture_and_config_groups():
-    configs = sorted((Path(__file__).resolve().parents[1] / "perfbench" / "configs").glob("*.json"))
+BENCH_CONFIGS = Path(__file__).resolve().parents[1] / "perfbench" / "configs"
+# the benchmark's configs and the two large ones that only the tests use
+CONFIGS = sorted(BENCH_CONFIGS.glob("*.json")) + sorted(Path(__file__).with_name("configs").glob("*.json"))
+
+
+def _fixture_and_config_presentations():
     fxs = [load_fixture(name) for name in ("a5-ex2", "a5-ex3", "morris")]
-    fxs += [instance_from_config(json.loads(p.read_text())) for p in configs]
-    return [fx.coset.presentation.group for fx in fxs]
+    fxs += [instance_from_config(json.loads(p.read_text())) for p in CONFIGS]
+    return [fx.coset.presentation for fx in fxs]
 
 
 def test_group_words_multiply_to_their_elements():
-    groups = _fixture_and_config_groups()
-    assert len(groups) == 6
+    groups = [p.group for p in _fixture_and_config_presentations()]
+    assert len(groups) == 8
     for group in groups:
         assert_words_are_first_bfs_words(group)
 
@@ -159,6 +167,40 @@ def test_validate_s_in_h_fails_condition_one():
     assert not report.valid
 
 
+# config presentations on which exactly one of the four conditions fails,
+# keyed by that condition's label (found by a seeded search over groups of
+# degree <= 5)
+FAILING_ALONE = {
+    "S_disjoint_from_H": {
+        "group_generators": ["(0 1 2 3)"],
+        "H_generators": ["(0 2)(1 3)"],
+        "S": ["(0 2)(1 3)", "(0 1 2 3)"],
+    },
+    "HSH_equals_SH": {
+        "group_generators": ["(0 3)", "(0 2)(1 3)"],
+        "H_generators": ["(0 3)"],
+        "S": ["(0 2 3 1)", "(1 2)"],
+    },
+    "S_one_rep_per_coset": {
+        "group_generators": ["(0 1 2 3)"],
+        "H_generators": ["(0 2)(1 3)"],
+        "S": ["(0 1 2 3)", "(0 3 2 1)"],
+    },
+    "S_and_H_generate_G": {
+        "group_generators": ["(0 1 2)", "(1 2)"],
+        "H_generators": [],
+        "S": ["(0 2 1)", "(0 1 2)"],
+    },
+}
+
+
+@pytest.mark.parametrize("label", sorted(FAILING_ALONE))
+def test_validate_one_condition_failing(label):
+    report = validate_presentation(presentation_from_config(FAILING_ALONE[label]))
+    labels = ("S_disjoint_from_H", "HSH_equals_SH", "S_one_rep_per_coset", "S_and_H_generate_G")
+    assert report.checks == tuple(ConditionCheck(lb, lb != label) for lb in labels)
+
+
 def test_validation_invariant_under_right_h_adjustment():
     # replacing u in S by u*k for k in H gives identical verdicts
     p = morris_presentation()
@@ -172,6 +214,63 @@ def test_validation_invariant_under_right_h_adjustment():
             new_s[which] = g.index[compose(g.elements[new_s[which]], k)]
             q = Presentation(g, p.H_generators, tuple(new_s))
             assert [c.passed for c in validate_presentation(q).checks] == base
+
+
+def _outcome(fn, p):
+    """fn(p), or the type and message of what it raised."""
+    try:
+        return fn(p)
+    except SpanfactError as exc:
+        return type(exc), str(exc)
+
+
+def _random_presentation(rng: random.Random) -> Presentation:
+    """Degree <= 5, 0-2 H generators (one in ten drawn from the whole
+    symmetric group, so it may lie outside G) and 0-3 S entries."""
+    d = rng.randint(1, 5)
+
+    def perm():
+        images = list(range(d))
+        rng.shuffle(images)
+        return Perm(images)
+
+    g = enumerate_group([perm() for _ in range(rng.randint(1, 2))])
+    H = tuple(g.elements[rng.randrange(len(g))] if rng.random() < 0.9 else perm() for _ in range(rng.randint(0, 2)))
+    return Presentation(g, H, tuple(rng.randrange(len(g)) for _ in range(rng.randint(0, 3))))
+
+
+def test_presentation_checks_match_element_set_reference():
+    """The coset-id readings give the reports, normalizations, kernels and
+    errors of the element-set references, on every fixture and config and
+    on 2,000 seeded random presentations, which meet all 16 pass/fail
+    patterns of the four conditions."""
+    rng = random.Random(25)
+    cases = _fixture_and_config_presentations() + [_random_presentation(rng) for _ in range(2000)]
+    patterns = set()
+    for p in cases:
+        report = _outcome(validate_presentation, p)
+        assert report == _outcome(reference_validate_presentation, p)
+        if isinstance(report, ValidationReport):
+            patterns.add(tuple(c.passed for c in report.checks))
+        if len(p.S) == 2:
+            assert _outcome(normalize_degree2, p) == _outcome(reference_normalize_degree2, p)
+            assert _outcome(local_action_kernel, p) == _outcome(reference_local_action_kernel, p)
+    assert len(patterns) == 16
+
+
+def test_coset_digraph_closes_h_once(monkeypatch):
+    s5_r12 = json.loads((BENCH_CONFIGS / "s5-r12.json").read_text())["presentation"]
+    closed = []
+
+    def counting(generators, *args):
+        closed.append(tuple(generators))
+        return enumerate_group(generators, *args)
+
+    monkeypatch.setattr(groups, "enumerate_group", counting)
+    for p in (ex2_presentation(), presentation_from_config(s5_r12)):
+        closed.clear()
+        build_coset_digraph(p)
+        assert closed == [p.H_generators]
 
 
 def test_normalize_a5_already_normal():
