@@ -12,9 +12,10 @@ factorization are the tail sets of the alternating cycles, and a cycle's bit
 only sets the direction in which x walks it.  Digraph2._cycle_rows lists
 each cycle's rows (v, F1(v), F2(v)) at both bits by position, so a tail's
 position is its row index at either bit, and Digraph2._cycle_of gives the
-cycle of every vertex.  position_system and phase_profile read that one
-table through _fill, one pass over a factorization's rows that writes F1,
-the positions and the tied blocks (F1(v) lies in tied block pos_of[v]).
+cycle of every vertex.  position_system reads each cycle's tails from that
+table at the cycle's bit, numbered by row index, and phase_profile reads the
+tied blocks off F1 and the positions: F1 carries P_j onto tied block j, so
+F1(v) lies in tied block pos_of[v].
 
 law_suite visits no factorization.  The tied blocks of a cycle's tails
 depend only on its own bit and the bits of the cycles that hold its tails'
@@ -47,7 +48,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .digraph import Digraph2, Factorization, Row, check_cycle_cap, factor_images, factorization_at
+from .digraph import Digraph2, Factorization, check_cycle_cap, factor_images, factorization_at
 from .errors import (
     NonInvarianceError,
     PhaseInconsistencyError,
@@ -92,8 +93,13 @@ def position_system(f: Factorization) -> PositionSystem:
         raise UniformityError(
             f"x-cycle lengths are not uniform: {sorted(len(rows) for rows, _ in d._cycle_rows)}"
         )
-    rows_at, _, pos_of, _ = _fill(d, f.bitmask)
-    cycles = tuple(tuple(v for v, _, _ in rows) for rows in rows_at)
+    cycles = tuple(
+        tuple(v for v, _, _ in pair[(f.bitmask >> ci) & 1]) for ci, pair in enumerate(d._cycle_rows)
+    )
+    pos_of = [0] * d.n
+    for cyc in cycles:
+        for j, v in enumerate(cyc):
+            pos_of[v] = j
     return PositionSystem(
         m, len(cycles), cycles, tuple(map(frozenset, zip(*cycles))), d._cycle_of, pos_of
     )
@@ -104,23 +110,6 @@ def _cycle_length(d: Digraph2) -> int:
     of d, or 0 when the lengths are not uniform."""
     lengths = {len(rows) for rows, _ in d._cycle_rows}
     return lengths.pop() if len(lengths) == 1 else 0
-
-
-def _fill(
-    d: Digraph2, bitmask: int
-) -> tuple[list[tuple[Row, ...]], list[int], list[int], list[int]]:
-    """The factorization at bitmask in one pass over d's cycle rows: each
-    cycle's rows by position, then per vertex its F1 image, its position
-    and its tied block.  F1 carries P_j onto tied block j, so F1(v) lies in
-    tied block pos_of[v]."""
-    cycles = [pair[(bitmask >> ci) & 1] for ci, pair in enumerate(d._cycle_rows)]
-    f1, pos_of, tied = ([0] * d.n for _ in range(3))
-    for rows in cycles:
-        for j, (v, a, _) in enumerate(rows):
-            f1[v] = a
-            pos_of[v] = j
-            tied[a] = j
-    return cycles, f1, pos_of, tied
 
 
 @dataclass(frozen=True)
@@ -135,10 +124,14 @@ class PhaseProfile:
 def phase_profile(f: Factorization, ps: PositionSystem) -> PhaseProfile:
     """Phases from tied-block membership, verified constant along every cycle."""
     m = ps.m
-    cycles, f1, _, tied = _fill(f.digraph, f.bitmask)
+    f1, pos_of = f.f1.images, ps._pos_of
+    # F1 carries P_j onto tied block j
+    tied = [0] * f.n
+    for v, a in enumerate(f1):
+        tied[a] = pos_of[v]
     delta = []
-    for i, rows in enumerate(cycles):
-        g = [tied[v] for v, _, _ in rows]
+    for i, cyc in enumerate(ps.cycle_list):
+        g = [tied[v] for v in cyc]
         j = _drift(g, m)
         if j:
             raise PhaseInconsistencyError(
@@ -237,9 +230,11 @@ def cycle_block_system(ps: PositionSystem) -> BlockSystem:
 class RefinementSystem:
     """One class-union coarsening, tagged by its subcollection of class orbits.
 
-    invariant records whether F1 and x both map every block onto a block;
-    the flag is reported rather than enforced so callers can see exactly
-    which subcollections the covering group respects.
+    invariant records whether F1 maps every block onto a block.  x always
+    does, as it carries each position j to j + 1 within its own cycle, so
+    F1 alone decides whether the covering group <F1, x> respects the
+    system.  The flag is reported rather than enforced so callers can see
+    exactly which subcollections the covering group respects.
     """
 
     class_orbits: tuple[tuple[int, ...], ...]
@@ -267,7 +262,6 @@ def invariant_refinements(
         pp = phase_profile(f, ps)
     cycle_of, pos_of = ps._cycle_of, ps._pos_of
     out = []
-    generators = (f.f1.images, f.x().images)
     for mask in range(1, 1 << k):
         chosen = tuple(pi[t] for t in range(k) if (mask >> t) & 1)
         classes = {d for orb in chosen for d in orb}
@@ -275,7 +269,7 @@ def invariant_refinements(
         block_of = [pos_of[v] if kept[cycle_of[v]] else -1 for v in range(f.n)]
         size = sum(pp.phase_counts[d] for d in classes)
         system = BlockSystem(block_of, ps.m if size else 0)
-        invariant = all(_block_images(g, system) is not None for g in generators)
+        invariant = _block_images(f.f1.images, system) is not None
         out.append(RefinementSystem(chosen, size, system, invariant))
     return out
 

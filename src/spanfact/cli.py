@@ -33,6 +33,7 @@ from .fixtures import Fixture, load_fixture
 from .groups import config_name, presentation_from_config
 from .perm import cycle_string, word_str
 from .spanning import (
+    NODE_CAP,
     max_relocatable_tree,
     phase_addressing,
     splice_generators,
@@ -277,7 +278,7 @@ def _count(value, where: str, minimum: int) -> int:
 
 
 def cmd_tree_search(args, fx: Fixture) -> tuple[list[dict], int]:
-    node_cap = 100_000_000
+    node_cap = NODE_CAP
     if args.max_nodes is not None:
         node_cap = _count(args.max_nodes, "flag '--max-nodes'", 1)
     d = fx.digraph

@@ -25,6 +25,8 @@ from . import treesearch
 CLOSURE_CAP = 4000
 # elements of <F1, F2> the sharply transitive search lists before SizeCapError
 ELEMENT_CAP = 200_000
+# tree-search nodes visited before the search stops without a certificate
+NODE_CAP = 100_000_000
 
 
 @dataclass(frozen=True)
@@ -109,7 +111,7 @@ class TreeSearchResult:
     kernel: str
 
 
-def max_relocatable_tree(f: Factorization, node_cap: int = 100_000_000) -> TreeSearchResult:
+def max_relocatable_tree(f: Factorization, node_cap: int = NODE_CAP) -> TreeSearchResult:
     """Exact branch-and-bound over prefix-closed pairwise-relocatable word
     trees; certificate is emitted only when the search ran to exhaustion."""
     size, witness, nodes, certified = treesearch.run_search(

@@ -246,6 +246,9 @@ def test_refinements_match_brute_force(builder):
         returned = {frozenset(rs.system.blocks) for rs in refs if rs.invariant}
         oracle = brute_force_refinement_families(f)
         assert returned == oracle
+        # x carries every listed system's blocks onto blocks, so invariance
+        # is F1's alone
+        assert all(blocks._block_images(f.x().images, rs.system) is not None for rs in refs)
 
 
 def test_phase_laws_morris():
@@ -484,7 +487,10 @@ def test_atom_counts_fail_when_two_tied_blocks_are_exchanged(name, b):
     ps = position_system(f)
     pp = phase_profile(f, ps)
     assert _reference_atom_laws(f, ps, pp)
-    tied = blocks._fill(f.digraph, f.bitmask)[3]
+    # F1 carries P_j onto tied block j
+    tied = [0] * f.n
+    for v, a in enumerate(f.f1.images):
+        tied[a] = ps.position_of(v)
     assert all(w in pp.tied_blocks[k] for w, k in enumerate(tied))
     u, v = ps.cycle_list[0][:2]
     tied[u], tied[v] = tied[v], tied[u]

@@ -49,6 +49,7 @@ from oracles import (
     reference_law_suite,
     reference_matching_f1,
     reference_phase_addressing,
+    reference_phase_profile,
     reference_position_system,
     reference_run_search,
     reference_sharply_transitive,
@@ -88,11 +89,16 @@ def test_enumeration_invariants_random(seed):
         assert xc == tails
 
 
-def assert_positions_match_reference(d: Digraph2) -> None:
+def assert_positions_match_reference(d: Digraph2) -> tuple[int, int]:
     """On every factorization of d, the position system read off the
-    alternating cycles equals the one from the cycles of x itself."""
+    alternating cycles equals the one from the cycles of x itself, and the
+    phase profile equals the one read from the tied blocks as sets: it
+    raises exactly where the reference finds a drifting offset.  Returns
+    the number of factorizations with constant phases and of those that
+    raise."""
     r = d.alt_decomposition.r
     assert r <= 10
+    constant = drifting = 0
     for b in range(1 << r):
         f = factorization_at(d, b)
         ref = reference_position_system(f)
@@ -104,6 +110,20 @@ def assert_positions_match_reference(d: Digraph2) -> None:
         assert (ps.m, ps.r, ps.cycle_list, ps.blocks) == (ref.m, ref.r, ref.cycle_list, ref.blocks), b
         for v in range(d.n):
             assert (ps._cycle_of[v], ps.position_of(v)) == (ref._cycle_of[v], ref._pos_of[v]), (b, v)
+        ref_pp = reference_phase_profile(f, ref)
+        if ref_pp is None:
+            with pytest.raises(PhaseInconsistencyError):
+                phase_profile(f, ps)
+            drifting += 1
+            continue
+        pp = phase_profile(f, ps)
+        assert (pp.delta, pp.phase_counts, pp.tied_blocks) == (
+            ref_pp.delta,
+            ref_pp.phase_counts,
+            ref_pp.tied_blocks,
+        ), b
+        constant += 1
+    return constant, drifting
 
 
 @pytest.mark.parametrize(
@@ -117,13 +137,16 @@ def test_position_system_matches_reference(name):
 def test_position_system_matches_reference_random():
     """Seeded random digraphs, most with x-cycles of unequal lengths, and
     digraphs with parallel edges."""
-    uniform = 0
+    uniform = constant = drifting = 0
     for seed in range(300):
         rng = random.Random(seed)
         d = random_digraph(rng, rng.randint(4, 10))
-        assert_positions_match_reference(d)
+        counts = assert_positions_match_reference(d)
+        constant += counts[0]
+        drifting += counts[1]
         uniform += len({len(c) for c in d.alt_decomposition.cycles}) == 1
     assert 0 < uniform < 300
+    assert constant and drifting
     for d in (build_doubled_cycle(3), build_doubled_cycle(4), Digraph2([(1, 1), (2, 0), (0, 2)])):
         assert_positions_match_reference(d)
 
@@ -446,6 +469,7 @@ def test_refinements_match_oracle_random(seed):
         refs = invariant_refinements(f, ps, pi)
         returned = {frozenset(rs.system.blocks) for rs in refs if rs.invariant}
         assert returned == brute_force_refinement_families(f)
+        assert all(_block_images(f.x().images, rs.system) is not None for rs in refs)
 
 
 @pytest.mark.parametrize("seed", range(4))
