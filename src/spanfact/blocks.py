@@ -177,27 +177,18 @@ def difference_class_orbits(
     pp is f's phase profile, computed here when not given."""
     if pp is None:
         pp = phase_profile(f, ps)
-    m = ps.m
-    parent = list(range(m))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
+    # orbit[d]: the least class joined with d so far
+    orbit = list(range(ps.m))
     delta, cycle_of = pp.delta, ps._cycle_of
     for v, w in enumerate(f.f1.images):
-        union(delta[cycle_of[v]], delta[cycle_of[w]])
+        a, b = orbit[delta[cycle_of[v]]], orbit[delta[cycle_of[w]]]
+        if a != b:
+            lo, hi = min(a, b), max(a, b)
+            orbit = [lo if o == hi else o for o in orbit]
     orbits: dict[int, list[int]] = {}
-    for d in range(m):
-        orbits.setdefault(find(d), []).append(d)
-    return tuple(tuple(sorted(o)) for o in sorted(orbits.values(), key=min))
+    for d, label in enumerate(orbit):
+        orbits.setdefault(label, []).append(d)
+    return tuple(map(tuple, orbits.values()))
 
 
 @dataclass(frozen=True, slots=True)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import sys
 from array import array
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -38,84 +37,70 @@ class Digraph2:
         self.out_edges: tuple[tuple[int, int], ...] = tuple(
             (int(a), int(b)) for a, b in out_edges
         )
-        self.n = len(self.out_edges)
-        indeg = [0] * self.n
-        for a, b in self.out_edges:
-            for u in (a, b):
-                if not 0 <= u < self.n:
+        self.n = n = len(self.out_edges)
+        # _ins[a]: the in-edges (tail, slot) of head a
+        self._ins: list[list[Edge]] = [[] for _ in range(n)]
+        for v, pair in enumerate(self.out_edges):
+            for s, u in enumerate(pair):
+                if not 0 <= u < n:
                     raise PreconditionError(f"edge head {u} out of range")
-                indeg[u] += 1
-        bad = [v for v in range(self.n) if indeg[v] != 2]
+                self._ins[u].append((v, s))
+        bad = [v for v in range(n) if len(self._ins[v]) != 2]
         if bad:
             raise PreconditionError(f"vertices with in-degree != 2: {bad}")
         if not self._strongly_connected():
             raise StrongConnectivityError("digraph is not strongly connected")
 
     def _strongly_connected(self) -> bool:
+        """Every vertex has in-degree equal to its out-degree, so each weakly
+        connected part is Eulerian and hence strongly connected: one forward
+        search from vertex 0 decides it."""
         if self.n == 0:
             return False
-        fwd = [[] for _ in range(self.n)]
-        bwd = [[] for _ in range(self.n)]
-        for v, (a, b) in enumerate(self.out_edges):
-            fwd[v] += [a, b]
-            bwd[a].append(v)
-            bwd[b].append(v)
-        for adj in (fwd, bwd):
-            seen = [False] * self.n
-            seen[0] = True
-            queue = deque([0])
-            while queue:
-                v = queue.popleft()
-                for u in adj[v]:
-                    if not seen[u]:
-                        seen[u] = True
-                        queue.append(u)
-            if not all(seen):
-                return False
-        return True
+        seen = bytearray(self.n)
+        seen[0] = 1
+        stack = [0]
+        while stack:
+            for u in self.out_edges[stack.pop()]:
+                if not seen[u]:
+                    seen[u] = 1
+                    stack.append(u)
+        return all(seen)
 
     def head(self, e: Edge) -> int:
         return self.out_edges[e[0]][e[1]]
-
-    def edges(self) -> list[Edge]:
-        return [(v, sl) for v in range(self.n) for sl in (0, 1)]
 
     def __repr__(self) -> str:
         return f"Digraph2(n={self.n})"
 
     @cached_property
     def alt_decomposition(self) -> "AltCycleDecomposition":
-        """Alternating cycles, independent of any factorization labeling."""
-        ins: list[list[Edge]] = [[] for _ in range(self.n)]
-        for e in self.edges():
-            ins[self.head(e)].append(e)
+        """Alternating cycles, independent of any factorization labeling.
 
-        def other_in(e: Edge) -> Edge:
-            a, b = ins[self.head(e)]
-            return b if a == e else a
-
-        seen: set[Edge] = set()
+        Every head has in-degree 2, so the walk leaves an edge by the other
+        in-edge of its head and then by the other out-edge of that edge's
+        tail.  Both out-edges of a tail lie on one cycle, so a cycle starts
+        at (least unmarked tail, 0) and marking tails is enough.
+        """
+        ins = self._ins
+        marked = bytearray(self.n)
         cycles: list[tuple[Edge, ...]] = []
-        for e0 in self.edges():
-            if e0 in seen:
+        for v0 in range(self.n):
+            if marked[v0]:
                 continue
             cyc: list[Edge] = []
-            e = e0
+            v, s = v0, 0
             while True:
-                cyc.append(e)
-                seen.add(e)
-                f = other_in(e)
-                cyc.append(f)
-                seen.add(f)
-                e = (f[0], 1 - f[1])
-                if e == e0:
+                marked[v] = 1
+                e = (v, s)
+                a, b = ins[self.out_edges[v][s]]
+                f = b if a == e else a
+                cyc += (e, f)
+                v, s = f[0], 1 - f[1]
+                if v == v0 and s == 0:
                     break
             cycles.append(tuple(cyc))
-        cycle_of_edge = {}
-        for ci, cyc in enumerate(cycles):
-            for e in cyc:
-                cycle_of_edge[e] = ci
-        return AltCycleDecomposition(tuple(cycles), cycle_of_edge)
+        return AltCycleDecomposition(tuple(cycles))
 
     @cached_property
     def _cycle_rows(self) -> tuple[tuple[tuple[Row, ...], tuple[Row, ...]], ...]:
@@ -161,7 +146,6 @@ class AltCycleDecomposition:
     """Edge partition into alternating cycles; each edge list alternates direction."""
 
     cycles: tuple[tuple[Edge, ...], ...]
-    cycle_of_edge: dict[Edge, int]
 
     @property
     def r(self) -> int:

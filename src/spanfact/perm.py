@@ -249,17 +249,18 @@ def evaluate(word: Word, f1: Perm, f2: Perm) -> Perm:
     return acc
 
 
+_WORD_SYMBOLS = {1: "1", 2: "2", -1: "1'", -2: "2'"}
+
+
 def word_str(word: Word) -> str:
     """Render a word in application order; inverse symbols get a trailing apostrophe.
 
     ``(2, 1)`` (F2 after F1) renders as ``"12"``; the empty word renders as ``"-"``.
     """
-    if not word:
-        return "-"
-    parts = []
-    for sym in reversed(word):
-        parts.append(f"{abs(sym)}'" if sym < 0 else str(sym))
-    return "".join(parts)
+    try:
+        return "".join(map(_WORD_SYMBOLS.__getitem__, reversed(word))) or "-"
+    except KeyError as exc:
+        raise ValueError(f"bad word symbol {exc.args[0]!r}") from None
 
 
 def parse_word(text: str) -> Word:

@@ -13,7 +13,8 @@ actions inline, the difference-class oracle traces both F1 and x over a
 vertex dict, the reference law suite builds every factorization, its
 position system and its tied blocks as objects, one mask at a time, the
 reference matching is the recursive augmenting-path search, the
-sharply transitive oracle lists <F1, F2> as image tuples by a plain BFS and
+connectivity oracle runs a forward and a backward BFS, the alternating
+cycle oracle walks a set of edge tuples, the sharply transitive oracle lists <F1, F2> as image tuples by a plain BFS and
 backtracks over all of it, the reference addressing walks the top
 action until it returns and checks transitivity, shift uniformity and
 bijectivity at the root, and the reference presentation checks compare
@@ -23,6 +24,7 @@ as frozensets) where spanfact.groups reads coset ids.
 from __future__ import annotations
 
 import math
+from collections import deque
 
 from spanfact.blocks import (
     BlockSystem,
@@ -446,6 +448,61 @@ def reference_matching_f1(d: Digraph2) -> tuple[int, ...]:
     return tuple(match_l)
 
 
+def reference_strongly_connected(out_edges) -> bool:
+    """Every vertex reaches vertex 0 and is reached from it: one BFS over the
+    out-edges and one over the in-edges, with no use of regularity."""
+    n = len(out_edges)
+    if n == 0:
+        return False
+    fwd = [[] for _ in range(n)]
+    bwd = [[] for _ in range(n)]
+    for v, (a, b) in enumerate(out_edges):
+        fwd[v] += [a, b]
+        bwd[a].append(v)
+        bwd[b].append(v)
+    for adj in (fwd, bwd):
+        seen = [False] * n
+        seen[0] = True
+        queue = deque([0])
+        while queue:
+            v = queue.popleft()
+            for u in adj[v]:
+                if not seen[u]:
+                    seen[u] = True
+                    queue.append(u)
+        if not all(seen):
+            return False
+    return True
+
+
+def reference_alt_cycles(out_edges) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The alternating cycles of a 2-in, 2-out digraph as edge lists (tail,
+    slot): each cycle starts at the first unseen edge in (tail, slot) order
+    and alternates an edge with the other in-edge of its head, then the other
+    out-edge of that edge's tail.  Every edge is tracked in a set."""
+    edges = [(v, s) for v in range(len(out_edges)) for s in (0, 1)]
+    ins = {}
+    for e in edges:
+        ins.setdefault(out_edges[e[0]][e[1]], []).append(e)
+    seen = set()
+    cycles = []
+    for e0 in edges:
+        if e0 in seen:
+            continue
+        cyc = []
+        e = e0
+        while True:
+            a, b = ins[out_edges[e[0]][e[1]]]
+            f = b if a == e else a
+            cyc += [e, f]
+            seen.update((e, f))
+            e = (f[0], 1 - f[1])
+            if e == e0:
+                break
+        cycles.append(tuple(cyc))
+    return tuple(cycles)
+
+
 def reference_position_system(f: Factorization) -> PositionSystem | None:
     """The position system from the cycles of x = F2^-1 F1 as Perm objects,
     with dict lookups; None when the cycle lengths are not uniform."""
@@ -580,7 +637,7 @@ def _reference_swap_taus(f: Factorization, system: BlockSystem, masks: list[int]
     if s1 is None or s2 is None:
         return None
     tau0 = relative(s1, s2)
-    cycle_of_edge = f.digraph.alt_decomposition.cycle_of_edge
+    cycle_of_edge = {e: i for i, cyc in enumerate(f.digraph.alt_decomposition.cycles) for e in cyc}
     movers = {
         i: sum({1 << cycle_of_edge[(v, 0)] for v in blk})
         for i, blk in enumerate(system.blocks)

@@ -160,13 +160,23 @@ def test_difference_class_orbits_m1():
     assert difference_class_orbits(f, ps) == ((0,),)
 
 
+# The Cayley digraph of Z_4 x Z_4 on (1, 0) and (3, 1), vertex (a, b)
+# numbered 4a + b.  On its constant-phase masks three of the four difference
+# classes are realised and F1 joins them in a chain; the fixtures realise at
+# most two classes, or only singleton orbits.
+Z4_SQUARED = Digraph2(
+    [(4 * ((v // 4 + 1) % 4) + v % 4, 4 * ((v // 4 + 3) % 4) + (v % 4 + 1) % 4) for v in range(16)]
+)
+
+
 def test_difference_class_orbits_match_reference():
     """On every factorization with constant phases of these fixtures (none
-    on a5-ex3 and a5-ex2), tracing F1 alone gives the orbits of F1 and x."""
+    on a5-ex3 and a5-ex2) and of Z4_SQUARED, tracing F1 alone gives the
+    orbits of F1 and x."""
     checked = 0
     for name in ("toy:3", "toy:4", "toy:5", "toy:8", "toy:11", "morris",
-                 "shift:5", "shift:7", "shift:9", "shift:11", "a5-ex3", "a5-ex2"):
-        d = load_fixture(name).digraph
+                 "shift:5", "shift:7", "shift:9", "shift:11", "a5-ex3", "a5-ex2", "z4-squared"):
+        d = Z4_SQUARED if name == "z4-squared" else load_fixture(name).digraph
         for b in range(1 << d.alt_decomposition.r):
             f = factorization_at(d, b)
             try:
@@ -176,7 +186,7 @@ def test_difference_class_orbits_match_reference():
                 continue
             assert difference_class_orbits(f, ps, pp) == reference_difference_class_orbits(f, ps, pp), (name, b)
             checked += 1
-    assert checked == 2376
+    assert checked == 2378
 
 
 def test_refinement_count_and_full_union():
@@ -413,7 +423,7 @@ def _digraph(name: str) -> Digraph2:
 @pytest.mark.parametrize("name", SWAP_INSTANCES + ("a5-ex2", "toy:8", "shift:101"))
 def test_out_edges_share_an_alternating_cycle(name):
     d = _digraph(name)
-    cycle_of_edge = d.alt_decomposition.cycle_of_edge
+    cycle_of_edge = {e: i for i, cyc in enumerate(d.alt_decomposition.cycles) for e in cyc}
     assert all(cycle_of_edge[(v, 0)] == cycle_of_edge[(v, 1)] for v in range(d.n))
 
 
@@ -440,10 +450,11 @@ def test_position_blocks_hold_one_tail_of_every_cycle(name):
     full mask masks part of every block: law_suite counts on this."""
     d = _digraph(name)
     dec = d.alt_decomposition
+    cycle_of_edge = {e: i for i, cyc in enumerate(dec.cycles) for e in cyc}
     for b in range(1 << dec.r):
         ps = reference_position_system(factorization_at(d, b))
         for blk in ps.blocks:
-            assert sorted(dec.cycle_of_edge[(v, 0)] for v in blk) == list(range(dec.r)), b
+            assert sorted(cycle_of_edge[(v, 0)] for v in blk) == list(range(dec.r)), b
 
 
 @pytest.mark.parametrize("name", LAW_SUITE_INSTANCES)

@@ -52,13 +52,17 @@ def test_toy_m_too_small():
 
 
 def test_strong_connectivity_rejected():
-    with pytest.raises(StrongConnectivityError):
-        Digraph2([(1, 1), (0, 0), (3, 3), (2, 2)])
+    for out_edges in ([(1, 1), (0, 0), (3, 3), (2, 2)], []):
+        with pytest.raises(StrongConnectivityError, match="^digraph is not strongly connected$"):
+            Digraph2(out_edges)
 
 
 def test_in_degree_rejected():
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match=r"^vertices with in-degree != 2: \[1, 2\]$"):
         Digraph2([(1, 1), (1, 0), (0, 2)])
+    # a head out of range is refused before any in-degree is counted
+    with pytest.raises(PreconditionError, match="^edge head 3 out of range$"):
+        Digraph2([(1, 1), (0, 3), (0, -1)])
 
 
 def test_coset_digraph_sizes():
@@ -123,6 +127,7 @@ def test_alt_cycles_match_orbit_description():
     # of the x-orbit of v, for every enumerated factorization
     d, _ = build_toy(4)
     dec = d.alt_decomposition
+    cycle_of_edge = {e: i for i, cyc in enumerate(dec.cycles) for e in cyc}
     for f in enumerate_factorizations(d):
         x = f.x()
         for v in range(d.n):
@@ -131,7 +136,7 @@ def test_alt_cycles_match_orbit_description():
             for u in orbit:
                 for sl in (0, 1):
                     expect.add((u, sl))
-            cyc = dec.cycles[dec.cycle_of_edge[(v, 0)]]
+            cyc = dec.cycles[cycle_of_edge[(v, 0)]]
             assert set(cyc) == expect
 
 

@@ -141,6 +141,11 @@ def test_word_str_round_trip(syms):
     assert parse_word(word_str(w)) == w
 
 
+def test_word_str_rejects_a_bad_symbol():
+    with pytest.raises(ValueError, match="bad word symbol 7"):
+        word_str((1, 2, 7))
+
+
 def test_word_str_orientation():
     # "112" means F2 after F1 after F1
     w = parse_word("112")

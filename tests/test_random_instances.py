@@ -28,7 +28,12 @@ from spanfact.digraph import (
     factor_images,
     factorization_at,
 )
-from spanfact.errors import PhaseInconsistencyError, SpanfactError, UniformityError
+from spanfact.errors import (
+    PhaseInconsistencyError,
+    SpanfactError,
+    StrongConnectivityError,
+    UniformityError,
+)
 from spanfact.fixtures import load_fixture
 from spanfact.groups import enumerate_group
 from spanfact.perm import Perm
@@ -46,6 +51,7 @@ from spanfact.treesearch import run_search
 from oracles import (
     brute_force_refinement_families,
     naive_max_tree_size,
+    reference_alt_cycles,
     reference_law_suite,
     reference_matching_f1,
     reference_phase_addressing,
@@ -53,6 +59,7 @@ from oracles import (
     reference_position_system,
     reference_run_search,
     reference_sharply_transitive,
+    reference_strongly_connected,
 )
 
 
@@ -151,18 +158,55 @@ def test_position_system_matches_reference_random():
         assert_positions_match_reference(d)
 
 
+def random_out_edges(rng: random.Random, n: int) -> list[tuple[int, int]]:
+    """The out-edge pairs of a random 2-in, 2-out digraph on n vertices, not
+    necessarily strongly connected, loops and parallel edges allowed, each
+    vertex's two slots in random order."""
+    f1 = list(range(n))
+    rng.shuffle(f1)
+    f2 = list(range(n))
+    rng.shuffle(f2)
+    return [(a, b) if rng.random() < 0.5 else (b, a) for a, b in zip(f1, f2)]
+
+
 def random_multidigraph(rng: random.Random, n: int) -> Digraph2:
     """A random strongly connected 2-regular digraph on n vertices, loops and
     parallel edges allowed, each vertex's two slots in random order."""
     while True:
-        f1 = list(range(n))
-        rng.shuffle(f1)
-        f2 = list(range(n))
-        rng.shuffle(f2)
         try:
-            return Digraph2([(a, b) if rng.random() < 0.5 else (b, a) for a, b in zip(f1, f2)])
+            return Digraph2(random_out_edges(rng, n))
         except SpanfactError:
             continue
+
+
+def test_digraph_build_matches_reference_random():
+    """Unfiltered random 2-in, 2-out digraphs, and disjoint unions of two of
+    them with the vertices shuffled: Digraph2 accepts exactly the inputs the
+    two-BFS oracle calls strongly connected, refuses the rest with its one
+    message, and walks the edge-level oracle's alternating cycles."""
+    kinds = dict.fromkeys(("connected", "disconnected", "loop", "parallel"), 0)
+    for seed in range(2000):
+        rng = random.Random(seed)
+        edges = random_out_edges(rng, rng.randint(1, 9))
+        if seed % 2:
+            k = len(edges)
+            edges += [(a + k, b + k) for a, b in random_out_edges(rng, rng.randint(1, 9))]
+            label = list(range(len(edges)))
+            rng.shuffle(label)
+            shuffled = [None] * len(edges)
+            for v, (a, b) in enumerate(edges):
+                shuffled[label[v]] = (label[a], label[b])
+            edges = shuffled
+        kinds["loop"] += any(v in pair for v, pair in enumerate(edges))
+        kinds["parallel"] += any(a == b for a, b in edges)
+        if reference_strongly_connected(edges):
+            kinds["connected"] += 1
+            assert Digraph2(edges).alt_decomposition.cycles == reference_alt_cycles(edges), seed
+        else:
+            kinds["disconnected"] += 1
+            with pytest.raises(StrongConnectivityError, match="^digraph is not strongly connected$"):
+                Digraph2(edges)
+    assert all(kinds.values()), kinds
 
 
 def assert_cycle_table_matches_decomposition(d: Digraph2) -> None:
@@ -171,8 +215,9 @@ def assert_cycle_table_matches_decomposition(d: Digraph2) -> None:
     are the 2-edge ones, and at both bits row j + 1 holds x of row j's tail,
     starting from the least tail, with F1 and F2 swapped at bit 1."""
     dec = d.alt_decomposition
+    cycle_of_edge = {e: i for i, cyc in enumerate(dec.cycles) for e in cyc}
     for v in range(d.n):
-        assert d._cycle_of[v] == dec.cycle_of_edge[(v, 0)] == dec.cycle_of_edge[(v, 1)], v
+        assert d._cycle_of[v] == cycle_of_edge[(v, 0)] == cycle_of_edge[(v, 1)], v
     assert [len(rows) == 1 for rows, _ in d._cycle_rows] == [len(cyc) == 2 for cyc in dec.cycles]
     for cyc, (rows0, rows1) in zip(dec.cycles, d._cycle_rows):
         tails = sorted(e[0] for e in cyc[::2])
