@@ -113,7 +113,8 @@ class TreeSearchResult:
 
 def max_relocatable_tree(f: Factorization, node_cap: int = NODE_CAP) -> TreeSearchResult:
     """Exact branch-and-bound over prefix-closed pairwise-relocatable word
-    trees; certificate is emitted only when the search ran to exhaustion."""
+    trees; certificate is emitted only when the search ran to exhaustion or
+    found a tree of n words, which no tree can exceed."""
     size, witness, nodes, certified = treesearch.run_search(
         f.n, f.f1.images, f.f2.images, node_cap, CLOSURE_CAP
     )

@@ -33,6 +33,12 @@ the cap search as the root does.  Witnesses are returned as (parent,
 symbol) pairs indexing the member list, so callers can rebuild the tree
 words.
 
+No tree has more than n words: any two members disagree at every vertex,
+root included, so their root images are distinct.  The walk therefore ends
+as soon as an include brings the best size to n, and that tree, a spanning
+set through the root, is certified; the node count then stops at the node
+whose include reached n.
+
 "Does ``e`` agree with some member at some vertex?" is one test on a
 ``perm.ImageBlob`` of the members.  With n <= 255 its lanes are 1 byte, so
 the ``bytes`` elements are already in lane form.
@@ -58,7 +64,10 @@ def run_search(n, f1_images, f2_images, node_cap, closure_cap):
     """Return (best_size, witness, nodes, certified).
 
     witness is a list of (parent_index, symbol) in member order; the root has
-    parent -1.  certified is False when the node cap cut the search short.
+    parent -1.  The search ends once best_size reaches n, which no tree can
+    exceed, and nodes then counts the visits up to and including the one
+    whose include reached n.  certified is False when the node cap cut the
+    search short.
     """
     if n > MAX_POINTS:
         raise PreconditionError(
@@ -171,5 +180,7 @@ def run_search(n, f1_images, f2_images, node_cap, closure_cap):
         if blob.count > best_size:
             best_size = blob.count
             best_witness = list(prov)
+            if best_size == n:
+                break
         stack.append((_VISIT, (new_frontier, closure, elem_agrees)))
     return best_size, best_witness[:best_size], nodes, not aborted

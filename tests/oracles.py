@@ -316,9 +316,25 @@ def brute_force_refinement_families(f: Factorization):
 
 
 def reference_run_search(n, f1_images, f2_images, node_cap, closure_cap):
+    """Returns (best_size, witness, nodes, certified), which
+    spanfact.treesearch.run_search must match exactly: the exhaustive
+    search's result, except that once its best first reaches n, which no
+    tree can exceed, it is n, that witness, the node count at that moment
+    and certified True."""
+    size, witness, nodes, certified, nodes_at_n = exhaustive_run_search(
+        n, f1_images, f2_images, node_cap, closure_cap
+    )
+    if nodes_at_n is not None:
+        return n, witness, nodes_at_n, True
+    return size, witness, nodes, certified
+
+
+def exhaustive_run_search(n, f1_images, f2_images, node_cap, closure_cap):
     """The tree kernel with every closure bound run to completion (or to
-    the cap, which counts as n).  Returns (best_size, witness, nodes,
-    certified), which spanfact.treesearch.run_search must match exactly."""
+    the cap, which counts as n), and the walk run to the end even once the
+    best tree has n words.  Returns (best_size, witness, nodes, certified,
+    nodes_at_n), nodes_at_n being the node count when the best first
+    reached n, or None."""
     tables = (
         bytes(f1_images) + bytes(range(n, 256)),
         bytes(f2_images) + bytes(range(n, 256)),
@@ -342,6 +358,7 @@ def reference_run_search(n, f1_images, f2_images, node_cap, closure_cap):
     best_size = 1
     best_witness = list(prov)
     nodes = 0
+    nodes_at_n = None
     aborted = False
 
     def closure_bound(frontier) -> int:
@@ -366,7 +383,7 @@ def reference_run_search(n, f1_images, f2_images, node_cap, closure_cap):
         return min(len(set(col)) for col in zip(*seen))
 
     def rec(frontier) -> None:
-        nonlocal best_size, best_witness, nodes, aborted, blob
+        nonlocal best_size, best_witness, nodes, nodes_at_n, aborted, blob
         if nodes >= node_cap:
             aborted = True
             return
@@ -400,6 +417,8 @@ def reference_run_search(n, f1_images, f2_images, node_cap, closure_cap):
         if len(members) > best_size:
             best_size = len(members)
             best_witness = list(prov)
+            if best_size == n:
+                nodes_at_n = nodes
         rec(new_frontier)
         members.pop()
         member_set.discard(elem)
@@ -419,7 +438,7 @@ def reference_run_search(n, f1_images, f2_images, node_cap, closure_cap):
         if not agrees(ne, identity) and all(ne != f[0] for f in frontier0):
             frontier0.append((ne, 0, s))
     rec(frontier0)
-    return best_size, best_witness[:best_size], nodes, not aborted
+    return best_size, best_witness[:best_size], nodes, not aborted, nodes_at_n
 
 
 def reference_matching_f1(d: Digraph2) -> tuple[int, ...]:

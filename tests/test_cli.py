@@ -745,6 +745,29 @@ def test_node_cap_counts_no_extra_node(capsys):
         assert (rec["nodes"], rec["certificate"]) == (cap, False)
 
 
+@pytest.mark.parametrize(
+    "fixture, mask, cap, want",
+    [
+        # the include at node 7 reaches n = 8; a search run to the end visits 15
+        ("toy:4", 0, 7, (0, 7, True, 8)),
+        ("toy:4", 0, 6, (4, 6, False, 7)),
+        # the Hamiltonian class: 137 nodes, 173 for a search run to the end
+        ("a5-ex2", 6, 137, (0, 137, True, 30)),
+        ("a5-ex2", 6, 136, (4, 136, False, 29)),
+    ],
+)
+def test_search_reaching_n_within_the_node_cap_certifies(capsys, fixture, mask, cap, want):
+    """The search ends once its tree has n words: a node cap that admits the
+    node whose include reached n certifies, and one node fewer does not."""
+    code, out, err = run_cli(
+        capsys, "tree-search", "--fixture", fixture, "--bitmask", str(mask),
+        "--max-nodes", str(cap), "--format", "json-lines",
+    )
+    rec = json.loads(out)
+    assert err == ""
+    assert (code, rec["nodes"], rec["certificate"], rec["max_size"]) == want
+
+
 PERFBENCH_CONFIGS = {
     **SCALE_CONFIGS,
     "c2wrc4-r16": {

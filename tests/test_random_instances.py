@@ -3,6 +3,7 @@ tree-search kernel and the sharply transitive search against the oracles."""
 import json
 import random
 from pathlib import Path
+from typing import NoReturn
 
 import pytest
 
@@ -63,9 +64,20 @@ from oracles import (
 )
 
 
+# Draws each generator below may make before its test fails rather than
+# hangs.  The most any seed in these tests uses is 156 (random_digraph; 40
+# for random_uniform_digraph, 6 for random_multidigraph), so every seed draws
+# the instances that unbounded retries drew.
+ATTEMPTS = 2000
+
+
+def out_of_attempts(generator: str, size) -> NoReturn:
+    pytest.fail(f"{generator}: no digraph of size {size} accepted in {ATTEMPTS} attempts")
+
+
 def random_digraph(rng: random.Random, n: int) -> Digraph2:
     """A random 2-regular strongly connected simple digraph on n vertices."""
-    while True:
+    for _ in range(ATTEMPTS):
         f1 = list(range(n))
         rng.shuffle(f1)
         f2 = list(range(n))
@@ -76,6 +88,7 @@ def random_digraph(rng: random.Random, n: int) -> Digraph2:
             return Digraph2(list(zip(f1, f2)))
         except SpanfactError:
             continue
+    out_of_attempts("random_digraph", n)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -172,11 +185,12 @@ def random_out_edges(rng: random.Random, n: int) -> list[tuple[int, int]]:
 def random_multidigraph(rng: random.Random, n: int) -> Digraph2:
     """A random strongly connected 2-regular digraph on n vertices, loops and
     parallel edges allowed, each vertex's two slots in random order."""
-    while True:
+    for _ in range(ATTEMPTS):
         try:
             return Digraph2(random_out_edges(rng, n))
         except SpanfactError:
             continue
+    out_of_attempts("random_multidigraph", n)
 
 
 def test_digraph_build_matches_reference_random():
@@ -552,7 +566,7 @@ def random_uniform_digraph(rng: random.Random, r: int, m: int) -> Digraph2:
     random permutation and x one with r cycles of length m, F2 = F1 x^-1,
     and each vertex's two slots are in random order."""
     n = r * m
-    while True:
+    for _ in range(ATTEMPTS):
         order = list(range(n))
         rng.shuffle(order)
         x = [0] * n
@@ -569,6 +583,7 @@ def random_uniform_digraph(rng: random.Random, r: int, m: int) -> Digraph2:
             return Digraph2([(a, b) if rng.random() < 0.5 else (b, a) for a, b in zip(f1, f2)])
         except SpanfactError:
             continue
+    out_of_attempts("random_uniform_digraph", (r, m))
 
 
 def test_law_suite_matches_reference_uniform_random():

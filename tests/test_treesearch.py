@@ -1,10 +1,14 @@
 """Golden results of the relocatable-tree kernel, and the kernel against a
-reference that runs every closure bound to completion.
+reference that runs every closure bound to completion and searches to the
+end.
 
 tests/golden_treesearch.json pins (size, nodes, certificate, words) per case,
 keyed "<fixture>/<bitmask>"; a word is its symbol tuple written as digits.
 The cases are every factorization of toy:3/4/5 and shift:5 and one class
-representative per factorization class of a5-ex3 and a5-ex2.
+representative per factorization class of a5-ex3 and a5-ex2.  The kernel
+stops once its best tree has n words, so on a case of size n, nodes counts
+the visits up to the one whose include reached n; the reference searches on
+and must still find nothing larger.
 """
 import gc
 import json
@@ -25,7 +29,7 @@ from spanfact.groups import presentation_from_config
 from spanfact.spanning import CLOSURE_CAP, max_relocatable_tree
 from spanfact.treesearch import run_search
 
-from oracles import reference_run_search
+from oracles import exhaustive_run_search, reference_run_search
 
 GOLDEN = json.loads(Path(__file__).with_name("golden_treesearch.json").read_text())
 
@@ -69,6 +73,21 @@ def test_kernel_matches_reference_on_golden_cases():
     for key, f in golden_cases():
         got, want = kernel_and_reference(f, NODE_CAP, CLOSURE_CAP)
         assert got == want, key
+
+
+def test_kernel_stops_exactly_when_size_is_n():
+    """On every golden case the kernel visits fewer nodes than the search
+    run to the end exactly when its tree has n words (62 of the 82 cases),
+    and the search run to the end finds no larger tree."""
+    stopped = 0
+    for key, f in golden_cases():
+        args = (f.n, f.f1.images, f.f2.images, NODE_CAP, CLOSURE_CAP)
+        size, _, nodes, certified = run_search(*args)
+        full_size, _, full_nodes, full_certified, _ = exhaustive_run_search(*args)
+        assert (size, certified) == (full_size, full_certified) == (GOLDEN[key][0], True), key
+        assert nodes < full_nodes if size == f.n else nodes == full_nodes, key
+        stopped += nodes < full_nodes
+    assert stopped == 62
 
 
 @pytest.mark.parametrize(
