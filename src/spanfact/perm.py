@@ -10,12 +10,12 @@ Conventions fixed project-wide:
   for inverse factors), stored in composition order: the *rightmost*
   symbol is applied first, so ``(2, 1)`` means "F2 after F1".
 
-"Do two permutations agree at some point?" is answered for many pairs at
-once by ``ImageBlob``, which packs image arrays into one integer and tests an
-image against all of them with one SWAR zero-lane test;
-``first_agreeing_pair`` finds the first agreeing pair of a list with it.  It
-is the one agreement test of the package: the relocatable-tree kernel, the
-spanning verifiers and the sharply transitive search all use it.
+"Do two permutations agree at some point?" is asked two ways.  A set that
+grows and shrinks one image at a time, as in the relocatable-tree kernel and
+the sharply transitive search, is an ``ImageBlob``: it packs the image arrays
+into one integer and tests a new image against all of them with one SWAR
+zero-lane test.  A whole list is read by columns: ``first_agreeing_pair``
+looks for a repeated value among the images of each point.
 """
 from __future__ import annotations
 
@@ -145,7 +145,9 @@ def compose(g: Perm, f: Perm) -> Perm:
 class ImageBlob:
     """Image arrays of one degree n packed into one integer, image i in lanes
     [i*n, (i+1)*n), so that "does this image agree with some packed image at
-    some point?" is one SWAR (SIMD within a register) test.
+    some point?" is one SWAR (SIMD within a register) test.  It serves the
+    incremental tests, where images are pushed and popped one at a time;
+    all-pairs questions read columns (``first_agreeing_pair``).
 
     A lane is the narrowest array item that holds the points 0..n-1: 1 byte
     up to 256 points, 2 bytes up to 65,536.  With image e repeated once per
@@ -200,31 +202,25 @@ class ImageBlob:
         x = _from_bytes(packed * self.count, "little") ^ self.value
         return (x - self._low) & ~x & self._high
 
-    def first_agreeing(self, image: Sequence[int], start: int = 0) -> int | None:
-        """The least index i >= start whose packed image agrees with image at
-        some point, or None."""
-        k = self.count - start
-        if k <= 0:
-            return None
-        shift = start * self._image_bits
-        x = _from_bytes(self.pack(image) * k, "little") ^ (self.value >> shift)
-        hits = (x - (self._low >> shift)) & ~x & (self._high >> shift)
-        if not hits:
-            return None
-        return start + ((hits & -hits).bit_length() - 1) // self._image_bits
-
 
 def first_agreeing_pair(images: Sequence[Sequence[int]]) -> tuple[int, int] | None:
     """The least index pair i < j, in lexicographic order, such that images i
-    and j agree at some point; None when every pair disagrees everywhere."""
-    if not images:
-        return None
-    blob = ImageBlob(len(images[0]), images)
-    for i, image in enumerate(images):
-        j = blob.first_agreeing(image, i + 1)
-        if j is not None:
-            return i, j
-    return None
+    and j agree at some point; None when every pair disagrees everywhere.
+
+    Each point's column of k images is read once, and a column of k distinct
+    values is skipped.  A repeat j of a value pairs with the first index i
+    holding that value: a pair (i', j) agreeing in that column has i <= i',
+    so the least agreeing pair is the least (i, j) found over all columns."""
+    k = len(images)
+    pairs = []
+    for column in zip(*images):
+        if len(set(column)) < k:
+            first: dict[int, int] = {}
+            for j, value in enumerate(column):
+                i = first.setdefault(value, j)
+                if i < j:
+                    pairs.append((i, j))
+    return min(pairs, default=None)
 
 
 def evaluate(word: Word, f1: Perm, f2: Perm) -> Perm:

@@ -2,11 +2,11 @@
 relocatable-tree search, and the phase-corrected addressing construction
 with generator splicing.
 
-Every "do two words' images agree at some vertex?" test here (the pair
-reading of verify_sharply_transitive, verify_reloc_tree, and the member
-check of search_sharply_transitive) goes through perm.ImageBlob: the images
-are packed into one integer and an image is tested against all of them at
-once with one SWAR zero-lane test.
+"Do two words' images agree at some vertex?" is asked two ways here.  The
+verifiers, verify_sharply_transitive and verify_reloc_tree, read a whole
+word set by columns with perm.first_agreeing_pair.  The sharply transitive
+search grows its members one at a time in a perm.ImageBlob and tests each
+candidate against all of them with one SWAR zero-lane test.
 """
 from __future__ import annotations
 
@@ -52,25 +52,21 @@ class Verdict:
     passed: bool
     reason: str = ""
     first_violation: tuple | None = None
-    readings_agree: bool = True
 
 
 def verify_sharply_transitive(ws: WordSet, f: Factorization) -> Verdict:
-    """Size n, all pairs relocatable; cross-checked against the per-pair
-    unique-word reading, which must agree."""
+    """Size n and no two words agreeing at any vertex: the n images at every
+    vertex are distinct, so the images form a Latin square and every ordered
+    vertex pair is hit by exactly one word.  first_violation is the least
+    agreeing word pair in set order."""
     n = f.n
     if len(ws) != n:
         return Verdict(False, f"size {len(ws)} != n = {n}")
-    images = [img.images for img in ws.images]
-    pair = first_agreeing_pair(images)
-    pair_ok = pair is None
-    # independent reading: every ordered vertex pair hit by exactly one word
-    table_ok = all(len(set(column)) == n for column in zip(*images))
-    agree = pair_ok == table_ok
-    if not pair_ok:
+    pair = first_agreeing_pair([img.images for img in ws.images])
+    if pair is not None:
         violation = (ws.words[pair[0]], ws.words[pair[1]])
-        return Verdict(False, "two words agree at a vertex", violation, agree)
-    return Verdict(True, "", None, agree)
+        return Verdict(False, "two words agree at a vertex", violation)
+    return Verdict(True)
 
 
 # --- relocatable trees --------------------------------------------------------
@@ -149,7 +145,7 @@ def search_sharply_transitive(
     # the members' images, in member order
     blob = ImageBlob(n)
     for img in req_imgs:
-        if blob.first_agreeing(img.images) is not None:
+        if blob.agrees_packed(blob.pack(img.images)):
             return None
         blob.push(img.images)
     members: list[tuple[Word, Perm]] = list(zip(required, req_imgs))
@@ -160,11 +156,10 @@ def search_sharply_transitive(
     for v in by_root_image:
         by_root_image[v].sort(key=lambda ew: (len(ew[1]), ew[1]))
 
+    # G is transitive, as a Digraph2 is strongly connected, so every vertex
+    # has |G| / n candidates and ascending order is the fewest-first order
     taken_roots = {img(root) for img in req_imgs}
-    vertices = sorted(
-        (v for v in range(n) if v not in taken_roots),
-        key=lambda v: len(by_root_image[v]),
-    )
+    vertices = [v for v in range(n) if v not in taken_roots]
 
     # depth-first over the vertices with an explicit stack rather than a
     # recursive closure, which would reference itself and be left to the
@@ -173,7 +168,7 @@ def search_sharply_transitive(
     while len(tried) <= len(vertices):
         candidates = by_root_image[vertices[len(tried) - 1]]
         i = tried[-1]
-        while i < len(candidates) and blob.first_agreeing(candidates[i][0].images) is not None:
+        while i < len(candidates) and blob.agrees_packed(blob.pack(candidates[i][0].images)):
             i += 1
         if i == len(candidates):
             tried.pop()

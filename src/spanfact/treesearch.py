@@ -14,8 +14,8 @@ element avoids each member's image at each vertex, and the members' images
 there are distinct.  The count only grows as the closure grows, so the BFS
 checks it when the closure reaches n, 2n, 4n, ... elements and stops as
 soon as it exceeds the slack: the rest of the closure could not change the
-decision.  When the slack reaches the ceiling no count can exceed it, so
-the BFS makes no checks and only the cap decides.  A check joins the
+decision.  The slack stays below the ceiling, since the walk ends once the
+best size reaches n, so the count can always exceed it.  A check joins the
 closure into one ``bytes``, one byte per cell and so smaller than the
 closure's own elements, and counts each vertex's images from its slice.
 Checks stop at half of ``closure_cap``: a later one would read more cells
@@ -97,11 +97,8 @@ def run_search(n, f1_images, f2_images, node_cap, closure_cap):
         cap.  parent is the complete closure of the parent node or None;
         elem_agrees, given on an include child, tests against the element
         its parent included."""
-        # at a slack of at least the ceiling no count can exceed it: only the
-        # cap decides
-        checks = slack < n - blob.count
         seen = set()
-        check_at = n if checks else 0
+        check_at = n
         queue = [entry[0] for entry in frontier]
         for e in queue:
             if e in seen:
@@ -123,7 +120,7 @@ def run_search(n, f1_images, f2_images, node_cap, closure_cap):
                 elif ne not in parent or (elem_agrees and elem_agrees(ne)):
                     continue
                 queue.append(ne)
-        return not checks or within(seen, slack), seen
+        return within(seen, slack), seen
 
     frontier0 = []
     for s, table in ((1, tables[0]), (2, tables[1])):
@@ -183,4 +180,4 @@ def run_search(n, f1_images, f2_images, node_cap, closure_cap):
             if best_size == n:
                 break
         stack.append((_VISIT, (new_frontier, closure, elem_agrees)))
-    return best_size, best_witness[:best_size], nodes, not aborted
+    return best_size, best_witness, nodes, not aborted

@@ -15,8 +15,9 @@ position system and its tied blocks as objects, one mask at a time, the
 reference matching is the recursive augmenting-path search, the
 connectivity oracle runs a forward and a backward BFS, the alternating
 cycle oracle walks a set of edge tuples, the sharply transitive oracle lists <F1, F2> as image tuples by a plain BFS and
-backtracks over all of it, the reference addressing walks the top
-action until it returns and checks transitivity, shift uniformity and
+backtracks over all of it, the verifier oracle reads each vertex's
+images as a set and scans word pairs one by one, the reference
+addressing walks the top action until it returns and checks transitivity, shift uniformity and
 bijectivity at the root, and the reference presentation checks compare
 sets of group elements (SH against HSH, <S>H against G, the cosets sH
 as frozensets) where spanfact.groups reads coset ids.
@@ -719,6 +720,24 @@ def reference_sharply_transitive(f: Factorization) -> bool:
         return False
 
     return extend(0)
+
+
+def reference_verify_sharply_transitive(ws: WordSet, f: Factorization) -> tuple[bool, tuple | None]:
+    """(passed, first_violation) of the sharp-transitivity verifier.  A set
+    of n words passes iff each vertex's column of images, read as a set, has
+    n members; its violation is the first word pair, in set order, that a
+    plain pairwise scan finds agreeing at some vertex."""
+    n = f.n
+    if len(ws) != n:
+        return False, None
+    images = [img.images for img in ws.images]
+    passed = all(len(set(column)) == n for column in zip(*images))
+    violation = next(
+        ((ws.words[i], ws.words[j]) for i in range(n) for j in range(i + 1, n)
+         if any(a == b for a, b in zip(images[i], images[j]))),
+        None,
+    )
+    return passed, violation
 
 
 def reference_phase_addressing(f: Factorization, ps: PositionSystem, pp: PhaseProfile) -> WordSet:

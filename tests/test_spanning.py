@@ -24,7 +24,7 @@ from spanfact.spanning import (
     verify_sharply_transitive,
 )
 
-from oracles import naive_max_tree_size
+from oracles import naive_max_tree_size, reference_verify_sharply_transitive
 from test_random_instances import product_digraph
 
 
@@ -45,7 +45,6 @@ def test_verify_flags_equivalent_words(toy3):
     verdict = verify_sharply_transitive(ws, toy3)
     assert not verdict.passed
     assert verdict.first_violation == ((), (1, 1, 1))
-    assert verdict.readings_agree
 
 
 def test_verify_size_mismatch(toy3):
@@ -54,11 +53,13 @@ def test_verify_size_mismatch(toy3):
 
 
 def test_verifier_readings_agree_on_many_sets(toy3):
-    # the pairwise reading and the unique-word-per-pair reading must agree
+    # the verdict and its first violation match the column-set and naive
+    # pairwise oracle
     words_pool = [(), (1,), (2,), (1, 1), (2, 1), (1, 2), (2, 2), (1, 1, 2)]
     for combo in itertools.combinations(words_pool, 6):
         ws = WordSet.from_words(list(combo), toy3, root=0)
-        assert verify_sharply_transitive(ws, toy3).readings_agree
+        verdict = verify_sharply_transitive(ws, toy3)
+        assert (verdict.passed, verdict.first_violation) == reference_verify_sharply_transitive(ws, toy3)
 
 
 def test_search_sharply_transitive_toys():
