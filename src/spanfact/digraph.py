@@ -11,7 +11,7 @@ complement pairing, and mask-based relabeling for free.
 """
 from __future__ import annotations
 
-import sys
+import struct
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
@@ -26,8 +26,6 @@ Row = tuple[int, int, int]  # (v, F1(v), F2(v))
 DEFAULT_CYCLE_CAP = 24
 # the label of a mask no class has reached yet; class ids stay below 2^24
 _UNLABELLED = 0xFFFFFFFF
-# masks XORed at once while mask_action_table doubles (256 KiB a run)
-_XOR_LANES = 1 << 16
 
 
 class Digraph2:
@@ -310,6 +308,8 @@ def build_doubled_cycle(n: int) -> Digraph2:
 
 
 def is_digraph_automorphism(phi: Perm, d: Digraph2) -> bool:
+    if phi.n != d.n:
+        return False
     for v in range(d.n):
         a, b = d.out_edges[v]
         img = sorted((phi(a), phi(b)))
@@ -362,30 +362,93 @@ def mask_action(d: Digraph2, phi: Perm) -> tuple[tuple[int, ...], int]:
     return source, flip
 
 
-def mask_action_table(source: tuple[int, ...], flip: int) -> array:
-    """The image of every mask in range(2^r), 4 bytes a mask.
+class MaskGroup:
+    """The affine maps on orientation bitmasks that compositions of some
+    given ones make, with the identity, packed for whole-orbit lookups.
 
-    Built by doubling: the masks in [2^s, 2^(s+1)) are those below 2^s with
-    bit s set, and bit s moves the image by targets[s], so the new half is
-    the old one XOR that constant, taken on runs of up to
-    _XOR_LANES masks, each read as one integer: the constant times the
-    integer with a 1 in every 4-byte lane holds the constant in every lane,
-    and XOR carries nothing from one lane to the next."""
-    r = len(source)
-    targets = [0] * r
+    elements[i] = (source, flip), in mask_action's form: bit j of the image
+    of b is bit source[j] of b (0 where source[j] is -1) XOR bit j of flip.
+    elements[0] is the identity.  columns is _byte_tables of all the
+    elements at once, lane by lane: lane i of an image integer, its bits
+    [32i, 32i + 32), holds element i's image of one mask, and the XOR over
+    the mask's bytes k of columns[k][byte k] is that integer.  A plain
+    slotted class: a dataclass would cost every import about a millisecond.
+    """
+
+    __slots__ = ("elements", "columns")
+
+    def __init__(
+        self,
+        elements: tuple[tuple[tuple[int, ...], int], ...],
+        columns: tuple[tuple[int, ...], ...],
+    ):
+        self.elements = elements
+        self.columns = columns
+
+    def images(self, b: int) -> tuple[int, ...]:
+        """Every element's image of b, in element order."""
+        k = len(self.elements)
+        return struct.unpack(f"<{k}I", _read(self.columns, b).to_bytes(4 * k, "little"))
+
+
+def _targets(source: tuple[int, ...]) -> list[int]:
+    """The linear part of a mask map as its image of each one-bit mask."""
+    targets = [0] * len(source)
     for j, s in enumerate(source):
         if s >= 0:
             targets[s] |= 1 << j
-    table = array("I", [flip])
-    lane_one = array("I", [1]).tobytes()
-    for t in targets:
-        n = len(table)
-        step = min(n, _XOR_LANES)
-        moved = t * int.from_bytes(lane_one * step, sys.byteorder)
-        for lo in range(0, n, step):
-            run = int.from_bytes(table[lo : lo + step], sys.byteorder) ^ moved
-            table.frombytes(run.to_bytes(step * table.itemsize, sys.byteorder))
-    return table
+    return targets
+
+
+def _byte_tables(images: list[int], flip: int) -> tuple[tuple[int, ...], ...]:
+    """The affine map b -> flip XOR images[s] over the set bits s of b, read
+    a byte at a time: table[k][v] is the part of mask v << 8k, and
+    table[0] also holds the flip.  Each table is built by doubling."""
+    tables = []
+    for lo in range(0, len(images), 8):
+        table = [0 if tables else flip]
+        for u in images[lo : lo + 8]:
+            table += [v ^ u for v in table]
+        tables.append(tuple(table))
+    return tuple(tables)
+
+
+def _read(tables: tuple[tuple[int, ...], ...], b: int) -> int:
+    """The image of mask b under the map of _byte_tables."""
+    out = 0
+    for k, table in enumerate(tables):
+        out ^= table[b >> 8 * k & 255]
+    return out
+
+
+def _lanes(values: list[int]) -> int:
+    """One integer holding values[i] in its 4-byte lane i."""
+    return int.from_bytes(struct.pack(f"<{len(values)}I", *values), "little")
+
+
+def mask_group(actions: list[tuple[tuple[int, ...], int]], r: int) -> MaskGroup:
+    """Close mask maps, given as mask_action's (source, flip) pairs on r
+    bits, under composition, breadth first from the identity: g after
+    (source, flip) reads bit j from source[g's source[j]] and flips by g's
+    image of flip."""
+    gens = [(source, _byte_tables(_targets(source), flip)) for source, flip in actions]
+    identity = (tuple(range(r)), 0)
+    elements = [identity]
+    seen = {identity}
+    for source, flip in elements:
+        for gsource, gtables in gens:
+            elem = (tuple([-1 if s < 0 else source[s] for s in gsource]), _read(gtables, flip))
+            if elem not in seen:
+                seen.add(elem)
+                elements.append(elem)
+    targets = [_targets(source) for source, _ in elements]
+    return MaskGroup(
+        tuple(elements),
+        _byte_tables(
+            [_lanes([t[s] for t in targets]) for s in range(r)],
+            _lanes([flip for _, flip in elements]),
+        ),
+    )
 
 
 def classify_factorizations(
@@ -397,16 +460,20 @@ def classify_factorizations(
     (and the F1<->F2 swap when allowed); canonical representative is the
     minimal orientation bitmask in each orbit.
 
-    Works on bitmasks alone: one labelling pass of O(2^r * generators)
-    integer operations, 4 bytes a mask per generator table and 4 for the
-    label, plus one image-list build per class, for its cycle types.  Besides
-    the conjugation tables, the walk's generators XOR masks with the bit of
-    each cycle of two parallel edges (that bit does not change the
-    factorization).  The swap, b -> b ^ (2^r - 1), commutes with every
-    conjugation up to those bits, so an orbit with the swap is the walk
-    from both b0 and its complement.  Masks are labelled when queued, and
-    orbits partition the masks, so the first unlabelled mask starts the
-    next class and is its least member.
+    Works on bitmasks alone.  The generators' affine mask maps are closed
+    once into mask_group's A, whose images of a mask are read with one
+    lookup per byte of the mask into at most ceil(r/8) x 256 lane integers
+    of 4|A| bytes.  A cycle of two parallel edges has a bit that does not change
+    the factorization, and every map of A but the identity clears it, so
+    the orbit of b0 is A's images of b0 translated by every sum of those
+    bits.  The swap, b -> b ^ (2^r - 1), commutes with every conjugation up
+    to those bits, so with it the orbit is also translated by 2^r - 1.
+    Each translation is one XOR across all lanes, which doubles them.
+    Lanes repeat a mask where maps agree on b0, so a mask counts toward
+    the class size when it is labelled.  Orbits partition the masks, so the
+    first unlabelled mask starts the next class and is its least member.
+    Beyond A, the cost is 4 bytes of label per mask and one image-list
+    build per class, for its cycle types.
     """
     rows = d._cycle_rows
     r = len(rows)
@@ -415,30 +482,36 @@ def classify_factorizations(
         if not is_digraph_automorphism(phi, d):
             raise PreconditionError(f"{phi} is not a digraph automorphism")
     total = 1 << r
-    maps = [mask_action_table(*mask_action(d, phi)) for phi in aut_generators]
-    xors = [1 << j for j, (tails, _) in enumerate(rows) if len(tails) == 1]
+    group = mask_group([mask_action(d, phi) for phi in aut_generators], r)
+    translations = [1 << j for j, (tails, _) in enumerate(rows) if len(tails) == 1]
+    if allow_swap:
+        translations.append(total - 1)
+    # (the translation in every lane, the shift that appends the moved lanes)
+    lanes = len(group.elements)
+    moves = []
+    for t in translations:
+        moves.append((_lanes([t] * lanes), 32 * lanes))
+        lanes *= 2
+    width = 4 * lanes
+    unpack = struct.Struct(f"<{lanes}I").unpack
+    # check_cycle_cap keeps r <= 24, so a mask has at most three bytes
+    low, mid, high = (*group.columns, (0,), (0,))[:3]
     label = array("I", [_UNLABELLED]) * total
     classes = []
     b0 = 0
     while True:
         cid = len(classes)
-        orbit = [b0, b0 ^ (total - 1)] if allow_swap else [b0]
-        for b in orbit:
-            label[b] = cid
-        for b in orbit:
-            for action in maps:
-                c = action[b]
-                if label[c] == _UNLABELLED:
-                    label[c] = cid
-                    orbit.append(c)
-            for x in xors:
-                c = b ^ x
-                if label[c] == _UNLABELLED:
-                    label[c] = cid
-                    orbit.append(c)
+        x = low[b0 & 255] ^ mid[b0 >> 8 & 255] ^ high[b0 >> 16]
+        for t, shift in moves:
+            x |= (x ^ t) << shift
+        size = 0
+        for b in unpack(x.to_bytes(width, "little")):
+            if label[b] != cid:
+                label[b] = cid
+                size += 1
         f1, f2 = factor_images(d, b0)
         classes.append(
-            FactorizationClass(b0, len(orbit), (images_cycle_type(f1), images_cycle_type(f2)))
+            FactorizationClass(b0, size, (images_cycle_type(f1), images_cycle_type(f2)))
         )
         try:
             b0 = label.index(_UNLABELLED, b0 + 1)

@@ -6,7 +6,9 @@ suite: the tree oracle enumerates word trees directly, the reference tree
 kernel runs every closure bound to completion, the refinement oracle
 enumerates candidate class subsets and checks invariance inline, the
 conjugation and class oracles build and conjugate every factorization, the
-Burnside count closes the affine mask maps, read off conjugated
+class reference walks every mask through one table of 2^r images per
+generator (expanded from mask_action, which the tests match to the
+conjugation oracle), the Burnside count closes the affine mask maps, read off conjugated
 factorizations, into a group and counts fixed masks by linear algebra, the
 swap oracle builds every relabelled factorization and computes its block
 actions inline, the difference-class oracle traces both F1 and x over a
@@ -25,6 +27,8 @@ as frozensets) where spanfact.groups reads coset ids.
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from collections import deque
 
 from spanfact.blocks import (
@@ -39,10 +43,14 @@ from spanfact.blocks import (
 )
 from spanfact.digraph import (
     DEFAULT_CYCLE_CAP,
+    Classification,
     Digraph2,
     Factorization,
+    FactorizationClass,
     bitmask_of,
+    factor_images,
     factorization_at,
+    mask_action,
 )
 from spanfact.errors import NotASubgroupError, PreconditionError, SizeCapError
 from spanfact.groups import (
@@ -54,7 +62,7 @@ from spanfact.groups import (
     ValidationReport,
     enumerate_group,
 )
-from spanfact.perm import Perm, compose
+from spanfact.perm import Perm, compose, images_cycle_type
 from spanfact.spanning import X_WORD, WordSet, _top_action
 
 
@@ -173,6 +181,76 @@ def burnside_class_count(d: Digraph2, generators: list[Perm], allow_swap: bool) 
     fixed = sum(_fixed_mask_count(cols, c) for cols, c in group)
     assert fixed % len(group) == 0
     return fixed // len(group)
+
+
+# masks XORed at once while mask_action_table doubles (256 KiB a run)
+_XOR_LANES = 1 << 16
+
+
+def mask_action_table(source: tuple[int, ...], flip: int) -> array:
+    """The image of every mask in range(2^r) under mask_action's affine map,
+    4 bytes a mask.
+
+    Built by doubling: the masks in [2^s, 2^(s+1)) are those below 2^s with
+    bit s set, and bit s moves the image by targets[s], so the new half is
+    the old one XOR that constant, taken on runs of up to _XOR_LANES masks,
+    each read as one integer: the constant times the integer with a 1 in
+    every 4-byte lane holds the constant in every lane, and XOR carries
+    nothing from one lane to the next."""
+    r = len(source)
+    targets = [0] * r
+    for j, s in enumerate(source):
+        if s >= 0:
+            targets[s] |= 1 << j
+    table = array("I", [flip])
+    lane_one = array("I", [1]).tobytes()
+    for t in targets:
+        n = len(table)
+        step = min(n, _XOR_LANES)
+        moved = t * int.from_bytes(lane_one * step, sys.byteorder)
+        for lo in range(0, n, step):
+            run = int.from_bytes(table[lo : lo + step], sys.byteorder) ^ moved
+            table.frombytes(run.to_bytes(step * table.itemsize, sys.byteorder))
+    return table
+
+
+def reference_classify(d: Digraph2, aut_generators: list[Perm], allow_swap: bool) -> Classification:
+    """Classification by a breadth-first walk per class: from the least
+    unlabelled mask (and its complement, with the swap), through one table
+    of 2^r images per generator and the XOR with the bit of each cycle of
+    two parallel edges, labelling each mask as it is queued."""
+    rows = d._cycle_rows
+    total = 1 << len(rows)
+    maps = [mask_action_table(*mask_action(d, phi)) for phi in aut_generators]
+    xors = [1 << j for j, (tails, _) in enumerate(rows) if len(tails) == 1]
+    unlabelled = 0xFFFFFFFF
+    label = array("I", [unlabelled]) * total
+    classes = []
+    b0 = 0
+    while True:
+        cid = len(classes)
+        orbit = [b0, b0 ^ (total - 1)] if allow_swap else [b0]
+        for b in orbit:
+            label[b] = cid
+        for b in orbit:
+            for action in maps:
+                c = action[b]
+                if label[c] == unlabelled:
+                    label[c] = cid
+                    orbit.append(c)
+            for x in xors:
+                c = b ^ x
+                if label[c] == unlabelled:
+                    label[c] = cid
+                    orbit.append(c)
+        f1, f2 = factor_images(d, b0)
+        classes.append(
+            FactorizationClass(b0, len(orbit), (images_cycle_type(f1), images_cycle_type(f2)))
+        )
+        try:
+            b0 = label.index(unlabelled, b0 + 1)
+        except ValueError:
+            return Classification(tuple(classes), label)
 
 
 def swap_invariance_counts(d: Digraph2, masks: list[int]) -> tuple[int, int]:

@@ -22,14 +22,14 @@ from spanfact.digraph import (
     factorization_at,
     is_digraph_automorphism,
     mask_action,
-    mask_action_table,
+    mask_group,
 )
 from spanfact.errors import PreconditionError, SizeCapError, StrongConnectivityError
 from spanfact.fixtures import load_fixture
 from spanfact.groups import normalize_degree2, presentation_from_config
 from spanfact.perm import Perm
 
-from oracles import burnside_class_count, conjugation_table, factorization_classes
+from oracles import burnside_class_count, conjugation_table, factorization_classes, reference_classify
 
 
 def test_build_toy_values():
@@ -223,13 +223,46 @@ def test_classify_ex3():
     assert sizes == [12, 12, 20, 20]
 
 
-@pytest.mark.parametrize("name", ["a5-ex2", "a5-ex3", "morris"])
+def composed_conjugation_tables(d, generators) -> set[tuple[int, ...]]:
+    """Every composition of the generators' conjugation tables, the
+    identity included, as the image tuple of every mask."""
+    tables = [conjugation_table(d, phi) for phi in generators]
+    identity = tuple(range(1 << d.alt_decomposition.r))
+    found = {identity}
+    frontier = [identity]
+    while frontier:
+        images = frontier.pop()
+        for table in tables:
+            composed = tuple(table[c] for c in images)
+            if composed not in found:
+                found.add(composed)
+                frontier.append(composed)
+    return found
+
+
+def lane_tables(group, r: int) -> list[tuple[int, ...]]:
+    """Per element of the mask group, its image of every mask, read from
+    its lane."""
+    images = [group.images(b) for b in range(1 << r)]
+    assert all(len(row) == len(group.elements) for row in images)
+    return [tuple(row[i] for row in images) for i in range(len(group.elements))]
+
+
+@pytest.mark.parametrize("name", ["a5-ex2", "a5-ex3", "morris", "doubled-4-cycle"])
 def test_mask_action_matches_conjugation(name):
-    fx = load_fixture(name)
-    for phi in fx.aut_generators():
-        table = mask_action_table(*mask_action(fx.digraph, phi))
-        assert table.typecode == "I"
-        assert list(table) == conjugation_table(fx.digraph, phi)
+    """Each lane of the mask group is one composition of the generators'
+    conjugation tables, and each composition is one lane."""
+    if name == "doubled-4-cycle":
+        d, generators = build_doubled_cycle(4), [Perm([1, 2, 3, 0])]
+    else:
+        fx = load_fixture(name)
+        d, generators = fx.digraph, fx.aut_generators()
+    r = d.alt_decomposition.r
+    group = mask_group([mask_action(d, phi) for phi in generators], r)
+    assert group.elements[0] == (tuple(range(r)), 0)
+    tables = lane_tables(group, r)
+    assert len(set(tables)) == len(tables)
+    assert set(tables) == composed_conjugation_tables(d, generators)
 
 
 def test_mask_action_parallel_cycles_map_to_zero():
@@ -237,23 +270,39 @@ def test_mask_action_parallel_cycles_map_to_zero():
     rot = Perm([1, 2, 3, 0])
     assert is_digraph_automorphism(rot, d)
     assert mask_action(d, rot) == ((-1, -1, -1, -1), 0)
-    assert list(mask_action_table(*mask_action(d, rot))) == conjugation_table(d, rot)
+    group = mask_group([mask_action(d, rot)], 4)
+    assert group.elements == (((0, 1, 2, 3), 0), ((-1, -1, -1, -1), 0))
+    assert lane_tables(group, 4) == [tuple(range(16)), tuple(conjugation_table(d, rot))]
 
 
-def test_mask_action_table_is_the_affine_map():
-    """At r = 18 the last doublings XOR the table in several runs; every
-    mask still maps to bit source[j] of b XOR bit j of flip, for each j."""
+def affine_image(source: tuple[int, ...], flip: int, b: int) -> int:
+    """Bit j of the image of b is bit source[j] of b XOR bit j of flip."""
+    return flip ^ sum((b >> s & 1) << j for j, s in enumerate(source) if s >= 0)
+
+
+def test_mask_group_lanes_are_the_affine_maps():
+    """At r = 18 a mask spans three byte columns, the top one partial.  The
+    group holds the identity and the generator and is closed under it, and
+    on sampled masks every lane is its element's affine map."""
     rng = random.Random(18)
     r = 18
     source = list(range(r))
     rng.shuffle(source)
     source[5] = -1
-    flip = rng.getrandbits(r)
-    table = mask_action_table(tuple(source), flip)
-    assert len(table) == 1 << r
+    gen = (tuple(source), rng.getrandbits(r))
+    group = mask_group([gen], r)
+    elements = set(group.elements)
+    assert len(elements) == len(group.elements)
+    assert {(tuple(range(r)), 0), gen} <= elements
+    # the generator after an element reads bit j from source[gen source[j]]
+    for src, flip in group.elements:
+        composed = tuple(-1 if s < 0 else src[s] for s in gen[0])
+        assert (composed, affine_image(gen[0], gen[1], flip)) in elements
     for b in [0, (1 << r) - 1, *rng.sample(range(1 << r), 4000)]:
-        image = flip ^ sum((b >> s & 1) << j for j, s in enumerate(source) if s >= 0)
-        assert table[b] == image, b
+        images = group.images(b)
+        assert len(images) == len(group.elements)
+        for (src, flip), image in zip(group.elements, images):
+            assert image == affine_image(src, flip, b), b
 
 
 def test_classify_doubled_cycle_is_one_class():
@@ -305,19 +354,36 @@ def test_classify_with_parallel_cycles_matches_oracle(out_edges, generators, all
     classes = classify_factorizations(d, generators, allow_swap)
     assert sum(c.size for c in classes) == 1 << d.alt_decomposition.r
     assert labelled_classes(d, classes) == factorization_classes(d, generators, allow_swap)
+    assert classes == reference_classify(d, generators, allow_swap)
 
 
 BENCHMARK_CONFIGS = Path(__file__).resolve().parents[1] / "perfbench" / "configs"
+TEST_CONFIGS = Path(__file__).with_name("configs")
 
 
 def instance(name: str) -> tuple[Digraph2, list[Perm]]:
-    """A fixture, or a benchmark config by name, with its automorphisms."""
-    path = BENCHMARK_CONFIGS / f"{name}.json"
-    if path.is_file():
-        cd = build_coset_digraph(presentation_from_config(json.loads(path.read_text())["presentation"]))
-        return cd.digraph, cd.default_aut_generators()
+    """A fixture, or a benchmark or test config by name, with its
+    automorphisms."""
+    for configs in (BENCHMARK_CONFIGS, TEST_CONFIGS):
+        path = configs / f"{name}.json"
+        if path.is_file():
+            cd = build_coset_digraph(presentation_from_config(json.loads(path.read_text())["presentation"]))
+            return cd.digraph, cd.default_aut_generators()
     fx = load_fixture(name)
     return fx.digraph, fx.aut_generators()
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["a5-ex2", "a5-ex3", "morris", "toy:3", "toy:5", "toy:8", "shift:7", "shift:16",
+     "s5-r12", "agl18-r14", "c2wrc4-r16"],
+)
+@pytest.mark.parametrize("allow_swap", [False, True])
+def test_classify_matches_reference(name, allow_swap):
+    """Representatives, sizes, cycle types and every mask's label equal the
+    per-mask walk's."""
+    d, generators = instance(name)
+    assert classify_factorizations(d, generators, allow_swap) == reference_classify(d, generators, allow_swap)
 
 
 @pytest.mark.parametrize(
@@ -335,6 +401,30 @@ def test_classify_rejects_non_automorphism():
     bad = Perm([1, 0, 2, 3, 4, 5])
     with pytest.raises(PreconditionError):
         classify_factorizations(d, [bad], allow_swap=False)
+
+
+@pytest.mark.parametrize(
+    "phi",
+    # degree 2, and toy:3's column shift with two fixed points added
+    [Perm([1, 0]), Perm([1, 2, 0, 4, 5, 3, 6, 7])],
+    ids=["degree-2", "degree-8"],
+)
+def test_classify_rejects_permutation_of_another_degree(phi):
+    d, _ = build_toy(3)
+    assert not is_digraph_automorphism(phi, d)
+    with pytest.raises(PreconditionError, match="is not a digraph automorphism"):
+        classify_factorizations(d, [phi], allow_swap=False)
+
+
+@pytest.mark.parametrize(
+    "name, allow_swap, count",
+    [("s5-r20", False, 8920), ("s5-r20", True, 4872), ("psl27-r21", False, 12528), ("psl27-r21", True, 6264)],
+)
+def test_large_config_class_counts(name, allow_swap, count):
+    d, generators = instance(name)
+    classes = classify_factorizations(d, generators, allow_swap)
+    assert len(classes) == count == burnside_class_count(d, generators, allow_swap)
+    assert sum(c.size for c in classes) == len(classes.label) == 1 << d.alt_decomposition.r
 
 
 def test_normalize_preserves_edge_set():

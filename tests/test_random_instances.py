@@ -24,7 +24,9 @@ from spanfact.blocks import (
 from spanfact.cli import instance_from_config
 from spanfact.digraph import (
     Digraph2,
+    build_coset_digraph,
     build_doubled_cycle,
+    classify_factorizations,
     enumerate_factorizations,
     factor_images,
     factorization_at,
@@ -36,7 +38,7 @@ from spanfact.errors import (
     UniformityError,
 )
 from spanfact.fixtures import load_fixture
-from spanfact.groups import enumerate_group
+from spanfact.groups import Presentation, enumerate_group
 from spanfact.perm import Perm
 from spanfact.spanning import (
     CLOSURE_CAP,
@@ -53,6 +55,7 @@ from oracles import (
     brute_force_refinement_families,
     naive_max_tree_size,
     reference_alt_cycles,
+    reference_classify,
     reference_law_suite,
     reference_matching_f1,
     reference_phase_addressing,
@@ -66,8 +69,9 @@ from oracles import (
 
 # Draws each generator below may make before its test fails rather than
 # hangs.  The most any seed in these tests uses is 156 (random_digraph; 40
-# for random_uniform_digraph, 6 for random_multidigraph), so every seed draws
-# the instances that unbounded retries drew.
+# for random_uniform_digraph, 6 for random_multidigraph, 8 for
+# random_cayley_digraph), so every seed draws the instances that unbounded
+# retries drew.
 ATTEMPTS = 2000
 
 
@@ -107,6 +111,37 @@ def test_enumeration_invariants_random(seed):
         tails = {frozenset(e[0] for e in cyc) for cyc in dec.cycles}
         xc = {frozenset(c) for c in f.x().cycles()}
         assert xc == tails
+
+
+def random_cayley_digraph(rng: random.Random) -> tuple[Digraph2, list[Perm]]:
+    """The Cayley digraph g -> gs, g -> gt (H trivial) of the group that two
+    random permutations s, t of at most 6 points generate, with the left
+    multiplications by s and t.  Drawn again when s or t is the identity,
+    s = t, the group has more than 120 elements or r exceeds 12."""
+    for _ in range(ATTEMPTS):
+        k = rng.randint(3, 6)
+        s, t = (Perm(rng.sample(range(k), k)) for _ in range(2))
+        try:
+            group = enumerate_group([s, t], cap=120)
+            cd = build_coset_digraph(Presentation(group, (), (group.index[s], group.index[t])))
+        except SpanfactError:
+            continue
+        if cd.digraph.alt_decomposition.r <= 12:
+            return cd.digraph, cd.default_aut_generators()
+    out_of_attempts("random_cayley_digraph", "<= 120")
+
+
+def test_classify_matches_reference_random():
+    """Representatives, sizes, cycle types and every mask's label equal the
+    per-mask walk's on random Cayley digraphs, with and without the swap."""
+    sizes = set()
+    for seed in range(200):
+        d, generators = random_cayley_digraph(random.Random(seed))
+        sizes.add(d.n)
+        for allow_swap in (False, True):
+            got = classify_factorizations(d, generators, allow_swap)
+            assert got == reference_classify(d, generators, allow_swap), (seed, allow_swap)
+    assert len(sizes) > 5
 
 
 def assert_positions_match_reference(d: Digraph2) -> tuple[int, int]:
