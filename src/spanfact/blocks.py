@@ -46,7 +46,7 @@ position blocks, without relabelling.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .digraph import Digraph2, Factorization, check_cycle_cap, factor_images, factorization_at
 from .errors import (
@@ -66,7 +66,6 @@ X_CONVENTION = "F2^-1 F1"
 REFINEMENT_ORBIT_CAP = 16
 
 
-@dataclass(frozen=True)
 class PositionSystem:
     """The m position blocks P_j = x^j(P_0) built from the canonical transversal.
 
@@ -75,12 +74,23 @@ class PositionSystem:
     _pos_of are indexed by vertex.
     """
 
-    m: int
-    r: int
-    cycle_list: tuple[tuple[int, ...], ...]
-    blocks: tuple[frozenset[int], ...]
-    _cycle_of: Sequence[int]
-    _pos_of: list[int]
+    __slots__ = ("m", "r", "cycle_list", "blocks", "_cycle_of", "_pos_of")
+
+    def __init__(
+        self,
+        m: int,
+        r: int,
+        cycle_list: tuple[tuple[int, ...], ...],
+        blocks: tuple[frozenset[int], ...],
+        _cycle_of: Sequence[int],
+        _pos_of: list[int],
+    ):
+        self.m = m
+        self.r = r
+        self.cycle_list = cycle_list
+        self.blocks = blocks
+        self._cycle_of = _cycle_of
+        self._pos_of = _pos_of
 
     def position_of(self, v: int) -> int:
         return self._pos_of[v]
@@ -112,8 +122,7 @@ def _cycle_length(d: Digraph2) -> int:
     return lengths.pop() if len(lengths) == 1 else 0
 
 
-@dataclass(frozen=True)
-class PhaseProfile:
+class PhaseProfile(NamedTuple):
     """Per-cycle phases, their counts, and the tied refinement F1(P_j)."""
 
     delta: tuple[int, ...]
@@ -191,8 +200,7 @@ def difference_class_orbits(
     return tuple(map(tuple, orbits.values()))
 
 
-@dataclass(frozen=True, slots=True)
-class BlockSystem:
+class BlockSystem(NamedTuple):
     """Equal-size blocks partitioning their support (usually all of V):
     block_of[v] is v's block id in 0..k-1, or -1 outside the support.  It is
     read by vertex only, so any mapping from the vertices 0..n-1 serves."""
@@ -217,8 +225,7 @@ def cycle_block_system(ps: PositionSystem) -> BlockSystem:
     return BlockSystem(ps._cycle_of, ps.r)
 
 
-@dataclass(frozen=True)
-class RefinementSystem:
+class RefinementSystem(NamedTuple):
     """One class-union coarsening, tagged by its subcollection of class orbits.
 
     invariant records whether F1 maps every block onto a block.  x always
@@ -468,8 +475,7 @@ def _count_masks(scopes: list[list[int]], holds: list[list[bool]]) -> int:
     return sum(states.values())
 
 
-@dataclass(frozen=True)
-class BlockConstructionFailure:
+class BlockConstructionFailure(NamedTuple):
     """No set: G passed the element cap or has none; not a precondition failure."""
 
     reason: str

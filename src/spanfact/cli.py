@@ -7,7 +7,6 @@ records carry a schema field and the version.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import os
@@ -105,7 +104,7 @@ def instance_from_config(doc) -> Fixture:
         if type(toy["m"]) is not int:
             raise ConfigError(f"field 'toy.m', token {toy['m']!r}: expected an integer")
         fx = load_fixture(f"toy:{toy['m']}")
-        return fx if name is None else dataclasses.replace(fx, name=name)
+        return fx if name is None else fx._replace(name=name)
     p = presentation_from_config(doc["presentation"])
     cd = build_coset_digraph(p)
     return Fixture((p.name or "config") if name is None else name, cd.digraph, cd)

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import struct
 from array import array
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import PreconditionError, SizeCapError, StrongConnectivityError
 from .groups import CosetSpace, Presentation, coset_space, left_multiplication, validate_presentation
@@ -139,8 +139,7 @@ class Digraph2:
         return tuple(out)
 
 
-@dataclass(frozen=True)
-class AltCycleDecomposition:
+class AltCycleDecomposition(NamedTuple):
     """Edge partition into alternating cycles; each edge list alternates direction."""
 
     cycles: tuple[tuple[Edge, ...], ...]
@@ -150,8 +149,7 @@ class AltCycleDecomposition:
         return len(self.cycles)
 
 
-@dataclass(frozen=True, slots=True)
-class Factorization:
+class Factorization(NamedTuple):
     """An ordered pair of 1-factors tagged with its orientation bitmask."""
 
     digraph: Digraph2
@@ -228,8 +226,7 @@ def enumerate_factorizations(d: Digraph2) -> list[Factorization]:
 # --- builders ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CosetDigraph:
+class CosetDigraph(NamedTuple):
     """A coset digraph together with its group context."""
 
     digraph: Digraph2
@@ -319,21 +316,27 @@ def is_digraph_automorphism(phi: Perm, d: Digraph2) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FactorizationClass:
+class FactorizationClass(NamedTuple):
     representative: int
     size: int
     cycle_type_pair: tuple[tuple[int, ...], tuple[int, ...]]
 
 
-@dataclass(frozen=True)
 class Classification:
     """The classes, in order of their representatives, and the class id of
     every mask: label[b] indexes classes.  Reads as the sequence of its
-    classes."""
+    classes; two classifications with equal classes and labels are equal."""
 
-    classes: tuple[FactorizationClass, ...]
-    label: array
+    __slots__ = ("classes", "label")
+
+    def __init__(self, classes: tuple[FactorizationClass, ...], label: array):
+        self.classes = classes
+        self.label = label
+
+    def __eq__(self, other):
+        if not isinstance(other, Classification):
+            return NotImplemented
+        return self.classes == other.classes and self.label == other.label
 
     def __len__(self) -> int:
         return len(self.classes)
@@ -371,8 +374,11 @@ class MaskGroup:
     elements[0] is the identity.  columns is _byte_tables of all the
     elements at once, lane by lane: lane i of an image integer, its bits
     [32i, 32i + 32), holds element i's image of one mask, and the XOR over
-    the mask's bytes k of columns[k][byte k] is that integer.  A plain
-    slotted class: a dataclass would cost every import about a millisecond.
+    the mask's bytes k of columns[k][byte k] is that integer.  Like every
+    record in spanfact, it is defined without generated code: a value record
+    is a NamedTuple, and one with its own __len__, __iter__ or underscored
+    fields is a plain slotted class.  A dataclass execs its methods when the
+    module is imported, about 0.6 ms per class on every CLI start.
     """
 
     __slots__ = ("elements", "columns")

@@ -7,7 +7,7 @@ family on {0,1} x Z_m.  shift:n is a circulant used by tests and examples.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .digraph import (
     CosetDigraph,
@@ -21,8 +21,7 @@ from .groups import Presentation, enumerate_group
 from .perm import Perm, compose
 
 
-@dataclass(frozen=True)
-class Fixture:
+class Fixture(NamedTuple):
     name: str
     digraph: Digraph2
     coset: CosetDigraph | None

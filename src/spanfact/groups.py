@@ -7,7 +7,7 @@ deterministic.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import ConfigError, NotASubgroupError, PreconditionError, SizeCapError
 from .perm import Perm, Word, compose, parse_perm
@@ -15,16 +15,38 @@ from .perm import Perm, Word, compose, parse_perm
 DEFAULT_GROUP_CAP = 10_000
 
 
-@dataclass(frozen=True)
 class FiniteGroup:
     """words[i] is the first breadth-first word of elements[i], in perm.Word
-    form with symbol k + 1 for generators[k] (a Schreier tree's words)."""
+    form with symbol k + 1 for generators[k] (a Schreier tree's words).
+    index maps each element to its position.  Groups compare and hash by
+    degree, generators and elements; index and words are derived from them."""
 
-    degree: int
-    generators: tuple[Perm, ...]
-    elements: tuple[Perm, ...]
-    index: dict[Perm, int] = field(compare=False, repr=False)
-    words: tuple[Word, ...] = field(compare=False, repr=False)
+    __slots__ = ("degree", "generators", "elements", "index", "words")
+
+    def __init__(
+        self,
+        degree: int,
+        generators: tuple[Perm, ...],
+        elements: tuple[Perm, ...],
+        index: dict[Perm, int],
+        words: tuple[Word, ...],
+    ):
+        self.degree = degree
+        self.generators = generators
+        self.elements = elements
+        self.index = index
+        self.words = words
+
+    def _key(self) -> tuple:
+        return self.degree, self.generators, self.elements
+
+    def __eq__(self, other):
+        if not isinstance(other, FiniteGroup):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -64,15 +86,24 @@ def enumerate_group(generators: list[Perm], cap: int = DEFAULT_GROUP_CAP) -> Fin
     return FiniteGroup(degree, tuple(generators), tuple(elements), index, tuple(words))
 
 
-@dataclass(frozen=True)
 class CosetSpace:
     """Right cosets gH of a subgroup H, as sets of group-element indices."""
 
-    group: FiniteGroup
-    subgroup_elements: tuple[int, ...]
-    cosets: tuple[tuple[int, ...], ...]
-    representative: tuple[int, ...]
-    coset_of: tuple[int, ...]
+    __slots__ = ("group", "subgroup_elements", "cosets", "representative", "coset_of")
+
+    def __init__(
+        self,
+        group: FiniteGroup,
+        subgroup_elements: tuple[int, ...],
+        cosets: tuple[tuple[int, ...], ...],
+        representative: tuple[int, ...],
+        coset_of: tuple[int, ...],
+    ):
+        self.group = group
+        self.subgroup_elements = subgroup_elements
+        self.cosets = cosets
+        self.representative = representative
+        self.coset_of = coset_of
 
     def __len__(self) -> int:
         return len(self.cosets)
@@ -105,8 +136,7 @@ def coset_space(group: FiniteGroup, H_generators: list[Perm]) -> CosetSpace:
     return CosetSpace(group, H, tuple(cosets), tuple(reps), tuple(coset_of))
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(NamedTuple):
     """A triple (G, S, H) given by generators; S as group-element indices."""
 
     group: FiniteGroup
@@ -115,14 +145,12 @@ class Presentation:
     name: str = ""
 
 
-@dataclass(frozen=True)
-class ConditionCheck:
+class ConditionCheck(NamedTuple):
     label: str
     passed: bool
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     checks: tuple[ConditionCheck, ...]
 
     @property
@@ -164,8 +192,7 @@ def validate_presentation(p: Presentation, space: CosetSpace | None = None) -> V
     )
 
 
-@dataclass(frozen=True)
-class NormalizationResult:
+class NormalizationResult(NamedTuple):
     """Either the rewritten presentation with the chosen (h, k), or a no-swap report."""
 
     presentation: Presentation
@@ -197,8 +224,7 @@ def normalize_degree2(p: Presentation) -> NormalizationResult:
     return NormalizationResult(p, False)
 
 
-@dataclass(frozen=True)
-class LocalActionKernel:
+class LocalActionKernel(NamedTuple):
     kernel_elements: tuple[int, ...]
     normal_in_group: bool
 

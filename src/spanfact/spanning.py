@@ -11,7 +11,7 @@ candidate against all of them with one SWAR zero-lane test.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .blocks import PhaseProfile, PositionSystem, _block_images, cycle_block_system
 from .digraph import Factorization
@@ -29,13 +29,15 @@ ELEMENT_CAP = 200_000
 NODE_CAP = 100_000_000
 
 
-@dataclass(frozen=True)
 class WordSet:
     """Words with cached evaluation images and an optional distinguished root."""
 
-    words: tuple[Word, ...]
-    images: tuple[Perm, ...]
-    root: int | None = None
+    __slots__ = ("words", "images", "root")
+
+    def __init__(self, words: tuple[Word, ...], images: tuple[Perm, ...], root: int | None = None):
+        self.words = words
+        self.images = images
+        self.root = root
 
     def __len__(self) -> int:
         return len(self.words)
@@ -47,8 +49,7 @@ class WordSet:
         return cls(words, images, root)
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     passed: bool
     reason: str = ""
     first_violation: tuple | None = None
@@ -72,8 +73,7 @@ def verify_sharply_transitive(ws: WordSet, f: Factorization) -> Verdict:
 # --- relocatable trees --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RelocTreeReport:
+class RelocTreeReport(NamedTuple):
     valid: bool
     reason: str = ""
 
@@ -98,8 +98,7 @@ def verify_reloc_tree(words: tuple[Word, ...], f: Factorization) -> RelocTreeRep
     return RelocTreeReport(True)
 
 
-@dataclass(frozen=True)
-class TreeSearchResult:
+class TreeSearchResult(NamedTuple):
     size: int
     words: tuple[Word, ...]
     certificate: bool

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from functools import lru_cache
 
@@ -506,7 +505,7 @@ def test_atom_counts_fail_when_two_tied_blocks_are_exchanged(name, b):
     u, v = ps.cycle_list[0][:2]
     tied[u], tied[v] = tied[v], tied[u]
     exchanged = tuple(frozenset(w for w in range(f.n) if tied[w] == k) for k in range(ps.m))
-    assert not _reference_atom_laws(f, ps, dataclasses.replace(pp, tied_blocks=exchanged))
+    assert not _reference_atom_laws(f, ps, pp._replace(tied_blocks=exchanged))
 
 
 def test_law_suite_rejects_out_of_range_mask():

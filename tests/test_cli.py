@@ -525,6 +525,18 @@ def test_config_file_toy(tmp_path, capsys):
     assert len(out.strip().split("\n")) == 16
 
 
+def test_config_toy_name_names_every_row(tmp_path, capsys):
+    """A root "name" beside a toy instance renames the toy fixture."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"toy": {"m": 3}, "name": "x"}))
+    code, out, err = run_cli(capsys, "enumerate", "--config", str(path))
+    assert (code, err) == (0, "")
+    header, *rows = out.rstrip("\n").split("\n")
+    assert header.split("\t")[2] == "instance"
+    assert len(rows) == 8
+    assert {row.split("\t")[2] for row in rows} == {"x"}
+
+
 def test_config_format_toggle(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"toy": {"m": 4}, "format": "json-lines"}))
