@@ -66,34 +66,24 @@ X_CONVENTION = "F2^-1 F1"
 REFINEMENT_ORBIT_CAP = 16
 
 
-class PositionSystem:
+class PositionSystem(NamedTuple):
     """The m position blocks P_j = x^j(P_0) built from the canonical transversal.
 
     cycle_list holds the x-cycles sorted by minimum vertex, each starting at
-    its minimum vertex, so P_0 is the set of cycle minima.  _cycle_of and
-    _pos_of are indexed by vertex.
+    its minimum vertex, so P_0 is the set of cycle minima.  cycle_of and
+    pos_of label each vertex with its x-cycle and its position.
     """
 
-    __slots__ = ("m", "r", "cycle_list", "blocks", "_cycle_of", "_pos_of")
+    m: int
+    r: int
+    cycle_list: tuple[tuple[int, ...], ...]
+    cycle_of: Sequence[int]
+    pos_of: Sequence[int]
 
-    def __init__(
-        self,
-        m: int,
-        r: int,
-        cycle_list: tuple[tuple[int, ...], ...],
-        blocks: tuple[frozenset[int], ...],
-        _cycle_of: Sequence[int],
-        _pos_of: list[int],
-    ):
-        self.m = m
-        self.r = r
-        self.cycle_list = cycle_list
-        self.blocks = blocks
-        self._cycle_of = _cycle_of
-        self._pos_of = _pos_of
-
-    def position_of(self, v: int) -> int:
-        return self._pos_of[v]
+    @property
+    def blocks(self) -> tuple[frozenset[int], ...]:
+        """The vertex set of every position block, by position."""
+        return tuple(map(frozenset, zip(*self.cycle_list)))
 
 
 def position_system(f: Factorization) -> PositionSystem:
@@ -110,9 +100,7 @@ def position_system(f: Factorization) -> PositionSystem:
     for cyc in cycles:
         for j, v in enumerate(cyc):
             pos_of[v] = j
-    return PositionSystem(
-        m, len(cycles), cycles, tuple(map(frozenset, zip(*cycles))), d._cycle_of, pos_of
-    )
+    return PositionSystem(m, len(cycles), cycles, d._cycle_of, pos_of)
 
 
 def _cycle_length(d: Digraph2) -> int:
@@ -133,7 +121,7 @@ class PhaseProfile(NamedTuple):
 def phase_profile(f: Factorization, ps: PositionSystem) -> PhaseProfile:
     """Phases from tied-block membership, verified constant along every cycle."""
     m = ps.m
-    f1, pos_of = f.f1.images, ps._pos_of
+    f1, pos_of = f.f1.images, ps.pos_of
     # F1 carries P_j onto tied block j
     tied = [0] * f.n
     for v, a in enumerate(f1):
@@ -148,7 +136,7 @@ def phase_profile(f: Factorization, ps: PositionSystem) -> PhaseProfile:
                 f"but {(g[j] - j) % m} at position {j}"
             )
         delta.append(g[0])
-    tied_blocks = tuple(frozenset(f1[v] for v in blk) for blk in ps.blocks)
+    tied_blocks = tuple(frozenset(f1[v] for v in blk) for blk in zip(*ps.cycle_list))
     return PhaseProfile(tuple(delta), tuple(map(delta.count, range(m))), tied_blocks)
 
 
@@ -188,7 +176,7 @@ def difference_class_orbits(
         pp = phase_profile(f, ps)
     # orbit[d]: the least class joined with d so far
     orbit = list(range(ps.m))
-    delta, cycle_of = pp.delta, ps._cycle_of
+    delta, cycle_of = pp.delta, ps.cycle_of
     for v, w in enumerate(f.f1.images):
         a, b = orbit[delta[cycle_of[v]]], orbit[delta[cycle_of[w]]]
         if a != b:
@@ -217,12 +205,12 @@ class BlockSystem(NamedTuple):
 
 def position_block_system(ps: PositionSystem) -> BlockSystem:
     """The m transversal-position blocks of size r."""
-    return BlockSystem(ps._pos_of, ps.m)
+    return BlockSystem(ps.pos_of, ps.m)
 
 
 def cycle_block_system(ps: PositionSystem) -> BlockSystem:
     """The r x-cycle blocks of size m (labeling-independent)."""
-    return BlockSystem(ps._cycle_of, ps.r)
+    return BlockSystem(ps.cycle_of, ps.r)
 
 
 class RefinementSystem(NamedTuple):
@@ -258,7 +246,7 @@ def invariant_refinements(
         raise SizeCapError(f"difference-class orbit count {k} exceeds cap {REFINEMENT_ORBIT_CAP}")
     if pp is None:
         pp = phase_profile(f, ps)
-    cycle_of, pos_of = ps._cycle_of, ps._pos_of
+    cycle_of, pos_of = ps.cycle_of, ps.pos_of
     out = []
     for mask in range(1, 1 << k):
         chosen = tuple(pi[t] for t in range(k) if (mask >> t) & 1)

@@ -65,9 +65,6 @@ class Digraph2:
                     stack.append(u)
         return all(seen)
 
-    def head(self, e: Edge) -> int:
-        return self.out_edges[e[0]][e[1]]
-
     def __repr__(self) -> str:
         return f"Digraph2(n={self.n})"
 
@@ -284,13 +281,13 @@ def build_toy(m: int) -> tuple[Digraph2, Factorization]:
     return d, Factorization(d, p1, Perm(f2), bitmask_of(d, p1))
 
 
-def build_shift(n: int, steps: tuple[int, int] = (1, 2)) -> tuple[Digraph2, Factorization]:
-    """Circulant digraph on Z_n with out-edges v -> v+a, v -> v+b."""
-    a, b = steps
-    if n < 3 or a % n == b % n or a % n == 0 or b % n == 0:
+def build_shift(n: int) -> tuple[Digraph2, Factorization]:
+    """Circulant digraph on Z_n with out-edges v -> v+1, v -> v+2; for n < 3
+    the steps 1 and 2 are not distinct and nonzero mod n."""
+    if n < 3:
         raise PreconditionError("shift digraph needs n >= 3 and distinct nonzero steps")
-    f1 = [(v + a) % n for v in range(n)]
-    f2 = [(v + b) % n for v in range(n)]
+    f1 = [(v + 1) % n for v in range(n)]
+    f2 = [(v + 2) % n for v in range(n)]
     d = Digraph2(tuple(zip(f1, f2)))
     p1 = Perm(f1)
     return d, Factorization(d, p1, Perm(f2), bitmask_of(d, p1))
@@ -365,7 +362,7 @@ def mask_action(d: Digraph2, phi: Perm) -> tuple[tuple[int, ...], int]:
     return source, flip
 
 
-class MaskGroup:
+class MaskGroup(NamedTuple):
     """The affine maps on orientation bitmasks that compositions of some
     given ones make, with the identity, packed for whole-orbit lookups.
 
@@ -374,22 +371,11 @@ class MaskGroup:
     elements[0] is the identity.  columns is _byte_tables of all the
     elements at once, lane by lane: lane i of an image integer, its bits
     [32i, 32i + 32), holds element i's image of one mask, and the XOR over
-    the mask's bytes k of columns[k][byte k] is that integer.  Like every
-    record in spanfact, it is defined without generated code: a value record
-    is a NamedTuple, and one with its own __len__, __iter__ or underscored
-    fields is a plain slotted class.  A dataclass execs its methods when the
-    module is imported, about 0.6 ms per class on every CLI start.
+    the mask's bytes k of columns[k][byte k] is that integer.
     """
 
-    __slots__ = ("elements", "columns")
-
-    def __init__(
-        self,
-        elements: tuple[tuple[tuple[int, ...], int], ...],
-        columns: tuple[tuple[int, ...], ...],
-    ):
-        self.elements = elements
-        self.columns = columns
+    elements: tuple[tuple[tuple[int, ...], int], ...]
+    columns: tuple[tuple[int, ...], ...]
 
     def images(self, b: int) -> tuple[int, ...]:
         """Every element's image of b, in element order."""

@@ -87,53 +87,47 @@ def enumerate_group(generators: list[Perm], cap: int = DEFAULT_GROUP_CAP) -> Fin
 
 
 class CosetSpace:
-    """Right cosets gH of a subgroup H, as sets of group-element indices."""
+    """Right cosets gH of a subgroup H, as a labelling of group-element
+    indices: coset_of[i] is the coset id of elements[i], and
+    representative[c] the least element index in coset c."""
 
-    __slots__ = ("group", "subgroup_elements", "cosets", "representative", "coset_of")
+    __slots__ = ("group", "subgroup_elements", "representative", "coset_of")
 
     def __init__(
         self,
         group: FiniteGroup,
         subgroup_elements: tuple[int, ...],
-        cosets: tuple[tuple[int, ...], ...],
         representative: tuple[int, ...],
         coset_of: tuple[int, ...],
     ):
         self.group = group
         self.subgroup_elements = subgroup_elements
-        self.cosets = cosets
         self.representative = representative
         self.coset_of = coset_of
 
     def __len__(self) -> int:
-        return len(self.cosets)
+        return len(self.representative)
 
 
 def coset_space(group: FiniteGroup, H_generators: list[Perm]) -> CosetSpace:
-    """Right cosets gH; representatives are minimal element indices; coset 0
-    is H.  This is the one closure of H; products of elements of G stay in
-    G, so only the generators are checked."""
+    """Right cosets gH; coset 0 is H.  Each coset is labelled from the first
+    element index that no earlier coset holds, its least index and its
+    representative.  This is the one closure of H; products of elements of
+    G stay in G, so only the generators are checked."""
     idx = group.index
     for h in H_generators:
         if h not in idx:
             raise NotASubgroupError(f"generator {h} lies outside the group")
     sub = enumerate_group(list(H_generators) or [Perm.identity(group.degree)])
     H = tuple(sorted(idx[h] for h in sub.elements))
-    n_el = len(group)
-    coset_of = [-1] * n_el
-    cosets: list[tuple[int, ...]] = []
+    coset_of = [-1] * len(group)
     reps: list[int] = []
-    for i in range(n_el):
-        if coset_of[i] != -1:
-            continue
-        g = group.elements[i]
-        members = tuple(sorted(group.index[compose(g, group.elements[h])] for h in H))
-        cid = len(cosets)
-        cosets.append(members)
-        reps.append(members[0])
-        for m in members:
-            coset_of[m] = cid
-    return CosetSpace(group, H, tuple(cosets), tuple(reps), tuple(coset_of))
+    for i, g in enumerate(group.elements):
+        if coset_of[i] == -1:
+            for h in sub.elements:
+                coset_of[idx[compose(g, h)]] = len(reps)
+            reps.append(i)
+    return CosetSpace(group, H, tuple(reps), tuple(coset_of))
 
 
 class Presentation(NamedTuple):

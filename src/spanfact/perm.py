@@ -227,21 +227,12 @@ def evaluate(word: Word, f1: Perm, f2: Perm) -> Perm:
     """Evaluate a word over factor symbols; symbols apply right to left."""
     if f1.n != f2.n:
         raise SizeMismatchError(f"degree mismatch: {f1.n} != {f2.n}")
-    lookup = {}
+    factors = {1: f1, 2: f2, -1: f1.inverse(), -2: f2.inverse()}
     acc = Perm.identity(f1.n)
     for sym in reversed(word):
-        if sym not in lookup:
-            if sym == 1:
-                lookup[sym] = f1
-            elif sym == 2:
-                lookup[sym] = f2
-            elif sym == -1:
-                lookup[sym] = f1.inverse()
-            elif sym == -2:
-                lookup[sym] = f2.inverse()
-            else:
-                raise ValueError(f"bad word symbol {sym!r}")
-        acc = compose(lookup[sym], acc)
+        if sym not in factors:
+            raise ValueError(f"bad word symbol {sym!r}")
+        acc = compose(factors[sym], acc)
     return acc
 
 
@@ -293,10 +284,6 @@ def cycle_string(p: Perm) -> str:
         if len(cyc) > 1
     ]
     return "".join(parts) if parts else "()"
-
-
-def oneline_string(p: Perm) -> str:
-    return "[" + ",".join(str(v) for v in p.images) + "]"
 
 
 def parse_perm(text: str, n: int | None = None) -> Perm:

@@ -227,7 +227,7 @@ def phase_addressing(
     family: list[list[tuple[Word, Perm]]] = [[] for _ in range(r)]
     i, u_word, u_elem = 0, (), x_powers[0]
     for _ in range(r):
-        sigma = ps.position_of(u_elem(root))
+        sigma = ps.pos_of[u_elem(root)]
         family[i] = [
             (u_word + X_WORD * e, compose(u_elem, x_powers[e]))
             for e in ((j - sigma) % m for j in range(m))

@@ -607,11 +607,9 @@ def reference_position_system(f: Factorization) -> PositionSystem | None:
     cycles = compose(f.f2.inverse(), f.f1).cycles()
     if len({len(c) for c in cycles}) != 1:
         return None
-    m = len(cycles[0])
-    blocks = tuple(frozenset(c[j] for c in cycles) for j in range(m))
     cycle_of = {v: i for i, cyc in enumerate(cycles) for v in cyc}
     pos_of = {v: j for cyc in cycles for j, v in enumerate(cyc)}
-    return PositionSystem(m, len(cycles), cycles, blocks, cycle_of, pos_of)
+    return PositionSystem(len(cycles[0]), len(cycles), cycles, cycle_of, pos_of)
 
 
 def reference_phase_profile(f: Factorization, ps: PositionSystem) -> PhaseProfile | None:
@@ -845,9 +843,9 @@ def reference_phase_addressing(f: Factorization, ps: PositionSystem, pp: PhasePr
     sigma = {}
     for i in range(r):
         e = u_elems[i]
-        shift = ps.position_of(e(root_cycle[0])) % m
+        shift = ps.pos_of[e(root_cycle[0])] % m
         for j in range(1, m):
-            sj = (ps.position_of(e(root_cycle[j])) - j) % m
+            sj = (ps.pos_of[e(root_cycle[j])] - j) % m
             if sj != shift:
                 raise PreconditionError(
                     f"transversal word for cycle {i} has non-uniform shift "

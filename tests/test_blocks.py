@@ -74,6 +74,18 @@ def test_position_system_single_cycle():
     assert all(len(b) == 1 for b in ps.blocks)
 
 
+@pytest.mark.parametrize("name", ["toy:3", "toy:5", "morris", "a5-ex3"])
+def test_position_blocks_agree_with_the_position_labelling(name):
+    """The set view of the position blocks, derived from cycle_list, is the
+    partition that pos_of labels, and pos_of numbers every cycle along it."""
+    d = load_fixture(name).digraph
+    for b in range(1 << d.alt_decomposition.r):
+        ps = position_system(factorization_at(d, b))
+        assert ps.blocks == position_block_system(ps).blocks, b
+        for cyc in ps.cycle_list:
+            assert [ps.pos_of[v] for v in cyc] == list(range(ps.m)), b
+
+
 def test_position_system_uniformity_error():
     d = Digraph2([(1, 1), (2, 0), (0, 2)])
     f = factorization_at(d, 0)
@@ -382,14 +394,12 @@ def test_swap_relabel_masks():
     mixed = swap_relabel(f, 1)
     assert mixed.is_valid()
     # labels swapped exactly on the masked cycle
-    for e in dec.cycles[0]:
-        v = e[0]
-        head = d.head(e)
+    for v, s in dec.cycles[0]:
+        head = d.out_edges[v][s]
         assert (f.f1(v) == head) == (mixed.f2(v) == head)
     for ci in (1, 2):
-        for e in dec.cycles[ci]:
-            v = e[0]
-            head = d.head(e)
+        for v, s in dec.cycles[ci]:
+            head = d.out_edges[v][s]
             assert (f.f1(v) == head) == (mixed.f1(v) == head)
 
 
@@ -500,7 +510,7 @@ def test_atom_counts_fail_when_two_tied_blocks_are_exchanged(name, b):
     # F1 carries P_j onto tied block j
     tied = [0] * f.n
     for v, a in enumerate(f.f1.images):
-        tied[a] = ps.position_of(v)
+        tied[a] = ps.pos_of[v]
     assert all(w in pp.tied_blocks[k] for w, k in enumerate(tied))
     u, v = ps.cycle_list[0][:2]
     tied[u], tied[v] = tied[v], tied[u]

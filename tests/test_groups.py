@@ -112,16 +112,26 @@ def test_factor_group_words_evaluate_to_their_elements():
             assert all(evaluate(w, f.f1, f.f2) == e for e, w in zip(group.elements, group.words))
 
 
+def assert_labels_right_cosets(space, size):
+    """coset_of labels the right cosets gH, each of size elements; coset 0 is
+    H and each representative is the least index in its coset."""
+    group, coset_of = space.group, space.coset_of
+    assert len(coset_of) == len(group)
+    members = [[i for i, c in enumerate(coset_of) if c == cid] for cid in range(len(space))]
+    # the labels partition the group into cosets of the given size
+    assert all(len(c) == size for c in members)
+    assert members[0] == sorted(space.subgroup_elements)
+    H = [group.elements[h] for h in space.subgroup_elements]
+    for rep, c in zip(space.representative, members):
+        assert rep == c[0]
+        assert sorted(group.index[compose(group.elements[rep], h)] for h in H) == c
+
+
 def test_coset_space_a5():
     g = a5()
     space = coset_space(g, [H_EX2])
     assert len(space) == 30
-    assert all(len(c) == 2 for c in space.cosets)
-    # cosets partition the group
-    assert sorted(i for c in space.cosets for i in c) == list(range(60))
-    # coset 0 is H itself, representatives are minimal
-    assert space.cosets[0] == tuple(sorted(space.subgroup_elements))
-    assert all(space.representative[c] == space.cosets[c][0] for c in range(30))
+    assert_labels_right_cosets(space, 2)
 
 
 def test_coset_space_morris():
@@ -129,6 +139,13 @@ def test_coset_space_morris():
     space = coset_space(p.group, list(p.H_generators))
     assert len(space) == 6
     assert len(space.subgroup_elements) == 4
+    assert_labels_right_cosets(space, 4)
+
+
+def test_coset_space_trivial_subgroup():
+    space = coset_space(a5(), [])
+    assert len(space) == 60 and space.subgroup_elements == (0,)
+    assert_labels_right_cosets(space, 1)
 
 
 def test_coset_space_whole_group():

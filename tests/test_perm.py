@@ -9,7 +9,6 @@ from spanfact.perm import (
     evaluate,
     cycle_string,
     first_agreeing_pair,
-    oneline_string,
     parse_perm,
     parse_word,
     word_str,
@@ -122,7 +121,7 @@ def test_cycle_string_round_trip(p):
 
 @given(perms())
 def test_oneline_round_trip(p):
-    assert parse_perm(oneline_string(p)) == p
+    assert parse_perm("[" + ",".join(map(str, p.images)) + "]") == p
 
 
 def test_parse_perm_forms():
@@ -144,6 +143,13 @@ def test_word_str_round_trip(syms):
 def test_word_str_rejects_a_bad_symbol():
     with pytest.raises(ValueError, match="bad word symbol 7"):
         word_str((1, 2, 7))
+
+
+@pytest.mark.parametrize("word, bad", [((0,), 0), ((1, 3), 3), ((-3, 2, -1), -3)])
+def test_evaluate_rejects_a_bad_symbol(word, bad):
+    d, f = build_toy(3)
+    with pytest.raises(ValueError, match=f"^bad word symbol {bad}$"):
+        evaluate(word, f.f1, f.f2)
 
 
 def test_word_str_orientation():

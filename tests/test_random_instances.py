@@ -164,7 +164,7 @@ def assert_positions_match_reference(d: Digraph2) -> tuple[int, int]:
         ps = position_system(f)
         assert (ps.m, ps.r, ps.cycle_list, ps.blocks) == (ref.m, ref.r, ref.cycle_list, ref.blocks), b
         for v in range(d.n):
-            assert (ps._cycle_of[v], ps.position_of(v)) == (ref._cycle_of[v], ref._pos_of[v]), (b, v)
+            assert (ps.cycle_of[v], ps.pos_of[v]) == (ref.cycle_of[v], ref.pos_of[v]), (b, v)
         ref_pp = reference_phase_profile(f, ref)
         if ref_pp is None:
             with pytest.raises(PhaseInconsistencyError):
