@@ -212,25 +212,22 @@ def cmd_enumerate(args, fx: Fixture) -> tuple[list[dict] | _FactorizationRows, i
     """Cycle types are invariant under conjugation by an automorphism, so the
     plain listing reads them per class (no swap, which exchanges F1 and F2)
     and each mask's class from the classification's label array."""
-    d = fx.digraph
     if args.swap and not args.classify:
         raise ConfigError("--swap (toggle 'swap') applies only with --classify")
+    classes = classify_factorizations(fx.digraph, fx.aut_generators(), allow_swap=args.swap)
+    if not args.classify:
+        return _FactorizationRows(_base_record("factorization", fx), classes), EXIT_OK
     records = []
-    if args.classify:
-        classes = classify_factorizations(d, fx.aut_generators(), allow_swap=args.swap)
-        for cid, cls in enumerate(classes):
-            rec = _base_record("factorization-class", fx)
-            rec.update(
-                bitmask=cls.representative,
-                cycle_type_f1=list(cls.cycle_type_pair[0]),
-                cycle_type_f2=list(cls.cycle_type_pair[1]),
-                class_id=cid,
-                class_size=cls.size,
-            )
-            records.append(rec)
-    else:
-        classes = classify_factorizations(d, fx.aut_generators(), allow_swap=False)
-        records = _FactorizationRows(_base_record("factorization", fx), classes)
+    for cid, cls in enumerate(classes):
+        rec = _base_record("factorization-class", fx)
+        rec.update(
+            bitmask=cls.representative,
+            cycle_type_f1=list(cls.cycle_type_pair[0]),
+            cycle_type_f2=list(cls.cycle_type_pair[1]),
+            class_id=cid,
+            class_size=cls.size,
+        )
+        records.append(rec)
     return records, EXIT_OK
 
 

@@ -342,54 +342,47 @@ class Classification:
         return iter(self.classes)
 
 
-def mask_action(d: Digraph2, phi: Perm) -> tuple[tuple[int, ...], int]:
-    """How conjugation by the automorphism phi acts on orientation bitmasks.
+def mask_action(d: Digraph2, phi: Perm) -> Perm:
+    """How conjugation by the automorphism phi acts on orientation bitmasks,
+    as a signed permutation of the cycle bits.
 
-    Returns (source, flip): bit j of the image of mask b is bit source[j] of b
-    XOR bit j of flip.  phi carries the out-edges of u = phi^-1(w_j), w_j the
-    first tail of cycle j, onto those of w_j, and both out-edges of u lie on
-    one cycle, so source[j] is that cycle (-1 for a one-row cycle, whose bit
-    is always 0, as in bitmask_of).  flip is the image of
-    mask 0, the bitmask of phi F1_0 phi^-1.
+    Point 2s + v means "bit s of the mask is v".  phi carries the out-edges
+    of u = phi^-1(w_j), w_j the first tail of cycle j, onto those of w_j,
+    and both out-edges of u lie on one cycle s, so the map sends 2s + v to
+    2j + (v ^ flip_j).  flip is the image of mask 0, the bitmask of
+    phi F1_0 phi^-1; a cycle of two parallel edges has no flip, and phi
+    carries it onto another such cycle.
     """
     cycle_of = d._cycle_of
     phi_inv = phi.inverse()
-    source = tuple(
-        -1 if len(rows) == 1 else cycle_of[phi_inv(rows[0][0])] for rows, _ in d._cycle_rows
-    )
     f1_0 = Perm(factor_images(d, 0)[0], check=False)
     flip = bitmask_of(d, compose(phi, compose(f1_0, phi_inv)))
-    return source, flip
+    images = [0] * (2 * len(d._cycle_rows))
+    for j, (rows, _) in enumerate(d._cycle_rows):
+        s = cycle_of[phi_inv(rows[0][0])]
+        for v in (0, 1):
+            images[2 * s + v] = 2 * j + (v ^ flip >> j & 1)
+    return Perm(images, check=False)
 
 
 class MaskGroup(NamedTuple):
-    """The affine maps on orientation bitmasks that compositions of some
+    """The signed permutations of the cycle bits that compositions of some
     given ones make, with the identity, packed for whole-orbit lookups.
 
-    elements[i] = (source, flip), in mask_action's form: bit j of the image
-    of b is bit source[j] of b (0 where source[j] is -1) XOR bit j of flip.
-    elements[0] is the identity.  columns is _byte_tables of all the
-    elements at once, lane by lane: lane i of an image integer, its bits
-    [32i, 32i + 32), holds element i's image of one mask, and the XOR over
-    the mask's bytes k of columns[k][byte k] is that integer.
+    elements[i] is an image tuple in mask_action's form, on the 2r points
+    2s + v; elements[0] is the identity.  columns is _byte_tables of all
+    the elements at once, lane by lane: lane i of an image integer, its
+    bits [32i, 32i + 32), holds element i's image of one mask, and the XOR
+    over the mask's bytes k of columns[k][byte k] is that integer.
     """
 
-    elements: tuple[tuple[tuple[int, ...], int], ...]
+    elements: tuple[tuple[int, ...], ...]
     columns: tuple[tuple[int, ...], ...]
 
     def images(self, b: int) -> tuple[int, ...]:
         """Every element's image of b, in element order."""
         k = len(self.elements)
         return struct.unpack(f"<{k}I", _read(self.columns, b).to_bytes(4 * k, "little"))
-
-
-def _targets(source: tuple[int, ...]) -> list[int]:
-    """The linear part of a mask map as its image of each one-bit mask."""
-    targets = [0] * len(source)
-    for j, s in enumerate(source):
-        if s >= 0:
-            targets[s] |= 1 << j
-    return targets
 
 
 def _byte_tables(images: list[int], flip: int) -> tuple[tuple[int, ...], ...]:
@@ -418,27 +411,26 @@ def _lanes(values: list[int]) -> int:
     return int.from_bytes(struct.pack(f"<{len(values)}I", *values), "little")
 
 
-def mask_group(actions: list[tuple[tuple[int, ...], int]], r: int) -> MaskGroup:
-    """Close mask maps, given as mask_action's (source, flip) pairs on r
-    bits, under composition, breadth first from the identity: g after
-    (source, flip) reads bit j from source[g's source[j]] and flips by g's
-    image of flip."""
-    gens = [(source, _byte_tables(_targets(source), flip)) for source, flip in actions]
-    identity = (tuple(range(r)), 0)
+def mask_group(actions: list[Perm], r: int) -> MaskGroup:
+    """Close mask maps, given as mask_action's permutations of the 2r bit
+    values, under composition, breadth first from the identity.  An
+    element e sends source bit s to bit j flipped by v where e[2s] = 2j + v,
+    so its lane takes 1 << j from bit s and v << j from the flip."""
+    gens = [g.images for g in actions]
+    identity = tuple(range(2 * r))
     elements = [identity]
     seen = {identity}
-    for source, flip in elements:
-        for gsource, gtables in gens:
-            elem = (tuple([-1 if s < 0 else source[s] for s in gsource]), _read(gtables, flip))
+    for e in elements:
+        for g in gens:
+            elem = tuple([g[x] for x in e])
             if elem not in seen:
                 seen.add(elem)
                 elements.append(elem)
-    targets = [_targets(source) for source, _ in elements]
     return MaskGroup(
         tuple(elements),
         _byte_tables(
-            [_lanes([t[s] for t in targets]) for s in range(r)],
-            _lanes([flip for _, flip in elements]),
+            [_lanes([1 << (e[2 * s] >> 1) for e in elements]) for s in range(r)],
+            _lanes([sum((e[2 * s] & 1) << (e[2 * s] >> 1) for s in range(r)) for e in elements]),
         ),
     )
 
@@ -456,10 +448,10 @@ def classify_factorizations(
     once into mask_group's A, whose images of a mask are read with one
     lookup per byte of the mask into at most ceil(r/8) x 256 lane integers
     of 4|A| bytes.  A cycle of two parallel edges has a bit that does not change
-    the factorization, and every map of A but the identity clears it, so
-    the orbit of b0 is A's images of b0 translated by every sum of those
-    bits.  The swap, b -> b ^ (2^r - 1), commutes with every conjugation up
-    to those bits, so with it the orbit is also translated by 2^r - 1.
+    the factorization, and A permutes those bits among themselves, so the
+    orbit of b0 is A's images of b0 translated by every sum of those bits.
+    The swap, b -> b ^ (2^r - 1), commutes with every map of A, so with it
+    the orbit is also translated by 2^r - 1.
     Each translation is one XOR across all lanes, which doubles them.
     Lanes repeat a mask where maps agree on b0, so a mask counts toward
     the class size when it is labelled.  Orbits partition the masks, so the

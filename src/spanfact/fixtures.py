@@ -50,24 +50,20 @@ def morris_presentation() -> Presentation:
 
 
 def load_fixture(name: str) -> Fixture:
+    family, sep, param = name.partition(":")
+    build = {"toy": build_toy, "shift": build_shift}.get(family) if sep else None
+    if build is not None:
+        try:
+            size = int(param)
+        except ValueError as exc:
+            raise ConfigError(f"fixture {name!r}: bad {family} parameter") from exc
+        return Fixture(name, build(size)[0], None)
     if name == "a5-ex2":
         p = _a5_presentation(Perm([2, 3, 0, 1, 4]), name)
     elif name == "a5-ex3":
         p = _a5_presentation(Perm([1, 0, 3, 2, 4]), name)
     elif name == "morris":
         p = morris_presentation()
-    elif name.startswith("toy:"):
-        try:
-            m = int(name.split(":", 1)[1])
-        except ValueError as exc:
-            raise ConfigError(f"fixture {name!r}: bad toy parameter") from exc
-        return Fixture(name, build_toy(m)[0], None)
-    elif name.startswith("shift:"):
-        try:
-            n = int(name.split(":", 1)[1])
-        except ValueError as exc:
-            raise ConfigError(f"fixture {name!r}: bad shift parameter") from exc
-        return Fixture(name, build_shift(n)[0], None)
     else:
         raise ConfigError(f"unknown fixture {name!r}")
     cd = build_coset_digraph(p)

@@ -295,10 +295,7 @@ def presentation_from_config(doc: dict) -> Presentation:
     raw_gens = doc["group_generators"]
     if not raw_gens:
         raise ConfigError("field 'group_generators': must be nonempty")
-    first = _parse_perm_field("group_generators", raw_gens[0], None)
-    degree = first.n
-    for tok in raw_gens[1:]:
-        degree = max(degree, _parse_perm_field("group_generators", tok, None).n)
+    degree = max(_parse_perm_field("group_generators", tok, None).n for tok in raw_gens)
     gens = [_parse_perm_field("group_generators", tok, degree) for tok in raw_gens]
     group = enumerate_group(gens)
     H_gens = tuple(_parse_perm_field("H_generators", tok, degree) for tok in doc["H_generators"])

@@ -187,9 +187,9 @@ def burnside_class_count(d: Digraph2, generators: list[Perm], allow_swap: bool) 
 _XOR_LANES = 1 << 16
 
 
-def mask_action_table(source: tuple[int, ...], flip: int) -> array:
-    """The image of every mask in range(2^r) under mask_action's affine map,
-    4 bytes a mask.
+def mask_action_table(action: Perm) -> array:
+    """The image of every mask in range(2^r) under mask_action's signed
+    permutation of the bit values 2s + v, 4 bytes a mask.
 
     Built by doubling: the masks in [2^s, 2^(s+1)) are those below 2^s with
     bit s set, and bit s moves the image by targets[s], so the new half is
@@ -197,11 +197,15 @@ def mask_action_table(source: tuple[int, ...], flip: int) -> array:
     each read as one integer: the constant times the integer with a 1 in
     every 4-byte lane holds the constant in every lane, and XOR carries
     nothing from one lane to the next."""
-    r = len(source)
-    targets = [0] * r
-    for j, s in enumerate(source):
-        if s >= 0:
-            targets[s] |= 1 << j
+    r = action.n // 2
+    flip = 0
+    targets = []
+    for s in range(r):
+        # bit s of a mask lands on bit j: as its 0 value at v0, as its 1 at v1
+        j, v0 = divmod(action(2 * s), 2)
+        _, v1 = divmod(action(2 * s + 1), 2)
+        flip |= v0 << j
+        targets.append((v0 ^ v1) << j)
     table = array("I", [flip])
     lane_one = array("I", [1]).tobytes()
     for t in targets:
@@ -221,7 +225,7 @@ def reference_classify(d: Digraph2, aut_generators: list[Perm], allow_swap: bool
     two parallel edges, labelling each mask as it is queued."""
     rows = d._cycle_rows
     total = 1 << len(rows)
-    maps = [mask_action_table(*mask_action(d, phi)) for phi in aut_generators]
+    maps = [mask_action_table(mask_action(d, phi)) for phi in aut_generators]
     xors = [1 << j for j, (tails, _) in enumerate(rows) if len(tails) == 1]
     unlabelled = 0xFFFFFFFF
     label = array("I", [unlabelled]) * total

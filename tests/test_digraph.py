@@ -3,6 +3,7 @@ import json
 import random
 import weakref
 from collections import Counter
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
@@ -248,61 +249,118 @@ def lane_tables(group, r: int) -> list[tuple[int, ...]]:
     return [tuple(row[i] for row in images) for i in range(len(group.elements))]
 
 
+def with_rotation(name: str) -> tuple[Digraph2, list[Perm]]:
+    """A fixture with its automorphisms, or a doubled n-cycle named
+    doubled-n-cycle with its rotation."""
+    if name.startswith("doubled-"):
+        n = int(name.split("-")[1])
+        return build_doubled_cycle(n), [Perm([(v + 1) % n for v in range(n)])]
+    fx = load_fixture(name)
+    return fx.digraph, fx.aut_generators()
+
+
 @pytest.mark.parametrize("name", ["a5-ex2", "a5-ex3", "morris", "doubled-4-cycle"])
 def test_mask_action_matches_conjugation(name):
     """Each lane of the mask group is one composition of the generators'
-    conjugation tables, and each composition is one lane."""
-    if name == "doubled-4-cycle":
-        d, generators = build_doubled_cycle(4), [Perm([1, 2, 3, 0])]
-    else:
-        fx = load_fixture(name)
-        d, generators = fx.digraph, fx.aut_generators()
+    conjugation tables, and each composition is one lane, with each mask
+    read as the factorization it names: the bit of a cycle of two parallel
+    edges names none."""
+    d, generators = with_rotation(name)
     r = d.alt_decomposition.r
     group = mask_group([mask_action(d, phi) for phi in generators], r)
-    assert group.elements[0] == (tuple(range(r)), 0)
+    assert group.elements[0] == tuple(range(2 * r))
     tables = lane_tables(group, r)
     assert len(set(tables)) == len(tables)
-    assert set(tables) == composed_conjugation_tables(d, generators)
+    named = [bitmask_of(d, factorization_at(d, b).f1) for b in range(1 << r)]
+    assert {tuple(named[c] for c in t) for t in tables} == {
+        tuple(named[c] for c in t) for t in composed_conjugation_tables(d, generators)
+    }
 
 
-def test_mask_action_parallel_cycles_map_to_zero():
+def test_mask_action_permutes_parallel_cycles():
+    """Every cycle of the doubled 4-cycle is two parallel edges, one per
+    tail, and the rotation carries cycle s onto cycle s + 1: it moves bit s
+    of a mask to bit s + 1, unflipped."""
     d = build_doubled_cycle(4)
     rot = Perm([1, 2, 3, 0])
     assert is_digraph_automorphism(rot, d)
-    assert mask_action(d, rot) == ((-1, -1, -1, -1), 0)
+    assert mask_action(d, rot) == Perm([2, 3, 4, 5, 6, 7, 0, 1])
     group = mask_group([mask_action(d, rot)], 4)
-    assert group.elements == (((0, 1, 2, 3), 0), ((-1, -1, -1, -1), 0))
-    assert lane_tables(group, 4) == [tuple(range(16)), tuple(conjugation_table(d, rot))]
+    assert len(group.elements) == 4
+    assert lane_tables(group, 4) == [
+        tuple((b << k | b >> (4 - k)) & 15 for b in range(16)) for k in range(4)
+    ]
 
 
-def affine_image(source: tuple[int, ...], flip: int, b: int) -> int:
-    """Bit j of the image of b is bit source[j] of b XOR bit j of flip."""
-    return flip ^ sum((b >> s & 1) << j for j, s in enumerate(source) if s >= 0)
+def signed_image(e: tuple[int, ...], b: int) -> int:
+    """The image of mask b under the signed permutation e of the bit values
+    2s + v: the value v of bit s of b becomes bit j of the image, valued w,
+    where e[2s + v] = 2j + w."""
+    out = 0
+    for s in range(len(e) // 2):
+        j, w = divmod(e[2 * s + (b >> s & 1)], 2)
+        out |= w << j
+    return out
 
 
 def test_mask_group_lanes_are_the_affine_maps():
     """At r = 18 a mask spans three byte columns, the top one partial.  The
-    group holds the identity and the generator and is closed under it, and
-    on sampled masks every lane is its element's affine map."""
+    group holds the identity and a random signed permutation and is closed
+    under it, and on sampled masks every lane is its element's map."""
     rng = random.Random(18)
     r = 18
-    source = list(range(r))
-    rng.shuffle(source)
-    source[5] = -1
-    gen = (tuple(source), rng.getrandbits(r))
+    target = list(range(r))
+    rng.shuffle(target)
+    flip = rng.getrandbits(r)
+    images = [0] * (2 * r)
+    for s, j in enumerate(target):
+        for v in (0, 1):
+            images[2 * s + v] = 2 * j + (v ^ flip >> j & 1)
+    gen = Perm(images)
     group = mask_group([gen], r)
     elements = set(group.elements)
     assert len(elements) == len(group.elements)
-    assert {(tuple(range(r)), 0), gen} <= elements
-    # the generator after an element reads bit j from source[gen source[j]]
-    for src, flip in group.elements:
-        composed = tuple(-1 if s < 0 else src[s] for s in gen[0])
-        assert (composed, affine_image(gen[0], gen[1], flip)) in elements
+    assert {tuple(range(2 * r)), gen.images} <= elements
+    for e in group.elements:
+        assert tuple(gen(x) for x in e) in elements
     for b in [0, (1 << r) - 1, *rng.sample(range(1 << r), 4000)]:
         images = group.images(b)
         assert len(images) == len(group.elements)
-        for (src, flip), image in zip(group.elements, images):
-            assert image == affine_image(src, flip, b), b
+        for e, image in zip(group.elements, images):
+            assert image == signed_image(e, b), b
+
+
+def translation(r: int, t: int) -> Perm:
+    """The mask map b -> b ^ t as a signed permutation: 2s + v to
+    2s + (v ^ bit s of t)."""
+    return Perm([x ^ (t >> (x >> 1) & 1) for x in range(2 * r)])
+
+
+@pytest.mark.parametrize(
+    "name", ["toy:3", "toy:5", "morris", "a5-ex3", "a5-ex2", "doubled-3-cycle", "doubled-4-cycle"]
+)
+@pytest.mark.parametrize("allow_swap", [False, True])
+def test_mask_maps_form_a_group(name, allow_swap):
+    """The automorphisms' mask maps, with the translation by each parallel
+    cycle's bit and, with the swap, by every bit, close into a group of
+    bijections on the masks, and Burnside's mean number of masks fixed by
+    its elements is the class count."""
+    d, generators = with_rotation(name)
+    r = d.alt_decomposition.r
+    maps = [mask_action(d, phi) for phi in generators]
+    maps += [translation(r, 1 << j) for j, (tails, _) in enumerate(d._cycle_rows) if len(tails) == 1]
+    if allow_swap:
+        maps.append(translation(r, (1 << r) - 1))
+    tables = lane_tables(mask_group(maps, r), r)
+    masks = tuple(range(1 << r))
+    assert all(tuple(sorted(t)) == masks for t in tables)
+    found = set(tables)
+    assert len(found) == len(tables)
+    assert all(itemgetter(*t)(g) in found for g in tables for t in tables)
+    fixed = sum(t[b] == b for t in tables for b in masks)
+    assert fixed % len(tables) == 0
+    classes = classify_factorizations(d, generators, allow_swap)
+    assert fixed // len(tables) == len(classes) == burnside_class_count(d, generators, allow_swap)
 
 
 def test_classify_doubled_cycle_is_one_class():

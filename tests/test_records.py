@@ -3,8 +3,10 @@
 A record is a NamedTuple, and a plain slotted class only where it reads as
 a sequence of something else, by its own __len__ or __iter__.  Neither
 execs code when its module is imported, as a dataclass does, about 0.6 ms
-per class on every CLI start.
+per class on every CLI start.  Nor does spanfact import anything outside
+the standard library.
 """
+import ast
 import importlib
 import pkgutil
 import subprocess
@@ -68,6 +70,25 @@ def test_importing_the_cli_imports_no_dataclasses():
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout == "[]\n"
+
+
+def test_spanfact_imports_only_the_standard_library():
+    """spanfact has no runtime dependencies: every import in its source names
+    a standard-library module or spanfact itself."""
+    imported = set()
+    for path in (SRC / "spanfact").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                imported |= {(path.name, alias.name) for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add((path.name, node.module))
+    assert len(imported) > 10
+    foreign = [
+        (name, module)
+        for name, module in imported
+        if module.split(".")[0] not in sys.stdlib_module_names | {"spanfact"}
+    ]
+    assert sorted(foreign) == []
 
 
 @pytest.mark.parametrize(
