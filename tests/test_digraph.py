@@ -249,23 +249,13 @@ def lane_tables(group, r: int) -> list[tuple[int, ...]]:
     return [tuple(row[i] for row in images) for i in range(len(group.elements))]
 
 
-def with_rotation(name: str) -> tuple[Digraph2, list[Perm]]:
-    """A fixture with its automorphisms, or a doubled n-cycle named
-    doubled-n-cycle with its rotation."""
-    if name.startswith("doubled-"):
-        n = int(name.split("-")[1])
-        return build_doubled_cycle(n), [Perm([(v + 1) % n for v in range(n)])]
-    fx = load_fixture(name)
-    return fx.digraph, fx.aut_generators()
-
-
 @pytest.mark.parametrize("name", ["a5-ex2", "a5-ex3", "morris", "doubled-4-cycle"])
 def test_mask_action_matches_conjugation(name):
     """Each lane of the mask group is one composition of the generators'
     conjugation tables, and each composition is one lane, with each mask
     read as the factorization it names: the bit of a cycle of two parallel
     edges names none."""
-    d, generators = with_rotation(name)
+    d, generators = instance(name)
     r = d.alt_decomposition.r
     group = mask_group([mask_action(d, phi) for phi in generators], r)
     assert group.elements[0] == tuple(range(2 * r))
@@ -345,7 +335,7 @@ def test_mask_maps_form_a_group(name, allow_swap):
     cycle's bit and, with the swap, by every bit, close into a group of
     bijections on the masks, and Burnside's mean number of masks fixed by
     its elements is the class count."""
-    d, generators = with_rotation(name)
+    d, generators = instance(name)
     r = d.alt_decomposition.r
     maps = [mask_action(d, phi) for phi in generators]
     maps += [translation(r, 1 << j) for j, (tails, _) in enumerate(d._cycle_rows) if len(tails) == 1]
@@ -421,7 +411,11 @@ TEST_CONFIGS = Path(__file__).with_name("configs")
 
 def instance(name: str) -> tuple[Digraph2, list[Perm]]:
     """A fixture, or a benchmark or test config by name, with its
-    automorphisms."""
+    automorphisms; doubled-n-cycle is the doubled n-cycle with its
+    rotation."""
+    if name.startswith("doubled-"):
+        n = int(name.split("-")[1])
+        return build_doubled_cycle(n), [Perm([(v + 1) % n for v in range(n)])]
     for configs in (BENCHMARK_CONFIGS, TEST_CONFIGS):
         path = configs / f"{name}.json"
         if path.is_file():
