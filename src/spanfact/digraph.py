@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from .errors import PreconditionError, SizeCapError, StrongConnectivityError
 from .groups import CosetSpace, Presentation, coset_space, left_multiplication, validate_presentation
-from .perm import Perm, compose, images_cycle_type
+from .perm import Perm, compose, compose_images, images_cycle_type
 
 Edge = tuple[int, int]
 Row = tuple[int, int, int]  # (v, F1(v), F2(v))
@@ -369,14 +369,14 @@ class MaskGroup(NamedTuple):
     """The signed permutations of the cycle bits that compositions of some
     given ones make, with the identity, packed for whole-orbit lookups.
 
-    elements[i] is an image tuple in mask_action's form, on the 2r points
+    elements[i] is an image array in mask_action's form, on the 2r points
     2s + v; elements[0] is the identity.  columns is _byte_tables of all
     the elements at once, lane by lane: lane i of an image integer, its
     bits [32i, 32i + 32), holds element i's image of one mask, and the XOR
     over the mask's bytes k of columns[k][byte k] is that integer.
     """
 
-    elements: tuple[tuple[int, ...], ...]
+    elements: tuple[bytes | tuple[int, ...], ...]
     columns: tuple[tuple[int, ...], ...]
 
     def images(self, b: int) -> tuple[int, ...]:
@@ -417,12 +417,12 @@ def mask_group(actions: list[Perm], r: int) -> MaskGroup:
     element e sends source bit s to bit j flipped by v where e[2s] = 2j + v,
     so its lane takes 1 << j from bit s and v << j from the flip."""
     gens = [g.images for g in actions]
-    identity = tuple(range(2 * r))
+    identity = Perm.identity(2 * r).images
     elements = [identity]
     seen = {identity}
     for e in elements:
         for g in gens:
-            elem = tuple([g[x] for x in e])
+            elem = compose_images(g, e)
             if elem not in seen:
                 seen.add(elem)
                 elements.append(elem)

@@ -3,7 +3,10 @@
 Conventions fixed project-wide:
 
 * A permutation is stored as its image array: ``images[v]`` is the image
-  of point ``v``.
+  of point ``v``.  Up to 256 points the array is ``bytes``, and a product
+  is one ``bytes.translate``: ``f.translate(g padded to 256 bytes)`` is g f.
+  Only a degree above 256 has points that no byte holds; its array is a
+  tuple, and its product is ``itemgetter(*f)(g)``.
 * The product ``compose(g, f)`` applies ``f`` first:
   ``compose(g, f)(v) = g(f(v))``.
 * A word is a tuple of factor symbols drawn from ``1, 2`` (and ``-1, -2``
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import re
 from array import array
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import SizeMismatchError
@@ -36,10 +40,11 @@ class Perm:
     __slots__ = ("images",)
 
     def __init__(self, images: Sequence[int], check: bool = True):
-        images = tuple(images)
-        if check and sorted(images) != list(range(len(images))):
-            raise ValueError(f"not a permutation image array: {images!r}")
-        object.__setattr__(self, "images", images)
+        if check:
+            images = tuple(images)
+            if sorted(images) != list(range(len(images))):
+                raise ValueError(f"not a permutation image array: {images!r}")
+        _set_images(self, _image_array(images))
 
     def __setattr__(self, name, value):
         raise AttributeError("Perm is immutable")
@@ -85,10 +90,14 @@ class Perm:
         return all(img == v for v, img in enumerate(self.images))
 
     def inverse(self) -> "Perm":
-        out = [0] * self.n
-        for v, img in enumerate(self.images):
+        images = self.images
+        if type(images) is bytes:
+            n = len(images)
+            return _wrap(bytes.maketrans(images, _POINTS[:n])[:n])
+        out = [0] * len(images)
+        for v, img in enumerate(images):
             out[img] = v
-        return Perm(out, check=False)
+        return _wrap(tuple(out))
 
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Disjoint cycles, each starting at its minimum point, sorted by minimum."""
@@ -116,6 +125,37 @@ class Perm:
         return all(img != v for v, img in enumerate(self.images))
 
 
+_set_images = Perm.images.__set__
+_new = object.__new__
+_POINTS = bytes(range(256))
+
+
+def _wrap(images: bytes | tuple[int, ...]) -> Perm:
+    """The Perm with this image array, already in its stored form."""
+    p = _new(Perm)
+    _set_images(p, images)
+    return p
+
+
+def _image_array(images: Iterable[int]) -> bytes | tuple[int, ...]:
+    """The stored form of an image array: ``bytes`` up to 256 points, else
+    a tuple."""
+    if type(images) is not bytes:
+        images = tuple(images)
+        if len(images) <= 256:
+            images = bytes(images)
+    return images
+
+
+def compose_images(gi: bytes | tuple[int, ...], fi: bytes | tuple[int, ...]) -> bytes | tuple[int, ...]:
+    """The image array of gf from those of g and f, of one degree, in the
+    stored form: one C call either way, as a tuple of more than 256 points
+    makes itemgetter return a tuple."""
+    if type(fi) is bytes:
+        return fi.translate(gi.ljust(256, b"\0"))
+    return itemgetter(*fi)(gi)
+
+
 def images_cycle_type(images: Sequence[int]) -> tuple[int, ...]:
     """Multiset of cycle lengths, ascending, of the permutation with this
     image list."""
@@ -136,10 +176,10 @@ def images_cycle_type(images: Sequence[int]) -> tuple[int, ...]:
 
 def compose(g: Perm, f: Perm) -> Perm:
     """Product gf: applies f first, then g."""
-    if g.n != f.n:
-        raise SizeMismatchError(f"degree mismatch: {g.n} != {f.n}")
-    gi = g.images
-    return Perm(tuple(gi[v] for v in f.images), check=False)
+    gi, fi = g.images, f.images
+    if len(gi) != len(fi):
+        raise SizeMismatchError(f"degree mismatch: {len(gi)} != {len(fi)}")
+    return _wrap(compose_images(gi, fi))
 
 
 class ImageBlob:
@@ -177,7 +217,10 @@ class ImageBlob:
 
     def pack(self, image: Sequence[int]) -> bytes:
         """image in lane form, as ``agrees_packed`` takes it.  With 1-byte
-        lanes (n <= 256) a ``bytes`` image is its own lane form."""
+        lanes (n <= 256) a ``bytes`` image, as a Perm stores it, is its own
+        lane form."""
+        if type(image) is bytes and self._lane_bits == 8:
+            return image
         return array(self._code, image).tobytes()
 
     def push(self, image: Sequence[int]) -> None:

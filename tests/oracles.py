@@ -160,14 +160,27 @@ def _fixed_mask_count(cols: tuple[int, ...], c: int) -> int:
 def burnside_class_count(d: Digraph2, generators: list[Perm], allow_swap: bool) -> int:
     """The number of factorization classes by Burnside's lemma: the mean,
     over the group the affine mask maps generate, of the masks each fixes.
-    Besides the conjugations, the generators XOR the bit of each cycle of two
-    parallel edges and, when allowed, all bits (the swap)."""
-    r = d.alt_decomposition.r
-    unit = tuple(1 << s for s in range(r))
-    gens = [_affine_conjugation(d, phi) for phi in generators]
-    gens += [(unit, 1 << j) for j, cyc in enumerate(d.alt_decomposition.cycles) if len(cyc) == 2]
+
+    The bit of a cycle of two parallel edges names no factorization, and the
+    translation by it is in the group, so every class is closed under
+    changing it: the count is taken on the other bits, the quotient by the
+    parallel ones.  The conjugations keep that set of bits, and their maps
+    are read off factorizations, which see only those bits; the
+    translations act trivially on it, and the swap, when allowed, XORs all
+    of it."""
+    cycles = d.alt_decomposition.cycles
+    kept = [s for s, cyc in enumerate(cycles) if len(cyc) != 2]
+
+    def quotient(b: int) -> int:
+        return sum((b >> s & 1) << i for i, s in enumerate(kept))
+
+    unit = tuple(1 << i for i in range(len(kept)))
+    gens = []
+    for phi in generators:
+        cols, c = _affine_conjugation(d, phi)
+        gens.append((tuple(quotient(cols[s]) for s in kept), quotient(c)))
     if allow_swap:
-        gens.append((unit, (1 << r) - 1))
+        gens.append((unit, (1 << len(kept)) - 1))
     group = {(unit, 0)}
     frontier = list(group)
     while frontier:

@@ -18,6 +18,7 @@ from spanfact.cli import FORMATS, emit_table, main
 from spanfact.digraph import build_coset_digraph, factorization_at
 from spanfact.fixtures import load_fixture
 from spanfact.groups import presentation_from_config
+from spanfact.perm import parse_perm
 
 from oracles import reference_law_suite
 from test_groups import FAILING_ALONE
@@ -665,6 +666,23 @@ def test_config_toy_m_must_be_an_integer(tmp_path, capsys, m):
     code, out, err = run_cli(capsys, "build", "--config", str(path))
     assert (code, out) == (2, "")
     assert err.startswith("config error: field 'toy.m'")
+
+
+def test_bad_image_array_texts(tmp_path, capsys):
+    """A one-line permutation that is not a bijection is reported as the
+    tuple it was read as, whether or not its points fit in a byte, and a
+    config carrying one is a config error."""
+    for text, shown in [("[0,0]", "(0, 0)"), ("[0,300]", "(0, 300)"), ("[1,-1]", "(1, -1)")]:
+        with pytest.raises(ValueError) as exc:
+            parse_perm(text)
+        assert str(exc.value) == f"not a permutation image array: {shown}"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"presentation": {"group_generators": ["(0 1)"], "H_generators": [], "S": ["[0,0]"]}}))
+    assert run_cli(capsys, "build", "--config", str(path)) == (
+        2,
+        "",
+        "config error: field 'S', token '[0,0]': not a permutation image array: (0, 0)\n",
+    )
 
 
 def test_all_classes_excludes_bitmask(capsys):

@@ -258,7 +258,7 @@ def test_mask_action_matches_conjugation(name):
     d, generators = instance(name)
     r = d.alt_decomposition.r
     group = mask_group([mask_action(d, phi) for phi in generators], r)
-    assert group.elements[0] == tuple(range(2 * r))
+    assert tuple(group.elements[0]) == tuple(range(2 * r))
     tables = lane_tables(group, r)
     assert len(set(tables)) == len(tables)
     named = [bitmask_of(d, factorization_at(d, b).f1) for b in range(1 << r)]
@@ -308,9 +308,9 @@ def test_mask_group_lanes_are_the_affine_maps():
             images[2 * s + v] = 2 * j + (v ^ flip >> j & 1)
     gen = Perm(images)
     group = mask_group([gen], r)
-    elements = set(group.elements)
+    elements = set(map(tuple, group.elements))
     assert len(elements) == len(group.elements)
-    assert {tuple(range(2 * r)), gen.images} <= elements
+    assert {tuple(range(2 * r)), tuple(gen.images)} <= elements
     for e in group.elements:
         assert tuple(gen(x) for x in e) in elements
     for b in [0, (1 << r) - 1, *rng.sample(range(1 << r), 4000)]:
@@ -403,6 +403,7 @@ def test_classify_with_parallel_cycles_matches_oracle(out_edges, generators, all
     assert sum(c.size for c in classes) == 1 << d.alt_decomposition.r
     assert labelled_classes(d, classes) == factorization_classes(d, generators, allow_swap)
     assert classes == reference_classify(d, generators, allow_swap)
+    assert len(classes) == burnside_class_count(d, generators, allow_swap)
 
 
 BENCHMARK_CONFIGS = Path(__file__).resolve().parents[1] / "perfbench" / "configs"

@@ -76,7 +76,7 @@ def assert_words_are_first_bfs_words(group):
         acc = ident
         for sym in reversed(word):
             acc = tuple(gens[sym - 1][x] for x in acc)
-        assert acc == elem.images
+        assert acc == tuple(elem.images)
         assert len(word) == depth[acc]
 
 

@@ -1,6 +1,11 @@
+import json
+import random
+
 import pytest
 from hypothesis import example, given, strategies as st
 
+from spanfact import spanning
+from spanfact.cli import instance_from_config
 from spanfact.errors import SizeMismatchError
 from spanfact.perm import (
     ImageBlob,
@@ -13,7 +18,10 @@ from spanfact.perm import (
     parse_word,
     word_str,
 )
-from spanfact.digraph import build_toy
+from spanfact.digraph import build_toy, factorization_at, mask_action, mask_group
+from spanfact.fixtures import load_fixture
+
+from test_groups import CONFIGS
 
 TOY3_F1 = Perm([1, 2, 0, 4, 5, 3])
 TOY3_F2 = Perm([4, 5, 3, 1, 2, 0])
@@ -225,3 +233,87 @@ def test_agreement_in_the_last_lane_only(n):
     assert blob.agrees_packed(blob.pack(images[2]))
     blob.pop()
     assert not blob.agrees_packed(blob.pack(images[2]))
+
+
+def reference_inverse(images):
+    out = [0] * len(images)
+    for v, w in enumerate(images):
+        out[w] = v
+    return out
+
+
+def reference_cycles(images):
+    """Cycles of a plain image list, each from its least point, by least point."""
+    seen, out = set(), []
+    for start in range(len(images)):
+        if start not in seen:
+            cycle = [start]
+            while images[cycle[-1]] != start:
+                cycle.append(images[cycle[-1]])
+            seen.update(cycle)
+            out.append(tuple(cycle))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 255, 256, 257, 300])
+def test_perm_matches_a_list_reference_on_both_sides_of_256(n):
+    """Up to 256 points a Perm stores bytes and above them a tuple; either
+    way every operation reads as on plain image lists."""
+    rng = random.Random(n)
+    a, b = rng.sample(range(n), n), rng.sample(range(n), n)
+    pa, pb = Perm(a), Perm(b)
+    assert type(pa.images) is type(compose(pa, pb).images) is type(pa.inverse().images) is (bytes if n <= 256 else tuple)
+    assert list(compose(pa, pb).images) == [a[v] for v in b]
+    assert list(pa.inverse().images) == reference_inverse(a)
+    factors = {1: a, 2: b, -1: reference_inverse(a), -2: reference_inverse(b)}
+    word = (2, -1, 1, -2, 2, 2)
+    ref = list(range(n))
+    for sym in reversed(word):
+        ref = [factors[sym][v] for v in ref]
+    assert list(evaluate(word, pa, pb).images) == ref
+    assert pa.cycles() == reference_cycles(a)
+    assert pa.cycle_type() == tuple(sorted(map(len, reference_cycles(a))))
+    assert [pa(v) for v in range(n)] == list(pa.images) == a
+    assert repr(pa) == f"Perm({a})"
+    for same in (Perm(tuple(a)), Perm(iter(a)), Perm(a, check=False), compose(pa, Perm.identity(n))):
+        assert same == pa and hash(same) == hash(pa)
+    assert (pa == pb) == (a == b)
+    assert compose(pa, pa.inverse()) == Perm.identity(n)
+    with pytest.raises(SizeMismatchError, match=f"degree mismatch: {n} != {n + 1}"):
+        compose(pa, Perm.identity(n + 1))
+    # 1-byte lanes up to 256 points, 2-byte lanes above
+    width = 1 if n <= 256 else 2
+    blob = ImageBlob(n, [pa.images, pb.images])
+    probes = [pa, pb, compose(pa, pb), compose(pb, pa), pa.inverse(), Perm.identity(n)]
+    probes.append(Perm([(v + 1) % n for v in a]))
+    for probe in probes:
+        packed = blob.pack(probe.images)
+        assert len(packed) == width * n and packed == blob.pack(list(probe.images))
+        agrees = any(probe(v) in (a[v], b[v]) for v in range(n))
+        assert bool(blob.agrees_packed(packed)) == agrees
+
+
+FIXTURES = ["toy:3", "toy:5", "shift:7", "shift:101", "a5-ex2", "a5-ex3", "morris"]
+
+
+@pytest.mark.parametrize("source", FIXTURES + [p.name for p in CONFIGS])
+def test_fixtures_and_configs_store_bytes(source):
+    """Every fixture and test config has at most 256 vertices, so F1, F2,
+    the group elements, word set images and mask maps are all bytes: the
+    fast product cannot quietly fall back to tuples."""
+    if source in FIXTURES:
+        fx = load_fixture(source)
+    else:
+        fx = instance_from_config(json.loads(next(p for p in CONFIGS if p.name == source).read_text()))
+    d = fx.digraph
+    f = factorization_at(d, 0)
+    perms = [f.f1, f.f2, f.x()]
+    if fx.coset is not None:
+        perms += fx.coset.presentation.group.elements
+    perms += spanning.WordSet.from_words([(), (1,), (-2,), (2, 1), (-1, 2, 2)], f).images
+    if source in ("toy:3", "toy:5", "shift:7", "morris"):
+        perms += spanning.search_sharply_transitive(f, 0).images
+    assert all(type(p.images) is bytes for p in perms)
+    r = d.alt_decomposition.r
+    actions = [mask_action(d, phi) for phi in fx.aut_generators()]
+    assert all(type(e) is bytes for e in mask_group(actions, r).elements)
