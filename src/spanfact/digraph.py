@@ -17,8 +17,9 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .errors import PreconditionError, SizeCapError, StrongConnectivityError
-from .groups import CosetSpace, Presentation, coset_space, left_multiplication, validate_presentation
-from .perm import Perm, compose, compose_images, images_cycle_type
+from .groups import CosetSpace, Presentation, coset_space, enumerate_group
+from .groups import left_multiplication, validate_presentation
+from .perm import Perm, compose, images_cycle_type
 
 Edge = tuple[int, int]
 Row = tuple[int, int, int]  # (v, F1(v), F2(v))
@@ -349,61 +350,22 @@ def mask_action(d: Digraph2, phi: Perm) -> Perm:
     Point 2s + v means "bit s of the mask is v".  phi carries the out-edges
     of u = phi^-1(w_j), w_j the first tail of cycle j, onto those of w_j,
     and both out-edges of u lie on one cycle s, so the map sends 2s + v to
-    2j + (v ^ flip_j).  flip is the image of mask 0, the bitmask of
-    phi F1_0 phi^-1; a cycle of two parallel edges has no flip, and phi
+    2j + (v ^ flip_j).  flip_j is bit j of the image of mask 0, the bitmask
+    of phi F1_0 phi^-1: it is set iff phi(F1_0(u)) is not a_j, the head of
+    F1_0 at w_j.  A cycle of two parallel edges has no flip, and phi
     carries it onto another such cycle.
     """
-    cycle_of = d._cycle_of
     phi_inv = phi.inverse()
-    f1_0 = Perm(factor_images(d, 0)[0], check=False)
-    flip = bitmask_of(d, compose(phi, compose(f1_0, phi_inv)))
+    f1_0 = factor_images(d, 0)[0]
     images = [0] * (2 * len(d._cycle_rows))
     for j, (rows, _) in enumerate(d._cycle_rows):
-        s = cycle_of[phi_inv(rows[0][0])]
+        w, a, _ = rows[0]
+        u = phi_inv(w)
+        flip = phi(f1_0[u]) != a
+        s = d._cycle_of[u]
         for v in (0, 1):
-            images[2 * s + v] = 2 * j + (v ^ flip >> j & 1)
+            images[2 * s + v] = 2 * j + (v ^ flip)
     return Perm(images, check=False)
-
-
-class MaskGroup(NamedTuple):
-    """The signed permutations of the cycle bits that compositions of some
-    given ones make, with the identity, packed for whole-orbit lookups.
-
-    elements[i] is an image array in mask_action's form, on the 2r points
-    2s + v; elements[0] is the identity.  columns is _byte_tables of all
-    the elements at once, lane by lane: lane i of an image integer, its
-    bits [32i, 32i + 32), holds element i's image of one mask, and the XOR
-    over the mask's bytes k of columns[k][byte k] is that integer.
-    """
-
-    elements: tuple[bytes | tuple[int, ...], ...]
-    columns: tuple[tuple[int, ...], ...]
-
-    def images(self, b: int) -> tuple[int, ...]:
-        """Every element's image of b, in element order."""
-        k = len(self.elements)
-        return struct.unpack(f"<{k}I", _read(self.columns, b).to_bytes(4 * k, "little"))
-
-
-def _byte_tables(images: list[int], flip: int) -> tuple[tuple[int, ...], ...]:
-    """The affine map b -> flip XOR images[s] over the set bits s of b, read
-    a byte at a time: table[k][v] is the part of mask v << 8k, and
-    table[0] also holds the flip.  Each table is built by doubling."""
-    tables = []
-    for lo in range(0, len(images), 8):
-        table = [0 if tables else flip]
-        for u in images[lo : lo + 8]:
-            table += [v ^ u for v in table]
-        tables.append(tuple(table))
-    return tuple(tables)
-
-
-def _read(tables: tuple[tuple[int, ...], ...], b: int) -> int:
-    """The image of mask b under the map of _byte_tables."""
-    out = 0
-    for k, table in enumerate(tables):
-        out ^= table[b >> 8 * k & 255]
-    return out
 
 
 def _lanes(values: list[int]) -> int:
@@ -411,28 +373,25 @@ def _lanes(values: list[int]) -> int:
     return int.from_bytes(struct.pack(f"<{len(values)}I", *values), "little")
 
 
-def mask_group(actions: list[Perm], r: int) -> MaskGroup:
-    """Close mask maps, given as mask_action's permutations of the 2r bit
-    values, under composition, breadth first from the identity.  An
-    element e sends source bit s to bit j flipped by v where e[2s] = 2j + v,
-    so its lane takes 1 << j from bit s and v << j from the flip."""
-    gens = [g.images for g in actions]
-    identity = Perm.identity(2 * r).images
-    elements = [identity]
-    seen = {identity}
-    for e in elements:
-        for g in gens:
-            elem = compose_images(g, e)
-            if elem not in seen:
-                seen.add(elem)
-                elements.append(elem)
-    return MaskGroup(
-        tuple(elements),
-        _byte_tables(
-            [_lanes([1 << (e[2 * s] >> 1) for e in elements]) for s in range(r)],
-            _lanes([sum((e[2 * s] & 1) << (e[2 * s] >> 1) for s in range(r)) for e in elements]),
-        ),
-    )
+def _mask_columns(elements: tuple[Perm, ...], r: int) -> tuple[tuple[int, ...], ...]:
+    """Every element's map of masks, as mask_action's signed permutations of
+    the 2r bit values, read a byte of the mask at a time, lane by lane: lane
+    i of an image integer, its bits [32i, 32i + 32), holds element i's image
+    of one mask, and the XOR over the mask's bytes k of columns[k][byte k]
+    is that integer.  An element e sends source bit s to bit j flipped by v
+    where e[2s] = 2j + v, so its lane takes 1 << j from bit s and v << j
+    from the flip.  columns[k][v] is the part of mask v << 8k, columns[0]
+    also holds the flips, and each column is built by doubling."""
+    images = [e.images for e in elements]
+    flip = _lanes([sum((e[2 * s] & 1) << (e[2 * s] >> 1) for s in range(r)) for e in images])
+    columns = []
+    for lo in range(0, r, 8):
+        column = [0 if columns else flip]
+        for s in range(lo, min(lo + 8, r)):
+            u = _lanes([1 << (e[2 * s] >> 1) for e in images])
+            column += [v ^ u for v in column]
+        columns.append(tuple(column))
+    return tuple(columns)
 
 
 def classify_factorizations(
@@ -445,11 +404,15 @@ def classify_factorizations(
     minimal orientation bitmask in each orbit.
 
     Works on bitmasks alone.  The generators' affine mask maps are closed
-    once into mask_group's A, whose images of a mask are read with one
-    lookup per byte of the mask into at most ceil(r/8) x 256 lane integers
-    of 4|A| bytes.  A cycle of two parallel edges has a bit that does not change
-    the factorization, and A permutes those bits among themselves, so the
-    orbit of b0 is A's images of b0 translated by every sum of those bits.
+    once into the group A by groups.enumerate_group, and A's images of a
+    mask are read with one lookup per byte of the mask into at most
+    ceil(r/8) x 256 lane integers of 4|A| bytes.  The closure is capped at
+    DEFAULT_GROUP_CAP: from the CLI the generators are left multiplications
+    of a group G closed under that cap, so |A| <= |G| <= the cap, and a
+    larger A raises SizeCapError.  A cycle of two parallel edges has a bit
+    that does not change the factorization, and A permutes those bits
+    among themselves, so the orbit of b0 is A's images of b0 translated by
+    every sum of those bits.
     The swap, b -> b ^ (2^r - 1), commutes with every map of A, so with it
     the orbit is also translated by 2^r - 1.
     Each translation is one XOR across all lanes, which doubles them.
@@ -466,12 +429,12 @@ def classify_factorizations(
         if not is_digraph_automorphism(phi, d):
             raise PreconditionError(f"{phi} is not a digraph automorphism")
     total = 1 << r
-    group = mask_group([mask_action(d, phi) for phi in aut_generators], r)
+    group = enumerate_group([mask_action(d, phi) for phi in aut_generators] or [Perm.identity(2 * r)])
     translations = [1 << j for j, (tails, _) in enumerate(rows) if len(tails) == 1]
     if allow_swap:
         translations.append(total - 1)
     # (the translation in every lane, the shift that appends the moved lanes)
-    lanes = len(group.elements)
+    lanes = len(group)
     moves = []
     for t in translations:
         moves.append((_lanes([t] * lanes), 32 * lanes))
@@ -479,7 +442,7 @@ def classify_factorizations(
     width = 4 * lanes
     unpack = struct.Struct(f"<{lanes}I").unpack
     # check_cycle_cap keeps r <= 24, so a mask has at most three bytes
-    low, mid, high = (*group.columns, (0,), (0,))[:3]
+    low, mid, high = (*_mask_columns(group.elements, r), (0,), (0,))[:3]
     label = array("I", [_UNLABELLED]) * total
     classes = []
     b0 = 0

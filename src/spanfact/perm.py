@@ -147,15 +147,6 @@ def _image_array(images: Iterable[int]) -> bytes | tuple[int, ...]:
     return images
 
 
-def compose_images(gi: bytes | tuple[int, ...], fi: bytes | tuple[int, ...]) -> bytes | tuple[int, ...]:
-    """The image array of gf from those of g and f, of one degree, in the
-    stored form: one C call either way, as a tuple of more than 256 points
-    makes itemgetter return a tuple."""
-    if type(fi) is bytes:
-        return fi.translate(gi.ljust(256, b"\0"))
-    return itemgetter(*fi)(gi)
-
-
 def images_cycle_type(images: Sequence[int]) -> tuple[int, ...]:
     """Multiset of cycle lengths, ascending, of the permutation with this
     image list."""
@@ -175,11 +166,14 @@ def images_cycle_type(images: Sequence[int]) -> tuple[int, ...]:
 
 
 def compose(g: Perm, f: Perm) -> Perm:
-    """Product gf: applies f first, then g."""
+    """Product gf: applies f first, then g.  One C call either way, as a
+    tuple of more than 256 points makes itemgetter return a tuple."""
     gi, fi = g.images, f.images
     if len(gi) != len(fi):
         raise SizeMismatchError(f"degree mismatch: {len(gi)} != {len(fi)}")
-    return _wrap(compose_images(gi, fi))
+    if type(fi) is bytes:
+        return _wrap(fi.translate(gi.ljust(256, b"\0")))
+    return _wrap(itemgetter(*fi)(gi))
 
 
 class ImageBlob:

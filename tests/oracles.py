@@ -30,6 +30,7 @@ import math
 import sys
 from array import array
 from collections import deque
+from collections.abc import Iterable
 
 from spanfact.blocks import (
     BlockSystem,
@@ -66,13 +67,13 @@ from spanfact.perm import Perm, compose, images_cycle_type
 from spanfact.spanning import X_WORD, WordSet, _top_action
 
 
-def conjugation_table(d: Digraph2, phi: Perm) -> list[int]:
-    """Bitmask of phi F1 phi^-1 for the factorization at every bitmask."""
+def conjugation_table(d: Digraph2, phi: Perm, masks: Iterable[int] | None = None) -> list[int]:
+    """Bitmask of phi F1 phi^-1 for the factorization at each of masks,
+    every bitmask by default."""
     phi_inv = phi.inverse()
-    return [
-        bitmask_of(d, compose(phi, compose(factorization_at(d, b).f1, phi_inv)))
-        for b in range(1 << d.alt_decomposition.r)
-    ]
+    if masks is None:
+        masks = range(1 << d.alt_decomposition.r)
+    return [bitmask_of(d, compose(phi, compose(factorization_at(d, b).f1, phi_inv))) for b in masks]
 
 
 def factorization_classes(

@@ -1,6 +1,7 @@
 import gc
 import json
 import random
+import struct
 import weakref
 from collections import Counter
 from operator import itemgetter
@@ -23,11 +24,10 @@ from spanfact.digraph import (
     factorization_at,
     is_digraph_automorphism,
     mask_action,
-    mask_group,
 )
 from spanfact.errors import PreconditionError, SizeCapError, StrongConnectivityError
 from spanfact.fixtures import load_fixture
-from spanfact.groups import normalize_degree2, presentation_from_config
+from spanfact.groups import DEFAULT_GROUP_CAP, enumerate_group, normalize_degree2, presentation_from_config
 from spanfact.perm import Perm
 
 from oracles import burnside_class_count, conjugation_table, factorization_classes, reference_classify
@@ -241,24 +241,32 @@ def composed_conjugation_tables(d, generators) -> set[tuple[int, ...]]:
     return found
 
 
+def signed_image(e: bytes | tuple[int, ...], b: int) -> int:
+    """The image of mask b under the signed permutation e of the bit values
+    2s + v: the value v of bit s of b becomes bit j of the image, valued w,
+    where e[2s + v] = 2j + w."""
+    out = 0
+    for s in range(len(e) // 2):
+        j, w = divmod(e[2 * s + (b >> s & 1)], 2)
+        out |= w << j
+    return out
+
+
 def lane_tables(group, r: int) -> list[tuple[int, ...]]:
-    """Per element of the mask group, its image of every mask, read from
-    its lane."""
-    images = [group.images(b) for b in range(1 << r)]
-    assert all(len(row) == len(group.elements) for row in images)
-    return [tuple(row[i] for row in images) for i in range(len(group.elements))]
+    """Per element of the mask group, its image of every mask."""
+    return [tuple(signed_image(e.images, b) for b in range(1 << r)) for e in group.elements]
 
 
 @pytest.mark.parametrize("name", ["a5-ex2", "a5-ex3", "morris", "doubled-4-cycle"])
 def test_mask_action_matches_conjugation(name):
-    """Each lane of the mask group is one composition of the generators'
-    conjugation tables, and each composition is one lane, with each mask
+    """Each element of the mask group is one composition of the generators'
+    conjugation tables, and each composition is one element, with each mask
     read as the factorization it names: the bit of a cycle of two parallel
     edges names none."""
     d, generators = instance(name)
     r = d.alt_decomposition.r
-    group = mask_group([mask_action(d, phi) for phi in generators], r)
-    assert tuple(group.elements[0]) == tuple(range(2 * r))
+    group = enumerate_group([mask_action(d, phi) for phi in generators])
+    assert group.elements[0] == Perm.identity(2 * r)
     tables = lane_tables(group, r)
     assert len(set(tables)) == len(tables)
     named = [bitmask_of(d, factorization_at(d, b).f1) for b in range(1 << r)]
@@ -275,22 +283,31 @@ def test_mask_action_permutes_parallel_cycles():
     rot = Perm([1, 2, 3, 0])
     assert is_digraph_automorphism(rot, d)
     assert mask_action(d, rot) == Perm([2, 3, 4, 5, 6, 7, 0, 1])
-    group = mask_group([mask_action(d, rot)], 4)
-    assert len(group.elements) == 4
+    group = enumerate_group([mask_action(d, rot)])
+    assert len(group) == 4
     assert lane_tables(group, 4) == [
         tuple((b << k | b >> (4 - k)) & 15 for b in range(16)) for k in range(4)
     ]
 
 
-def signed_image(e: tuple[int, ...], b: int) -> int:
-    """The image of mask b under the signed permutation e of the bit values
-    2s + v: the value v of bit s of b becomes bit j of the image, valued w,
-    where e[2s + v] = 2j + w."""
-    out = 0
-    for s in range(len(e) // 2):
-        j, w = divmod(e[2 * s + (b >> s & 1)], 2)
-        out |= w << j
-    return out
+@pytest.mark.parametrize(
+    "name",
+    ["a5-ex2", "a5-ex3", "morris", "s5-r12", "agl18-r14", "c2wrc4-r16", "s5-r20", "psl27-r21",
+     "doubled-3-cycle", "doubled-4-cycle"],
+)
+def test_mask_action_is_the_conjugate_mask(name):
+    """Each generator's mask map sends a mask to the bitmask of phi F1 phi^-1,
+    on mask 0, every one-bit mask and seeded random ones, with each mask read
+    as the factorization it names: the bit of a cycle of two parallel edges
+    names none."""
+    d, generators = instance(name)
+    r = d.alt_decomposition.r
+    rng = random.Random(r)
+    masks = [0, *(1 << j for j in range(r)), *(rng.randrange(1 << r) for _ in range(100))]
+    for phi in generators:
+        images = mask_action(d, phi).images
+        named = [bitmask_of(d, factorization_at(d, signed_image(images, b)).f1) for b in masks]
+        assert named == conjugation_table(d, phi, masks), phi
 
 
 def test_mask_group_lanes_are_the_affine_maps():
@@ -307,17 +324,21 @@ def test_mask_group_lanes_are_the_affine_maps():
         for v in (0, 1):
             images[2 * s + v] = 2 * j + (v ^ flip >> j & 1)
     gen = Perm(images)
-    group = mask_group([gen], r)
-    elements = set(map(tuple, group.elements))
-    assert len(elements) == len(group.elements)
-    assert {tuple(range(2 * r)), tuple(gen.images)} <= elements
+    group = enumerate_group([gen])
+    elements = set(group.elements)
+    assert len(elements) == len(group)
+    assert {Perm.identity(2 * r), gen} <= elements
     for e in group.elements:
-        assert tuple(gen(x) for x in e) in elements
+        assert Perm([gen(x) for x in e.images]) in elements
+    columns = digraph._mask_columns(group.elements, r)
+    assert len(columns) == 3
+    unpack = struct.Struct(f"<{len(group)}I").unpack
     for b in [0, (1 << r) - 1, *rng.sample(range(1 << r), 4000)]:
-        images = group.images(b)
-        assert len(images) == len(group.elements)
-        for e, image in zip(group.elements, images):
-            assert image == signed_image(e, b), b
+        x = 0
+        for k, column in enumerate(columns):
+            x ^= column[b >> 8 * k & 255]
+        for e, image in zip(group.elements, unpack(x.to_bytes(4 * len(group), "little"))):
+            assert image == signed_image(e.images, b), b
 
 
 def translation(r: int, t: int) -> Perm:
@@ -341,7 +362,7 @@ def test_mask_maps_form_a_group(name, allow_swap):
     maps += [translation(r, 1 << j) for j, (tails, _) in enumerate(d._cycle_rows) if len(tails) == 1]
     if allow_swap:
         maps.append(translation(r, (1 << r) - 1))
-    tables = lane_tables(mask_group(maps, r), r)
+    tables = lane_tables(enumerate_group(maps or [Perm.identity(2 * r)]), r)
     masks = tuple(range(1 << r))
     assert all(tuple(sorted(t)) == masks for t in tables)
     found = set(tables)
@@ -351,6 +372,22 @@ def test_mask_maps_form_a_group(name, allow_swap):
     assert fixed % len(tables) == 0
     classes = classify_factorizations(d, generators, allow_swap)
     assert fixed // len(tables) == len(classes) == burnside_class_count(d, generators, allow_swap)
+
+
+def test_classify_refuses_a_mask_group_past_the_group_cap():
+    """Layer i of this digraph holds vertices 2i and 2i + 1, each with an
+    edge to both vertices of layer i + 1, and alternating cycle i leaves
+    layer i.  The rotation permutes the cycles, and swapping layer 0 flips
+    the bits of cycles 0 and m - 1, so the mask group is the rotations
+    times the flips of even weight: m 2^(m-1) elements, 11,264 at m = 11,
+    past DEFAULT_GROUP_CAP."""
+    m = 11
+    d = Digraph2([((2 * i + 2) % (2 * m), (2 * i + 3) % (2 * m)) for i in range(m) for _ in (0, 1)])
+    assert d.alt_decomposition.r == m
+    rotation = Perm([(v + 2) % (2 * m) for v in range(2 * m)])
+    swap = Perm([1, 0, *range(2, 2 * m)])
+    with pytest.raises(SizeCapError, match=f"^group closure exceeded cap {DEFAULT_GROUP_CAP}$"):
+        classify_factorizations(d, [rotation, swap], allow_swap=False)
 
 
 def test_classify_doubled_cycle_is_one_class():
