@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import struct
 from array import array
-from functools import cached_property
+from functools import cached_property, partial
 from typing import NamedTuple
 
 from .errors import PreconditionError, SizeCapError, StrongConnectivityError
@@ -394,6 +394,36 @@ def _mask_columns(elements: tuple[Perm, ...], r: int) -> tuple[tuple[int, ...], 
     return tuple(columns)
 
 
+def _f1_columns(d: Digraph2) -> tuple[tuple[bytes | array, ...], ...]:
+    """F1 at every mask, relabelled by tail position, read a byte of the
+    mask at a time.  A vertex's tail position is its cycle's offset plus its
+    row index in that cycle's bit-0 rows, so each cycle holds a run of
+    positions.  Its segment at bit 0 is F1's relabelled images on that run;
+    at bit 1, F1 and F2 exchange, so it is F2's.  F1 at mask b, conjugate
+    to F1 by the relabelling, is the join of columns[k][byte k of b] over
+    the three bytes check_cycle_cap allows: columns[k][v] joins the
+    segments of cycles 8k..8k+7 at the bits of v, and is built by doubling;
+    a column past r holds the empty join.  Segments are bytes up to 256
+    vertices, else arrays of 4-byte items, so the columns take 256 items
+    per vertex."""
+    rows = d._cycle_rows
+    stored = bytes if d.n <= 256 else partial(array, "I")
+    pos = [0] * d.n
+    for i, v in enumerate(v for tails, _ in rows for v, _, _ in tails):
+        pos[v] = i
+    segments = [
+        (stored([pos[a] for _, a, _ in tails]), stored([pos[b] for _, _, b in tails]))
+        for tails, _ in rows
+    ]
+    columns = []
+    for lo in (0, 8, 16):
+        column = [stored()]
+        for zero, one in segments[lo : lo + 8]:
+            column = [v + zero for v in column] + [v + one for v in column]
+        columns.append(tuple(column))
+    return tuple(columns)
+
+
 def classify_factorizations(
     d: Digraph2,
     aut_generators: list[Perm],
@@ -419,8 +449,15 @@ def classify_factorizations(
     Lanes repeat a mask where maps agree on b0, so a mask counts toward
     the class size when it is labelled.  Orbits partition the masks, so the
     first unlabelled mask starts the next class and is its least member.
-    Beyond A, the cost is 4 bytes of label per mask and one image-list
-    build per class, for its cycle types.
+    A class's cycle types are read off F1 alone: a cycle's bit-1 rows are
+    its bit-0 rows with F1 and F2 exchanged, so F2 at b is F1 at b ^ (2^r - 1),
+    and conjugation and the parallel-cycle translations keep cycle types.
+    Without the swap, F2's type is F1's at the class of the complement of
+    the representative, read off the labels once they are all set; with it,
+    F1 is walked at the representative and at its complement.  F1 at a mask
+    is the join of one lookup per mask byte into _f1_columns, so beyond A
+    the cost is 4 bytes of label per mask and one or two F1 walks per class,
+    and no image list is built.
     """
     rows = d._cycle_rows
     r = len(rows)
@@ -428,11 +465,11 @@ def classify_factorizations(
     for phi in aut_generators:
         if not is_digraph_automorphism(phi, d):
             raise PreconditionError(f"{phi} is not a digraph automorphism")
-    total = 1 << r
+    full = (1 << r) - 1
     group = enumerate_group([mask_action(d, phi) for phi in aut_generators] or [Perm.identity(2 * r)])
     translations = [1 << j for j, (tails, _) in enumerate(rows) if len(tails) == 1]
     if allow_swap:
-        translations.append(total - 1)
+        translations.append(full)
     # (the translation in every lane, the shift that appends the moved lanes)
     lanes = len(group)
     moves = []
@@ -443,11 +480,19 @@ def classify_factorizations(
     unpack = struct.Struct(f"<{lanes}I").unpack
     # check_cycle_cap keeps r <= 24, so a mask has at most three bytes
     low, mid, high = (*_mask_columns(group.elements, r), (0,), (0,))[:3]
-    label = array("I", [_UNLABELLED]) * total
-    classes = []
+    f1_low, f1_mid, f1_high = _f1_columns(d)
+
+    def f1_type(b: int) -> tuple[int, ...]:
+        return images_cycle_type(f1_low[b & 255] + f1_mid[b >> 8 & 255] + f1_high[b >> 16])
+
+    label = array("I", [_UNLABELLED]) * (full + 1)
+    representatives = []
+    sizes = []
+    f1_types = []
+    f2_types = []
     b0 = 0
     while True:
-        cid = len(classes)
+        cid = len(representatives)
         x = low[b0 & 255] ^ mid[b0 >> 8 & 255] ^ high[b0 >> 16]
         for t, shift in moves:
             x |= (x ^ t) << shift
@@ -456,11 +501,16 @@ def classify_factorizations(
             if label[b] != cid:
                 label[b] = cid
                 size += 1
-        f1, f2 = factor_images(d, b0)
-        classes.append(
-            FactorizationClass(b0, size, (images_cycle_type(f1), images_cycle_type(f2)))
-        )
+        representatives.append(b0)
+        sizes.append(size)
+        f1_types.append(f1_type(b0))
+        if allow_swap:
+            f2_types.append(f1_type(b0 ^ full))
         try:
             b0 = label.index(_UNLABELLED, b0 + 1)
         except ValueError:
-            return Classification(tuple(classes), label)
+            break
+    if not allow_swap:
+        f2_types = [f1_types[label[b ^ full]] for b in representatives]
+    classes = map(FactorizationClass, representatives, sizes, zip(f1_types, f2_types))
+    return Classification(tuple(classes), label)

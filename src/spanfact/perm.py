@@ -149,20 +149,23 @@ def _image_array(images: Iterable[int]) -> bytes | tuple[int, ...]:
 
 def images_cycle_type(images: Sequence[int]) -> tuple[int, ...]:
     """Multiset of cycle lengths, ascending, of the permutation with this
-    image list."""
+    image list.  Each cycle is followed from its least point until it
+    returns there."""
     seen = bytearray(len(images))
     lengths = []
     start = seen.find(0)
     while start >= 0:
-        length = 0
-        v = start
-        while not seen[v]:
+        seen[start] = 1
+        v = images[start]
+        length = 1
+        while v != start:
             seen[v] = 1
             v = images[v]
             length += 1
         lengths.append(length)
         start = seen.find(0, start)
-    return tuple(sorted(lengths))
+    lengths.sort()
+    return tuple(lengths)
 
 
 def compose(g: Perm, f: Perm) -> Perm:

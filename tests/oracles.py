@@ -8,7 +8,8 @@ enumerates candidate class subsets and checks invariance inline, the
 conjugation and class oracles build and conjugate every factorization, the
 class reference walks every mask through one table of 2^r images per
 generator (expanded from mask_action, which the tests match to the
-conjugation oracle), the Burnside count closes the affine mask maps, read off conjugated
+conjugation oracle), the F1 column oracle relabels factor_images' F1 by tail
+position, the Burnside count closes the affine mask maps, read off conjugated
 factorizations, into a group and counts fixed masks by linear algebra, the
 swap oracle builds every relabelled factorization and computes its block
 actions inline, the difference-class oracle traces both F1 and x over a
@@ -230,6 +231,16 @@ def mask_action_table(action: Perm) -> array:
             run = int.from_bytes(table[lo : lo + step], sys.byteorder) ^ moved
             table.frombytes(run.to_bytes(step * table.itemsize, sys.byteorder))
     return table
+
+
+def f1_by_tail_position(d: Digraph2, b: int) -> list[int]:
+    """F1 at mask b, from its image list, with every vertex relabelled by
+    its tail position: the vertices listed cycle by cycle, each cycle's
+    bit-0 rows in order."""
+    order = [v for tails, _ in d._cycle_rows for v, _, _ in tails]
+    position = {v: i for i, v in enumerate(order)}
+    f1 = factor_images(d, b)[0]
+    return [position[f1[v]] for v in order]
 
 
 def reference_classify(d: Digraph2, aut_generators: list[Perm], allow_swap: bool) -> Classification:

@@ -28,9 +28,15 @@ from spanfact.digraph import (
 from spanfact.errors import PreconditionError, SizeCapError, StrongConnectivityError
 from spanfact.fixtures import load_fixture
 from spanfact.groups import DEFAULT_GROUP_CAP, enumerate_group, normalize_degree2, presentation_from_config
-from spanfact.perm import Perm
+from spanfact.perm import Perm, images_cycle_type
 
-from oracles import burnside_class_count, conjugation_table, factorization_classes, reference_classify
+from oracles import (
+    burnside_class_count,
+    conjugation_table,
+    f1_by_tail_position,
+    factorization_classes,
+    reference_classify,
+)
 
 
 def test_build_toy_values():
@@ -449,11 +455,18 @@ TEST_CONFIGS = Path(__file__).with_name("configs")
 
 def instance(name: str) -> tuple[Digraph2, list[Perm]]:
     """A fixture, or a benchmark or test config by name, with its
-    automorphisms; doubled-n-cycle is the doubled n-cycle with its
-    rotation."""
-    if name.startswith("doubled-"):
-        n = int(name.split("-")[1])
-        return build_doubled_cycle(n), [Perm([(v + 1) % n for v in range(n)])]
+    automorphisms; doubled-n-cycle is the doubled n-cycle and circulant-n-k
+    the circulant v -> v + 1, v -> v + k on Z_n, each with its rotation.
+    The circulant's alternating cycles step by k - 1, so it has
+    gcd(n, k - 1) of them."""
+    kind, *sizes = name.split("-")
+    if kind in ("doubled", "circulant"):
+        n = int(sizes[0])
+        rotation = [Perm([(v + 1) % n for v in range(n)])]
+        if kind == "doubled":
+            return build_doubled_cycle(n), rotation
+        k = int(sizes[1])
+        return Digraph2([((v + 1) % n, (v + k) % n) for v in range(n)]), rotation
     for configs in (BENCHMARK_CONFIGS, TEST_CONFIGS):
         path = configs / f"{name}.json"
         if path.is_file():
@@ -466,7 +479,7 @@ def instance(name: str) -> tuple[Digraph2, list[Perm]]:
 @pytest.mark.parametrize(
     "name",
     ["a5-ex2", "a5-ex3", "morris", "toy:3", "toy:5", "toy:8", "shift:7", "shift:16",
-     "s5-r12", "agl18-r14", "c2wrc4-r16"],
+     "s5-r12", "agl18-r14", "c2wrc4-r16", "circulant-264-9"],
 )
 @pytest.mark.parametrize("allow_swap", [False, True])
 def test_classify_matches_reference(name, allow_swap):
@@ -564,3 +577,52 @@ def test_factor_images_match_factorization(name):
     for b in range(1 << d.alt_decomposition.r):
         f = factorization_at(d, b)
         assert factor_images(d, b) == (list(f.f1.images), list(f.f2.images))
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["a5-ex2", "a5-ex3", "morris", "toy:3", "toy:5", "shift:7", "mixed-6", "doubled-3-cycle",
+     "doubled-4-cycle", "circulant-264-9",
+     "s5-r12", "agl18-r14", "c2wrc4-r16", "s5-r20", "psl27-r21"],
+)
+def test_f1_columns_are_f1_by_tail_position(name):
+    """Reading the F1 columns at a mask, one lookup per mask byte, gives F1
+    at that mask relabelled by tail position: on every mask of the small
+    instances (circulant-264-9 has 264 vertices, past one byte), and on 200
+    seeded masks of each config (psl27-r21 has r = 21, so its last column
+    is partial)."""
+    d = Digraph2(MIXED_6) if name == "mixed-6" else instance(name)[0]
+    r = d.alt_decomposition.r
+    masks = range(1 << r)
+    if name in ("s5-r12", "agl18-r14", "c2wrc4-r16", "s5-r20", "psl27-r21"):
+        masks = [0, (1 << r) - 1, *random.Random(r).sample(masks, 200)]
+    low, mid, high = digraph._f1_columns(d)
+    assert len(low) == 1 << min(r, 8)
+    for b in masks:
+        assert list(low[b & 255] + mid[b >> 8 & 255] + high[b >> 16]) == f1_by_tail_position(d, b), b
+
+
+@pytest.mark.parametrize("allow_swap", [False, True])
+def test_classify_walks_f1_once_per_class(monkeypatch, allow_swap):
+    """Without the swap, one F1 walk per class gives both of its cycle
+    types; with it, F1 is also walked at the representative's complement.
+    No class builds an image list: only mask_action reads F1 at mask 0,
+    once per generator."""
+    d, generators = instance("agl18-r14")
+    walks = []
+    built = []
+
+    def walk(images):
+        walks.append(images)
+        return images_cycle_type(images)
+
+    def build(d, b):
+        built.append(b)
+        return factor_images(d, b)
+
+    monkeypatch.setattr(digraph, "images_cycle_type", walk)
+    monkeypatch.setattr(digraph, "factor_images", build)
+    classes = classify_factorizations(d, generators, allow_swap)
+    assert len(walks) == (2 if allow_swap else 1) * len(classes)
+    assert built == [0] * len(generators)
+    assert classes == reference_classify(d, generators, allow_swap)

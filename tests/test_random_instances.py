@@ -21,6 +21,7 @@ from spanfact.blocks import (
     relative_block_permutation,
     swap_relabel,
 )
+from spanfact import digraph
 from spanfact.cli import instance_from_config
 from spanfact.digraph import (
     Digraph2,
@@ -53,6 +54,7 @@ from spanfact.treesearch import run_search
 
 from oracles import (
     brute_force_refinement_families,
+    f1_by_tail_position,
     naive_max_tree_size,
     reference_alt_cycles,
     reference_classify,
@@ -129,6 +131,17 @@ def random_cayley_digraph(rng: random.Random) -> tuple[Digraph2, list[Perm]]:
         if cd.digraph.alt_decomposition.r <= 12:
             return cd.digraph, cd.default_aut_generators()
     out_of_attempts("random_cayley_digraph", "<= 120")
+
+
+def test_f1_columns_random():
+    """On random Cayley digraphs, the F1 columns read at every mask give F1
+    at that mask relabelled by tail position."""
+    for seed in range(50):
+        d, _ = random_cayley_digraph(random.Random(seed))
+        low, mid, high = digraph._f1_columns(d)
+        for b in range(1 << d.alt_decomposition.r):
+            got = low[b & 255] + mid[b >> 8 & 255] + high[b >> 16]
+            assert list(got) == f1_by_tail_position(d, b), (seed, b)
 
 
 def test_classify_matches_reference_random():
