@@ -7,6 +7,7 @@ from typing import NoReturn
 
 import pytest
 
+from spanfact import digraph
 from spanfact.blocks import (
     BlockSystem,
     _block_images,
@@ -21,7 +22,6 @@ from spanfact.blocks import (
     relative_block_permutation,
     swap_relabel,
 )
-from spanfact import digraph
 from spanfact.cli import instance_from_config
 from spanfact.digraph import (
     Digraph2,
